@@ -21,6 +21,7 @@ weights by their success probabilities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -34,7 +35,7 @@ from .errors import (
     NotTracePreservingError,
     NotUnitaryError,
 )
-from .states import BELL_PROJECTORS, DensityMatrix, min_pt_eigenvalue
+from .states import BELL_PROJECTORS, DensityMatrix, _mat_of, as_density, min_pt_eigenvalue
 
 _COMPLETENESS_TOL = 1e-10
 
@@ -72,10 +73,8 @@ class DiscardPrepare:
     target: DensityMatrix
 
     def __post_init__(self):
-        target = self.target
-        if not isinstance(target, DensityMatrix):
-            target = DensityMatrix(qmat.as_cmat(target, 4))
-            object.__setattr__(self, "target", target)
+        target = as_density(self.target)
+        object.__setattr__(self, "target", target)
         if min_pt_eigenvalue(target) < -1e-10:
             raise NotSeparableError(
                 "prepared state fails the partial-transpose separability test"
@@ -114,7 +113,7 @@ class Protocol:
         object.__setattr__(self, "branches", branches)
 
     def apply(self, rho) -> DensityMatrix:
-        mat = rho.matrix if isinstance(rho, DensityMatrix) else qmat.as_cmat(rho, 4)
+        mat = _mat_of(rho)
         out = np.zeros((4, 4), dtype=np.complex128)
         for w, atom in self.branches:
             if w > 0.0:
@@ -163,35 +162,36 @@ def renormalize_probabilistic(branches: Sequence[ProbabilisticBranch]) -> tuple:
 
 
 class SeparableChannel:
-    """Trace-preserving channel given by product Kraus pairs (A_k, B_k)."""
+    """Trace-preserving channel given by product Kraus pairs (A_k, B_k).
 
-    __slots__ = ("_pairs", "_estack", "locc_certified", "bell_action")
+    The pairs are held as one read-only (n, 2, 2, 2) array, row k being
+    (A_k, B_k), and lifted once to the (n, 4, 4) stack E_k = A_k (x) B_k.
+    """
+
+    __slots__ = ("_factors", "_estack", "locc_certified", "bell_action")
 
     def __init__(
         self,
-        pairs: Sequence[tuple],
+        pairs,
         *,
         locc_certified: bool = False,
         bell_action: Optional[np.ndarray] = None,
         tol: float = _COMPLETENESS_TOL,
     ):
-        if not pairs:
-            raise ValueError("need at least one Kraus pair")
-        norm_pairs = []
-        lifted = []
-        for k, (a, b) in enumerate(pairs):
-            a = _as_qubit_mat(a, f"pair {k} A")
-            b = _as_qubit_mat(b, f"pair {k} B")
-            norm_pairs.append((a, b))
-            lifted.append(qmat.kron2(a, b))
-        estack = np.ascontiguousarray(np.stack(lifted))
+        factors = np.array(pairs, dtype=np.complex128)
+        if factors.ndim != 4 or factors.shape[0] == 0 or factors.shape[1:] != (2, 2, 2):
+            raise ValueError(
+                f"need one or more pairs of 2x2 Kraus factors, got shape {factors.shape}"
+            )
+        factors.setflags(write=False)
+        estack = kernels.kron2(factors[:, 0], factors[:, 1])
         gram = kernels.kraus_gram(estack)
         dev = qmat.frobenius_distance(gram, np.eye(4))
         if dev > tol:
             raise NotTracePreservingError(
                 f"Kraus completeness fails: ||sum E^dagger E - I|| = {dev:.3e} > {tol:g}"
             )
-        self._pairs = tuple(norm_pairs)
+        self._factors = factors
         self._estack = estack
         self.locc_certified = bool(locc_certified)
         if bell_action is not None:
@@ -207,8 +207,8 @@ class SeparableChannel:
         self.bell_action = bell_action
 
     @property
-    def kraus_pairs(self) -> tuple:
-        return self._pairs
+    def kraus_pairs(self) -> np.ndarray:
+        return self._factors
 
     @property
     def estack(self) -> np.ndarray:
@@ -222,8 +222,7 @@ class SeparableChannel:
         return kernels.apply_kraus(self._estack, np.ascontiguousarray(mat, dtype=np.complex128))
 
     def apply(self, rho) -> DensityMatrix:
-        mat = rho.matrix if isinstance(rho, DensityMatrix) else qmat.as_cmat(rho, 4)
-        return DensityMatrix(self.apply_raw(mat))
+        return DensityMatrix(self.apply_raw(_mat_of(rho)))
 
     def __repr__(self):
         tag = ", locc_certified" if self.locc_certified else ""
@@ -359,7 +358,7 @@ def discard_prepare_channel(target) -> SeparableChannel:
     preservation; orthogonality within each degenerate cluster comes from the
     decomposition itself.
     """
-    rho = target if isinstance(target, DensityMatrix) else DensityMatrix(qmat.as_cmat(target, 4))
+    rho = as_density(target)
     if min_pt_eigenvalue(rho) < -1e-10:
         raise NotSeparableError("cannot prepare an entangled state by discard-and-prepare")
     terms = product_diagonal_decomposition(rho.matrix)
@@ -382,18 +381,12 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
         raise BadWeightsError(f"mixture weights must be nonnegative, got {weights}")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise BadWeightsError(f"mixture weights must sum to 1, got {sum(weights)!r}")
-    pairs = []
-    for ch, w in zip(channels, weights):
-        if w <= 0.0:
-            continue
-        scale = w ** 0.25
-        for a, b in ch.kraus_pairs:
-            pairs.append((scale * a, scale * b))
+    factors = [w ** 0.25 * ch.kraus_pairs for ch, w in zip(channels, weights) if w > 0.0]
     action = None
     if all(ch.bell_action is not None for ch in channels):
         action = sum(w * ch.bell_action for ch, w in zip(channels, weights))
     return SeparableChannel(
-        pairs,
+        np.concatenate(factors),
         locc_certified=all(ch.locc_certified for ch in channels),
         bell_action=action,
     )
@@ -424,8 +417,6 @@ _PAULI_BELL_PERMS = {
     "z": (3, 2, 1, 0),  # swaps psi- <-> psi+, phi+ <-> phi-
 }
 
-_CATALOG_CACHE: Optional[tuple] = None
-
 
 def _perm_matrix(perm) -> np.ndarray:
     m = np.zeros((4, 4))
@@ -441,6 +432,7 @@ def _pair_replace_action(i: int, j: int) -> np.ndarray:
     return np.tile(col[:, None], (1, 4))
 
 
+@functools.cache
 def bell_extremal_catalog() -> tuple:
     """The 13 channels spanning Bell-diagonal transitions.
 
@@ -450,9 +442,6 @@ def bell_extremal_catalog() -> tuple:
     separable edges of the Bell-diagonal tetrahedron). Every channel carries
     its verified 4x4 ``bell_action``.
     """
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is not None:
-        return _CATALOG_CACHE
     eye = qmat.EYE2
     paulis = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z}
     channels = [
@@ -477,5 +466,4 @@ def bell_extremal_catalog() -> tuple:
                     bell_action=_pair_replace_action(i, j),
                 )
             )
-    _CATALOG_CACHE = tuple(channels)
-    return _CATALOG_CACHE
+    return tuple(channels)

@@ -37,6 +37,7 @@ from .convertibility import (
     Forbidden,
     Inconclusive,
     decide,
+    keep_or_refill,
     synthesize_mems_protocol,
     verify_protocol,
 )
@@ -323,9 +324,7 @@ def cmd_measures(args) -> int:
     lines.append(f"rank: {scalars.rank}")
     if tag.kind == "werner":
         lines.append(f"family: werner (w={tag.params.w!r})")
-        w = tag.params.w
-        q = (1.0 - w) / 4.0
-        triple = bell_monotones(((1.0 + 3.0 * w) / 4.0, q, q, q))
+        triple = bell_monotones(tag.params.mixture_weights())
     elif tag.kind == "bell_diagonal":
         lines.append(f"family: bell_diagonal (lambda={list(tag.params.weights)!r})")
         triple = bell_monotones(tag.params.weights)
@@ -345,9 +344,7 @@ def cmd_measures(args) -> int:
 def _mixture_weights_of(rho: DensityMatrix, where: str) -> tuple:
     tag = classify_family(rho)
     if tag.kind == "werner":
-        w = tag.params.w
-        q = (1.0 - w) / 4.0
-        return ((1.0 + 3.0 * w) / 4.0, q, q, q)
+        return tag.params.mixture_weights()
     if tag.kind == "mems":
         return tag.params.weights
     raise _InputError(where, "state is not of the maximally-entangled-mixture form")
@@ -364,14 +361,7 @@ def cmd_synthesize(args) -> int:
         payload = {"verdict": "Infeasible", "detail": str(exc)}
         _emit(args, payload, ["verdict: Infeasible", f"detail: {exc}"])
         return EX_INCONCLUSIVE
-    protocol = Protocol(
-        (
-            (params.W, LocalUnitary(np.eye(2, dtype=complex), np.eye(2, dtype=complex))),
-            (1.0 - params.W, DiscardPrepare(params.prepared_state())),
-        )
-        if params.W < 1.0
-        else ((1.0, LocalUnitary(np.eye(2, dtype=complex), np.eye(2, dtype=complex))),)
-    )
+    protocol = keep_or_refill(params.W, params.prepared_state())
     residual = verify_protocol(protocol, source, target)
     payload = {
         "verdict": "Synthesized",

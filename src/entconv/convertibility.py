@@ -20,6 +20,7 @@ yields Inconclusive rather than Forbidden.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -40,6 +41,7 @@ from .states import (
     DensityMatrix,
     MemsWeights,
     WernerParam,
+    as_density,
     classify_family,
     is_entangled,
     make_mems,
@@ -99,20 +101,14 @@ class MemsProtocolParams:
         return DensityMatrix(np.diag([p00_11 / 2, p01, p10, p00_11 / 2]).astype(complex))
 
 
-def _coerce(rho) -> DensityMatrix:
-    if isinstance(rho, DensityMatrix):
-        return rho
-    return DensityMatrix(qmat.as_cmat(rho, 4))
-
-
 def verify_protocol(protocol: Protocol, rho, rho2) -> float:
     """Residual ||apply(compile(protocol), rho) - rho2||_F.
 
     Goes through the compiled Kraus form rather than the abstract branches,
     so it independently checks both the protocol and its lowering.
     """
-    source = _coerce(rho)
-    target = _coerce(rho2)
+    source = as_density(rho)
+    target = as_density(rho2)
     channel = compile_protocol(protocol)
     return qmat.frobenius_distance(channel.apply(source).matrix, target.matrix)
 
@@ -123,8 +119,8 @@ def rank_gate(rho, rho2) -> Optional[Forbidden]:
     Returns a Forbidden verdict when both states are entangled and the
     target's numeric rank is strictly smaller; None means pass.
     """
-    source = _coerce(rho)
-    target = _coerce(rho2)
+    source = as_density(rho)
+    target = as_density(rho2)
     if not (is_entangled(source) and is_entangled(target)):
         return None
     r_in, r_out = source.rank(), target.rank()
@@ -137,14 +133,14 @@ def rank_gate(rho, rho2) -> Optional[Forbidden]:
     return None
 
 
-_ID_ATOM_CACHE: Optional[LocalUnitary] = None
-
-
+@functools.cache
 def _identity_atom() -> LocalUnitary:
-    global _ID_ATOM_CACHE
-    if _ID_ATOM_CACHE is None:
-        _ID_ATOM_CACHE = LocalUnitary(qmat.EYE2, qmat.EYE2)
-    return _ID_ATOM_CACHE
+    return LocalUnitary(qmat.EYE2, qmat.EYE2)
+
+
+def keep_or_refill(keep: float, refill_state) -> Protocol:
+    """Keep the input with probability ``keep``, else replace it by ``refill_state``."""
+    return Protocol(((keep, _identity_atom()), (1.0 - keep, DiscardPrepare(refill_state))))
 
 
 def decide_werner(w, w2) -> Verdict:
@@ -161,12 +157,7 @@ def decide_werner(w, w2) -> Verdict:
             f"identity weight w'/w = {target.w}/{source.w} exceeds 1",
         )
     p = 1.0 if source.w == 0.0 else target.w / source.w
-    protocol = Protocol(
-        (
-            (p, _identity_atom()),
-            (1.0 - p, DiscardPrepare(DensityMatrix(np.eye(4, dtype=complex) / 4))),
-        )
-    )
+    protocol = keep_or_refill(p, DensityMatrix(np.eye(4, dtype=complex) / 4))
     residual = verify_protocol(protocol, make_werner(source), make_werner(target))
     return Convertible(
         protocol,
@@ -237,15 +228,6 @@ def synthesize_mems_protocol(l, l2) -> MemsProtocolParams:
     return MemsProtocolParams(w, (p01, p00_11, p10))
 
 
-def _mems_protocol(params: MemsProtocolParams) -> Protocol:
-    return Protocol(
-        (
-            (params.W, _identity_atom()),
-            (1.0 - params.W, DiscardPrepare(params.prepared_state())),
-        )
-    )
-
-
 def decide_mems(l, l2) -> Verdict:
     """Decision within the maximally-entangled-mixture form.
 
@@ -270,16 +252,8 @@ def decide_mems(l, l2) -> Verdict:
                 "entanglement of formation",
             )
         wid = t[0] / s[0]
-        protocol = Protocol(
-            (
-                (wid, _identity_atom()),
-                (
-                    1.0 - wid,
-                    DiscardPrepare(
-                        DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-                    ),
-                ),
-            )
+        protocol = keep_or_refill(
+            wid, DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
         )
         residual = verify_protocol(protocol, make_mems(source), make_mems(target))
         return Convertible(
@@ -289,7 +263,7 @@ def decide_mems(l, l2) -> Verdict:
         params = synthesize_mems_protocol(source, target)
     except InfeasibleError as err:
         return Inconclusive(f"mixture-form synthesis infeasible: {err.detail}")
-    protocol = _mems_protocol(params)
+    protocol = keep_or_refill(params.W, params.prepared_state())
     residual = verify_protocol(protocol, make_mems(source), make_mems(target))
     return Convertible(
         protocol,
@@ -299,20 +273,15 @@ def decide_mems(l, l2) -> Verdict:
     )
 
 
-def _werner_as_weights(param: WernerParam) -> tuple:
-    q = (1.0 - param.w) / 4.0
-    return ((1.0 + 3.0 * param.w) / 4.0, q, q, q)
-
-
 def _tag_bell_weights(tag) -> BellWeights:
     if tag.kind == "werner":
-        return BellWeights(_werner_as_weights(tag.params))
+        return BellWeights(tag.params.mixture_weights())
     return tag.params
 
 
 def _tag_mems_weights(tag) -> MemsWeights:
     if tag.kind == "werner":
-        return MemsWeights(_werner_as_weights(tag.params))
+        return MemsWeights(tag.params.mixture_weights())
     return tag.params
 
 
@@ -324,8 +293,8 @@ def decide(rho, rho2) -> Verdict:
     entangled pairs; (3) both states are classified and a shared family rule
     decides; (4) anything else is Inconclusive.
     """
-    source = _coerce(rho)
-    target = _coerce(rho2)
+    source = as_density(rho)
+    target = as_density(rho2)
     if not is_entangled(target):
         try:
             discard_prepare_channel(target)

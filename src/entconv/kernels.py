@@ -1,68 +1,49 @@
-"""Dense complex kernels for 4x4 operator algebra, in two implementations.
+"""Dense complex numpy kernels for 4x4 operator algebra.
 
 Everything downstream (state constructors, measures, channel application, the
 randomized oracles) funnels its numerical work through the handful of
 functions defined here: a Hermitian eigensolver, Kronecker products, partial
 transpose/trace index shuffles, Kraus-stack application, and singular values.
-Each kernel exists twice: an ``@njit`` version compiled by numba and a plain
-numpy version. The active set is chosen once, at import time, by the
-``ENTCONV_BACKEND`` environment variable:
-
-    ENTCONV_BACKEND=numba   use the compiled kernels (default when numba imports)
-    ENTCONV_BACKEND=numpy   use the pure-numpy fallbacks
-
-Both implementations of every kernel stay importable regardless of the active
-backend so they can be compared directly (see benchmarks/bench_kernels.py).
-
-The numba eigensolver is a cyclic complex Jacobi iteration: each rotation
-zeroes one off-diagonal pair through a phase factor plus a real Givens
-rotation, sweeping until the off-diagonal Frobenius mass falls below
-1e-14 * max(1, ||A||_F), bounded at 100 sweeps. The numpy fallback delegates
-to LAPACK via np.linalg.eigh under the same output contract (descending
-eigenvalues, eigenvectors as columns).
+The eigensolver delegates to LAPACK via np.linalg.eigh and returns
+eigenvalues descending, eigenvectors as columns.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import warnings
+import importlib.util
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
+BACKEND = "numpy"
+NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-def hermitian_eigh_numpy(h):
+def hermitian_eigh(h):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 
-def kron2_numpy(a, b):
-    """Kronecker product of two 2x2 matrices."""
-    return np.kron(a, b)
+def kron2(a, b):
+    """Kronecker product of 2x2 matrices, broadcast over leading axes.
+
+    Each output entry is the single product a[i, j] * b[k, l], so the result
+    equals np.kron slice by slice bit for bit.
+    """
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
-def apply_kraus_numpy(estack, rho):
+def apply_kraus(estack, rho):
     """Sum_k E_k rho E_k^dagger for a stack of 4x4 Kraus operators."""
     return np.einsum("kij,jl,kml->im", estack, rho, estack.conj(), optimize=True)
 
 
-def kraus_gram_numpy(estack):
+def kraus_gram(estack):
     """Sum_k E_k^dagger E_k, the completeness operator of a Kraus stack."""
     return np.einsum("kji,kjl->il", estack.conj(), estack, optimize=True)
 
 
-def partial_transpose_numpy(m, subsystem):
+def partial_transpose(m, subsystem):
     """Transpose one tensor factor of a 4x4 operator (0 = first, 1 = second)."""
     t = m.reshape(2, 2, 2, 2)
     if subsystem == 0:
@@ -72,7 +53,7 @@ def partial_transpose_numpy(m, subsystem):
     return np.ascontiguousarray(t.reshape(4, 4))
 
 
-def partial_trace_numpy(m, keep):
+def partial_trace(m, keep):
     """Trace out one tensor factor of a 4x4 operator (keep 0 = first, 1 = second)."""
     t = m.reshape(2, 2, 2, 2)
     if keep == 0:
@@ -80,252 +61,6 @@ def partial_trace_numpy(m, keep):
     return np.ascontiguousarray(np.trace(t, axis1=0, axis2=2))
 
 
-def singular_values_numpy(m):
+def singular_values(m):
     """Singular values of a 4x4 matrix, descending."""
     return np.linalg.svd(m, compute_uv=False)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _jacobi_eigh(h):
-        n = h.shape[0]
-        a = np.empty((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                # symmetrize so tiny Hermiticity drift cannot bias the sweeps
-                a[i, j] = 0.5 * (h[i, j] + np.conj(h[j, i]))
-        v = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            v[i, i] = 1.0 + 0.0j
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                total += a[i, j].real ** 2 + a[i, j].imag ** 2
-        thr = 1e-14 * max(1.0, math.sqrt(total))
-
-        for _sweep in range(100):
-            off = 0.0
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    off += a[p, q].real ** 2 + a[p, q].imag ** 2
-            if math.sqrt(2.0 * off) <= thr:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    r = abs(apq)
-                    if r == 0.0:
-                        continue
-                    app = a[p, p].real
-                    aqq = a[q, q].real
-                    e = apq / r
-                    ec = np.conj(e)
-                    tau = (aqq - app) / (2.0 * r)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    # columns: A <- A U with U[p,p]=c, U[p,q]=s, U[q,p]=-s*conj(e), U[q,q]=c*conj(e)
-                    for i in range(n):
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = c * aip - s * ec * aiq
-                        a[i, q] = s * aip + c * ec * aiq
-                    # rows: A <- U^dagger A
-                    for i in range(n):
-                        api = a[p, i]
-                        aqi = a[q, i]
-                        a[p, i] = c * api - s * e * aqi
-                        a[q, i] = s * api + c * e * aqi
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    for i in range(n):
-                        vip = v[i, p]
-                        viq = v[i, q]
-                        v[i, p] = c * vip - s * ec * viq
-                        v[i, q] = s * vip + c * ec * viq
-
-        w = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            w[i] = a[i, i].real
-        order = np.argsort(-w)
-        w_sorted = np.empty(n, dtype=np.float64)
-        v_sorted = np.empty((n, n), dtype=np.complex128)
-        for k in range(n):
-            w_sorted[k] = w[order[k]]
-            for i in range(n):
-                v_sorted[i, k] = v[i, order[k]]
-        return w_sorted, v_sorted
-
-    def hermitian_eigh_numba(h):
-        """Eigendecomposition via the compiled Jacobi kernel, eigenvalues descending."""
-        return _jacobi_eigh(np.ascontiguousarray(h, dtype=np.complex128))
-
-    @njit(cache=True)
-    def _kron2(a, b):
-        out = np.empty((4, 4), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
-        return out
-
-    def kron2_numba(a, b):
-        return _kron2(
-            np.ascontiguousarray(a, dtype=np.complex128),
-            np.ascontiguousarray(b, dtype=np.complex128),
-        )
-
-    @njit(cache=True)
-    def _apply_kraus(estack, rho):
-        nk = estack.shape[0]
-        out = np.zeros((4, 4), dtype=np.complex128)
-        tmp = np.empty((4, 4), dtype=np.complex128)
-        for k in range(nk):
-            for i in range(4):
-                for l in range(4):
-                    acc = 0.0 + 0.0j
-                    for j in range(4):
-                        acc += estack[k, i, j] * rho[j, l]
-                    tmp[i, l] = acc
-            for i in range(4):
-                for m in range(4):
-                    acc = 0.0 + 0.0j
-                    for l in range(4):
-                        acc += tmp[i, l] * np.conj(estack[k, m, l])
-                    out[i, m] += acc
-        return out
-
-    def apply_kraus_numba(estack, rho):
-        return _apply_kraus(
-            np.ascontiguousarray(estack, dtype=np.complex128),
-            np.ascontiguousarray(rho, dtype=np.complex128),
-        )
-
-    @njit(cache=True)
-    def _kraus_gram(estack):
-        nk = estack.shape[0]
-        out = np.zeros((4, 4), dtype=np.complex128)
-        for k in range(nk):
-            for i in range(4):
-                for l in range(4):
-                    acc = 0.0 + 0.0j
-                    for j in range(4):
-                        acc += np.conj(estack[k, j, i]) * estack[k, j, l]
-                    out[i, l] += acc
-        return out
-
-    def kraus_gram_numba(estack):
-        return _kraus_gram(np.ascontiguousarray(estack, dtype=np.complex128))
-
-    @njit(cache=True)
-    def _partial_transpose(m, subsystem):
-        out = np.empty((4, 4), dtype=np.complex128)
-        for a in range(2):
-            for b in range(2):
-                for a2 in range(2):
-                    for b2 in range(2):
-                        if subsystem == 0:
-                            out[2 * a + b, 2 * a2 + b2] = m[2 * a2 + b, 2 * a + b2]
-                        else:
-                            out[2 * a + b, 2 * a2 + b2] = m[2 * a + b2, 2 * a2 + b]
-        return out
-
-    def partial_transpose_numba(m, subsystem):
-        return _partial_transpose(np.ascontiguousarray(m, dtype=np.complex128), subsystem)
-
-    @njit(cache=True)
-    def _partial_trace(m, keep):
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for x in range(2):
-            for y in range(2):
-                acc = 0.0 + 0.0j
-                for z in range(2):
-                    if keep == 0:
-                        acc += m[2 * x + z, 2 * y + z]
-                    else:
-                        acc += m[2 * z + x, 2 * z + y]
-                out[x, y] = acc
-        return out
-
-    def partial_trace_numba(m, keep):
-        return _partial_trace(np.ascontiguousarray(m, dtype=np.complex128), keep)
-
-    @njit(cache=True)
-    def _singular_values(m):
-        # Hermitian dilation [[0, M], [M^dagger, 0]] has eigenvalues +/- sigma_i;
-        # reading the positive half avoids squaring M and keeps small singular
-        # values accurate to machine precision.
-        d = np.zeros((8, 8), dtype=np.complex128)
-        for i in range(4):
-            for j in range(4):
-                d[i, 4 + j] = m[i, j]
-                d[4 + j, i] = np.conj(m[i, j])
-        w, _ = _jacobi_eigh(d)
-        out = np.empty(4, dtype=np.float64)
-        for k in range(4):
-            out[k] = max(w[k], 0.0)
-        return out
-
-    def singular_values_numba(m):
-        return _singular_values(np.ascontiguousarray(m, dtype=np.complex128))
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-def _resolve_backend() -> str:
-    requested = os.environ.get("ENTCONV_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"ENTCONV_BACKEND must be 'numba' or 'numpy', got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not NUMBA_AVAILABLE:
-            warnings.warn("numba requested but not importable; using numpy kernels")
-            return "numpy"
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-BACKEND = _resolve_backend()
-
-if BACKEND == "numba":
-    hermitian_eigh = hermitian_eigh_numba
-    kron2 = kron2_numba
-    apply_kraus = apply_kraus_numba
-    kraus_gram = kraus_gram_numba
-    partial_transpose = partial_transpose_numba
-    partial_trace = partial_trace_numba
-    singular_values = singular_values_numba
-else:
-    hermitian_eigh = hermitian_eigh_numpy
-    kron2 = kron2_numpy
-    apply_kraus = apply_kraus_numpy
-    kraus_gram = kraus_gram_numpy
-    partial_transpose = partial_transpose_numpy
-    partial_trace = partial_trace_numpy
-    singular_values = singular_values_numpy
-
-
-def warmup():
-    """Trigger compilation of the active kernel set on dummy inputs."""
-    h = np.eye(4, dtype=np.complex128)
-    e = np.eye(2, dtype=np.complex128)
-    stack = np.eye(4, dtype=np.complex128)[None, :, :]
-    hermitian_eigh(h)
-    kron2(e, e)
-    apply_kraus(stack, h / 4.0)
-    kraus_gram(stack)
-    partial_transpose(h, 1)
-    partial_trace(h, 0)
-    singular_values(h)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels, qmat
 from .errors import OutOfRangeError
-from .states import BellWeights, DensityMatrix
+from .states import BellWeights, _mat_of
 
 _YY = qmat.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
 
@@ -42,12 +42,6 @@ def bell_monotones(weights) -> MonotoneTriple:
     e2 = math.inf if l3 + l4 == 0.0 else (1.0 - 2.0 * l2) / (l3 + l4)
     e3 = math.inf if l4 == 0.0 else (1.0 - 2.0 * l2 - 2.0 * l3) / l4
     return MonotoneTriple(e1, e2, e3)
-
-
-def _mat_of(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return qmat.as_cmat(rho, 4)
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ be sharded across workers without changing the outcome.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -33,7 +34,7 @@ from .channels import (
 from .convertibility import verify_protocol
 from .errors import SamplingExhaustedError
 from .measures import bell_monotones, concurrence
-from .states import DensityMatrix, bell_weights_of, make_bell_diagonal
+from .states import DensityMatrix, as_density, bell_weights_of, make_bell_diagonal
 
 _ENTANGLEMENT_MARGIN = 1e-4
 _NEGATIVITY_MARGIN = 1e-6
@@ -296,23 +297,18 @@ def monotone_audit(
     return report
 
 
-_SEARCH_ATOMS: Optional[tuple] = None
-
-
+@functools.cache
 def _search_atoms() -> tuple:
-    global _SEARCH_ATOMS
-    if _SEARCH_ATOMS is None:
-        eye = qmat.EYE2
-        _SEARCH_ATOMS = (
-            LocalUnitary(eye, eye),
-            LocalUnitary(qmat.SIGMA_X, eye),
-            LocalUnitary(eye, qmat.SIGMA_X),
-            LocalUnitary(qmat.SIGMA_Y, eye),
-            LocalUnitary(eye, qmat.SIGMA_Y),
-            LocalUnitary(qmat.SIGMA_Z, eye),
-            LocalUnitary(eye, qmat.SIGMA_Z),
-        )
-    return _SEARCH_ATOMS
+    eye = qmat.EYE2
+    return (
+        LocalUnitary(eye, eye),
+        LocalUnitary(qmat.SIGMA_X, eye),
+        LocalUnitary(eye, qmat.SIGMA_X),
+        LocalUnitary(qmat.SIGMA_Y, eye),
+        LocalUnitary(eye, qmat.SIGMA_Y),
+        LocalUnitary(qmat.SIGMA_Z, eye),
+        LocalUnitary(eye, qmat.SIGMA_Z),
+    )
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -330,8 +326,8 @@ def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     1e-6 acceptance distance is a constructive certificate. Failure to find
     one proves nothing.
     """
-    source = rho if isinstance(rho, DensityMatrix) else DensityMatrix(qmat.as_cmat(rho, 4))
-    target = rho2 if isinstance(rho2, DensityMatrix) else DensityMatrix(qmat.as_cmat(rho2, 4))
+    source = as_density(rho)
+    target = as_density(rho2)
     atoms = _search_atoms()
     rotated = np.stack([_apply_unitary(atom, source.matrix) for atom in atoms])
     target_mat = target.matrix

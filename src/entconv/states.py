@@ -62,6 +62,15 @@ class WernerParam:
         if not (0.0 <= self.w <= 1.0):
             raise OutOfRangeError(f"werner weight must lie in [0, 1], got {self.w!r}")
 
+    def mixture_weights(self) -> tuple:
+        """Singlet-first weights (1+3w)/4, (1-w)/4, (1-w)/4, (1-w)/4.
+
+        They are both the Bell-diagonal weights and the mixture-form weights
+        of the Werner state.
+        """
+        q = (1.0 - self.w) / 4.0
+        return ((1.0 + 3.0 * self.w) / 4.0, q, q, q)
+
 
 def _check_weight_vector(weights, what: str) -> tuple:
     vals = tuple(float(x) for x in weights)
@@ -172,6 +181,13 @@ def _mat_of(rho) -> np.ndarray:
     return qmat.as_cmat(rho, 4)
 
 
+def as_density(rho) -> DensityMatrix:
+    """The state itself, or a validated DensityMatrix built from a 4x4 array."""
+    if isinstance(rho, DensityMatrix):
+        return rho
+    return DensityMatrix(qmat.as_cmat(rho, 4))
+
+
 def make_werner(w) -> DensityMatrix:
     """Werner state w * singlet + (1-w) * I/4."""
     param = w if isinstance(w, WernerParam) else WernerParam(float(w))
@@ -234,8 +250,7 @@ class StateScalars(NamedTuple):
 
 def state_scalars(rho: DensityMatrix, tol: float = 1e-9) -> StateScalars:
     """Purity, von Neumann entropy (bits), and numeric rank."""
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(_mat_of(rho))
+    rho = as_density(rho)
     return StateScalars(rho.purity(), rho.entropy(), rho.rank(tol))
 
 

@@ -119,6 +119,24 @@ def test_separable_channel_completeness_check():
     assert not ch.locc_certified
 
 
+def test_separable_channel_rejects_non_qubit_factors():
+    with pytest.raises(ValueError):
+        SeparableChannel([(np.eye(3), np.eye(3))])
+    with pytest.raises(ValueError):
+        SeparableChannel([(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))])
+    with pytest.raises(ValueError):
+        SeparableChannel([])
+
+
+def test_kraus_pairs_are_read_only_factors():
+    ch = discard_prepare_channel(DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)))
+    assert ch.kraus_pairs.shape == (ch.n_kraus, 2, 2, 2)
+    with pytest.raises(ValueError):
+        ch.kraus_pairs[0, 0, 0, 0] = 1.0
+    for (a, b), e in zip(ch.kraus_pairs, ch.estack):
+        assert np.array_equal(e, np.kron(a, b))
+
+
 def test_unitary_channel_action():
     rng = np.random.default_rng(3)
     ua, ub = haar_qubit_unitary(rng), haar_qubit_unitary(rng)
@@ -235,6 +253,19 @@ def test_mix_combines_actions():
     rho = make_bell_diagonal((0.6, 0.2, 0.15, 0.05))
     expected = 0.7 * cat[0].apply(rho).matrix + 0.3 * cat[7].apply(rho).matrix
     npt.assert_allclose(ch.apply(rho).matrix, expected, atol=1e-12)
+
+
+def test_mix_stack_is_scaled_concatenation():
+    cat = bell_extremal_catalog()
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        weights = rng.dirichlet(np.ones(len(cat)))
+        weights[3] = 0.0
+        weights /= weights.sum()
+        expected = np.concatenate(
+            [np.sqrt(w) * ch.estack for ch, w in zip(cat, weights) if w > 0.0]
+        )
+        npt.assert_allclose(mix(cat, weights).estack, expected, rtol=0, atol=1e-15)
 
 
 def test_compile_protocol_matches_direct_application():

@@ -181,6 +181,16 @@ class TestSynthesizeAndApply:
         target = make_mems((0.46, 0.34, 0.1, 0.1))
         assert np.linalg.norm(out.matrix - target.matrix) <= 1e-10
 
+    def test_synthesize_identity_lists_refill_at_zero_weight(self, tmp_path, capsys):
+        a = write_spec(tmp_path, "a.json", {"kind": "mems", "lambda": [0.5, 0.2, 0.2, 0.1]})
+        code, payload = run_json(capsys, ["synthesize", "--json", a, a])
+        assert code == EX_OK
+        assert payload["W"] == 1.0
+        assert payload["residual"] == 0.0
+        branches = payload["protocol"]["branches"]
+        assert [b["weight"] for b in branches] == [1.0, 0.0]
+        assert [b["atom"]["kind"] for b in branches] == ["local_unitary", "discard_prepare"]
+
     def test_infeasible_exit_three(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "mems", "lambda": [0.45, 0.45, 0.05, 0.05]})
         b = write_spec(tmp_path, "b.json", {"kind": "mems", "lambda": [0.4, 0.3, 0.3, 0.0]})

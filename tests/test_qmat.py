@@ -1,4 +1,4 @@
-"""Tests for the 4x4 operator layer and both kernel backends."""
+"""Tests for the 4x4 operator layer and the numpy kernels under it."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,13 +8,6 @@ from hypothesis import strategies as st
 
 from entconv import kernels, qmat
 from entconv.errors import NotHermitianError
-
-EIG_IMPLS = [("numpy", kernels.hermitian_eigh_numpy)]
-SVD_IMPLS = [("numpy", kernels.singular_values_numpy)]
-if kernels.NUMBA_AVAILABLE:
-    EIG_IMPLS.append(("numba", kernels.hermitian_eigh_numba))
-    SVD_IMPLS.append(("numba", kernels.singular_values_numba))
-
 
 def random_hermitian(rng, scale=1.0):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -29,6 +22,15 @@ def test_kron2_matches_numpy_reference():
         npt.assert_allclose(qmat.kron2(a, b), np.kron(a, b), atol=1e-14)
 
 
+def test_kron2_on_stacks_matches_per_slice_kron():
+    rng = np.random.default_rng(37)
+    a = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    b = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    out = kernels.kron2(a, b)
+    assert out.shape == (200, 4, 4)
+    assert np.array_equal(out, np.stack([np.kron(x, y) for x, y in zip(a, b)]))
+
+
 def test_kron2_pauli_yy_is_real_antidiagonal():
     yy = qmat.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
     expected = np.zeros((4, 4))
@@ -37,26 +39,14 @@ def test_kron2_pauli_yy_is_real_antidiagonal():
     npt.assert_allclose(yy, expected, atol=0)
 
 
-@pytest.mark.parametrize("name,eigh", EIG_IMPLS)
-def test_eig_reconstructs_and_is_orthonormal(name, eigh):
+def test_eig_reconstructs_and_is_orthonormal():
     rng = np.random.default_rng(11)
     for _ in range(100):
         h = random_hermitian(rng, scale=rng.uniform(0.01, 5.0))
-        w, v = eigh(h)
+        w, v = kernels.hermitian_eigh(h)
         npt.assert_allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-10)
         npt.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-11)
-        assert np.all(np.diff(w) <= 1e-12), f"{name} eigenvalues not descending"
-
-
-def test_eig_backends_agree_on_eigenvalues():
-    if not kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba backend not importable")
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        h = random_hermitian(rng)
-        w_np, _ = kernels.hermitian_eigh_numpy(h)
-        w_nb, _ = kernels.hermitian_eigh_numba(h)
-        npt.assert_allclose(w_nb, w_np, atol=1e-11)
+        assert np.all(np.diff(w) <= 1e-12), "eigenvalues not descending"
 
 
 def test_hermitian_eig_rejects_non_hermitian():
@@ -134,18 +124,19 @@ def test_numeric_rank_cases():
         qmat.numeric_rank([1.0, 0.0, 0.0, 0.0], tol=-1e-9)
 
 
-@pytest.mark.parametrize("name,sv", SVD_IMPLS)
-def test_singular_values_match_lapack(name, sv):
+def test_singular_values_match_lapack():
     rng = np.random.default_rng(29)
     for _ in range(50):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        npt.assert_allclose(sv(m), np.linalg.svd(m, compute_uv=False), atol=1e-11)
+        npt.assert_allclose(
+            kernels.singular_values(m), np.linalg.svd(m, compute_uv=False), atol=1e-11
+        )
 
 
 def test_apply_kraus_single_unitary():
     rng = np.random.default_rng(31)
     h = random_hermitian(rng)
-    w, v = kernels.hermitian_eigh_numpy(h)
+    w, v = kernels.hermitian_eigh(h)
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     out = kernels.apply_kraus(v[None, :, :], rho)
     npt.assert_allclose(out, v @ rho @ v.conj().T, atol=1e-13)
@@ -166,16 +157,6 @@ def test_is_unitary():
 def test_as_cmat_rejects_wrong_shape():
     with pytest.raises(ValueError):
         qmat.as_cmat(np.eye(3), 4)
-
-
-def test_backend_resolution(monkeypatch):
-    monkeypatch.setenv("ENTCONV_BACKEND", "numpy")
-    assert kernels._resolve_backend() == "numpy"
-    monkeypatch.setenv("ENTCONV_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        kernels._resolve_backend()
-    monkeypatch.delenv("ENTCONV_BACKEND")
-    assert kernels._resolve_backend() in ("numba", "numpy")
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
