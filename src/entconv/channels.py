@@ -340,10 +340,9 @@ def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
             for pa in (np.array([1, 0]), np.array([0, 1])):
                 for pb in (np.array([1, 0]), np.array([0, 1])):
                     terms.append((mean_w, pa.astype(np.complex128), pb.astype(np.complex128)))
-    recon = np.zeros((4, 4), dtype=np.complex128)
-    for p, a, b in terms:
-        ab = np.kron(a, b)
-        recon += p * np.outer(ab, ab.conj())
+    p, a, b = (np.array(column) for column in zip(*terms))
+    ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
+    recon = (ab.T * p) @ ab.conj()
     if qmat.frobenius_distance(recon, mat) > max(tol, 1e-9):
         raise NotProductDiagonalError("product reconstruction failed verification")
     return terms
@@ -353,23 +352,33 @@ def discard_prepare_channel(target) -> SeparableChannel:
     """Trace out the input and prepare ``target``; needs a product eigenbasis.
 
     The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over all
-    decomposition terms i and computational indices j_a, j_b. The prepared
-    product vectors never need to be orthogonal across clusters for trace
-    preservation; orthogonality within each degenerate cluster comes from the
-    decomposition itself.
+    decomposition terms i and computational indices j_a, j_b, in the order
+    (i, j_a, j_b); all 4 * n_terms of them are built in one broadcast. The
+    prepared product vectors never need to be orthogonal across clusters for
+    trace preservation; orthogonality within each degenerate cluster comes
+    from the decomposition itself.
     """
     rho = as_density(target)
     if min_pt_eigenvalue(rho) < -1e-10:
         raise NotSeparableError("cannot prepare an entangled state by discard-and-prepare")
+    return _prepare_channel(rho)
+
+
+def _prepare_channel(rho: DensityMatrix) -> SeparableChannel:
+    # the separability test is the caller's: discard_prepare_channel runs it,
+    # and a DiscardPrepare atom ran it when it was built
     terms = product_diagonal_decomposition(rho.matrix)
-    basis = (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128))
-    pairs = []
-    for p, a, b in terms:
-        scale = p ** 0.25
-        for ja in basis:
-            for jb in basis:
-                pairs.append((scale * np.outer(a, ja.conj()), scale * np.outer(b, jb.conj())))
-    return SeparableChannel(pairs, locc_certified=True)
+    p, a, b = (np.array(column) for column in zip(*terms))
+    scale = p[:, None] ** 0.25
+
+    def outers(kets):
+        # [i, j] = scale_i |v_i><j| over the computational basis j
+        return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
+
+    left = outers(a)[:, :, None]
+    right = outers(b)[:, None, :]
+    factors = np.stack(np.broadcast_arrays(left, right), axis=3)
+    return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True)
 
 
 def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> SeparableChannel:
@@ -393,16 +402,21 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
 
 
 def compile_protocol(protocol: Protocol) -> SeparableChannel:
-    """Lower a protocol to an explicit separable Kraus channel."""
+    """Lower a protocol to an explicit separable Kraus channel.
+
+    Atoms validated themselves when they were built (unitarity, the
+    partial-transpose test), so lowering does not repeat those checks; every
+    channel it builds still checks its own Kraus completeness.
+    """
     parts = []
     weights = []
     for w, atom in protocol.branches:
         if w <= 0.0:
             continue
         if isinstance(atom, LocalUnitary):
-            parts.append(local_unitary_channel(atom.u_a, atom.u_b))
+            parts.append(SeparableChannel([(atom.u_a, atom.u_b)], locc_certified=True))
         else:
-            parts.append(discard_prepare_channel(atom.target))
+            parts.append(_prepare_channel(atom.target))
         weights.append(w)
     total = sum(weights)
     return mix(parts, [w / total for w in weights])

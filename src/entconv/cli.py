@@ -269,8 +269,6 @@ def cmd_check(args) -> int:
     verdict = decide(source, target)
     if isinstance(verdict, Convertible):
         residual = verdict.residual
-        if verdict.protocol is not None and residual is None:
-            residual = verify_protocol(verdict.protocol, source, target)
         proto_spec = protocol_to_spec(verdict.protocol) if verdict.protocol else None
         payload = {
             "verdict": "Convertible",

@@ -4,7 +4,9 @@ Three verdict types cover every outcome:
 
 * ``Convertible``: conversion is possible; when the family rule is
   constructive the verdict carries an explicit protocol together with the
-  Frobenius residual of re-applying that protocol to the source.
+  Frobenius residual of re-applying that protocol to the source. That
+  residual is checked at run time: above ``RESIDUAL_BOUND`` the decision
+  raises ResidualError instead of returning a verdict.
 * ``Forbidden``: conversion is impossible, with a machine-readable reason
   (``rank_gate``, ``monotone_e1``/``e2``/``e3``, ``eof_decrease``,
   ``weight_infeasible``) and a human-readable detail line.
@@ -32,15 +34,21 @@ from .channels import (
     LocalUnitary,
     Protocol,
     compile_protocol,
-    discard_prepare_channel,
 )
-from .errors import InfeasibleError, NotEntangledError, NotProductDiagonalError, OutOfRangeError
+from .errors import (
+    InfeasibleError,
+    NotEntangledError,
+    NotProductDiagonalError,
+    OutOfRangeError,
+    ResidualError,
+)
 from .measures import bell_monotones
 from .states import (
     BellWeights,
     DensityMatrix,
     MemsWeights,
     WernerParam,
+    _WEIGHT_SUM_TOL,
     as_density,
     classify_family,
     is_entangled,
@@ -113,6 +121,21 @@ def verify_protocol(protocol: Protocol, rho, rho2) -> float:
     return qmat.frobenius_distance(channel.apply(source).matrix, target.matrix)
 
 
+# above the lowering's own 1e-9 reconstruction tolerance, far below any
+# residual a wrong protocol or a broken lowering leaves
+RESIDUAL_BOUND = 1e-8
+
+
+def _constructive(protocol: Protocol, certificate: str, rho, rho2) -> Convertible:
+    """Convertible verdict for a protocol whose verified residual is within bound."""
+    residual = verify_protocol(protocol, rho, rho2)
+    if not residual <= RESIDUAL_BOUND:
+        raise ResidualError(
+            f"protocol residual {residual:.3e} exceeds {RESIDUAL_BOUND:g} ({certificate})"
+        )
+    return Convertible(protocol, certificate, residual)
+
+
 def rank_gate(rho, rho2) -> Optional[Forbidden]:
     """Block entangled-to-entangled conversions that would lower the rank.
 
@@ -158,12 +181,18 @@ def decide_werner(w, w2) -> Verdict:
         )
     p = 1.0 if source.w == 0.0 else target.w / source.w
     protocol = keep_or_refill(p, DensityMatrix(np.eye(4, dtype=complex) / 4))
-    residual = verify_protocol(protocol, make_werner(source), make_werner(target))
-    return Convertible(
+    return _constructive(
         protocol,
         f"keep with probability {p:.12g}, refill with the maximally mixed state",
-        residual,
+        make_werner(source),
+        make_werner(target),
     )
+
+
+def _monotone_ratios(weights: tuple) -> tuple:
+    """(numerator, denominator) of e1, e2, e3; a zero denominator means +inf."""
+    l1, l2, l3, l4 = weights
+    return ((l1, 1.0), (1.0 - 2.0 * l2, l3 + l4), (1.0 - 2.0 * l2 - 2.0 * l3, l4))
 
 
 def decide_bell(l, l2) -> Verdict:
@@ -172,6 +201,13 @@ def decide_bell(l, l2) -> Verdict:
     Convertible iff every monotone of the source weakly dominates the
     target's, comparing in the extended reals. The certificate is the
     comparison itself; no protocol is synthesized here.
+
+    Each comparison is cross-multiplied, e_k(source) >= e_k(target) as
+    n_s d_t >= n_t d_s, with differences within the weight-validation
+    tolerance counted as ties: the weights are only known to that tolerance,
+    and a division would let rounding split an exact tie. All numerators are
+    positive for entangled weights, so the cross-multiplied order is the
+    order of the ratios.
     """
     source = l if isinstance(l, BellWeights) else BellWeights(tuple(l))
     target = l2 if isinstance(l2, BellWeights) else BellWeights(tuple(l2))
@@ -183,11 +219,14 @@ def decide_bell(l, l2) -> Verdict:
             )
     ms = bell_monotones(source)
     mt = bell_monotones(target)
-    for k, (a, b) in enumerate(zip(ms, mt), start=1):
-        if a < b:
+    ratios = zip(_monotone_ratios(source.weights), _monotone_ratios(target.weights))
+    for k, ((ns, ds), (nt, dt)) in enumerate(ratios, start=1):
+        if ds == 0.0:
+            continue
+        if dt == 0.0 or ns * dt < nt * ds - _WEIGHT_SUM_TOL:
             return Forbidden(
                 f"monotone_e{k}",
-                f"E{k} would increase: {a!r} < {b!r}",
+                f"E{k} would increase: {ms[k - 1]!r} < {mt[k - 1]!r}",
             )
     return Convertible(None, f"monotone triple {tuple(ms)} dominates {tuple(mt)}", None)
 
@@ -241,9 +280,12 @@ def decide_mems(l, l2) -> Verdict:
     s = source.weights
     t = target.weights
     if max(abs(a - b) for a, b in zip(s, t)) <= 1e-12:
-        protocol = Protocol(((1.0, _identity_atom()),))
-        residual = verify_protocol(protocol, make_mems(source), make_mems(target))
-        return Convertible(protocol, "identical weights: identity protocol", residual)
+        return _constructive(
+            Protocol(((1.0, _identity_atom()),)),
+            "identical weights: identity protocol",
+            make_mems(source),
+            make_mems(target),
+        )
     if all(x <= 1e-10 for x in (s[2], s[3], t[2], t[3])):
         if t[0] > s[0]:
             return Forbidden(
@@ -255,21 +297,22 @@ def decide_mems(l, l2) -> Verdict:
         protocol = keep_or_refill(
             wid, DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
         )
-        residual = verify_protocol(protocol, make_mems(source), make_mems(target))
-        return Convertible(
-            protocol, f"keep with probability {wid:.12g}, refill with |01><01|", residual
+        return _constructive(
+            protocol,
+            f"keep with probability {wid:.12g}, refill with |01><01|",
+            make_mems(source),
+            make_mems(target),
         )
     try:
         params = synthesize_mems_protocol(source, target)
     except InfeasibleError as err:
         return Inconclusive(f"mixture-form synthesis infeasible: {err.detail}")
-    protocol = keep_or_refill(params.W, params.prepared_state())
-    residual = verify_protocol(protocol, make_mems(source), make_mems(target))
-    return Convertible(
-        protocol,
+    return _constructive(
+        keep_or_refill(params.W, params.prepared_state()),
         f"keep with probability {params.W:.12g}, refill with diagonal weights "
         f"{params.prep_weights}",
-        residual,
+        make_mems(source),
+        make_mems(target),
     )
 
 
@@ -288,24 +331,28 @@ def _tag_mems_weights(tag) -> MemsWeights:
 def decide(rho, rho2) -> Verdict:
     """Full decision pipeline for a pair of two-qubit states.
 
-    Order: (1) separable targets are prepared directly when they admit an
-    orthogonal product decomposition; (2) the rank gate blocks impossible
+    Order: (1) a separable target is prepared directly: the shortcut's test
+    is the verified lowering of the discard-and-prepare protocol itself, and
+    a target with no orthogonal product decomposition, which that lowering
+    cannot build, falls through; (2) the rank gate blocks impossible
     entangled pairs; (3) both states are classified and a shared family rule
     decides; (4) anything else is Inconclusive.
+
+    Every constructive verdict's residual is checked against RESIDUAL_BOUND;
+    a miss raises ResidualError.
     """
     source = as_density(rho)
     target = as_density(rho2)
     if not is_entangled(target):
         try:
-            discard_prepare_channel(target)
+            return _constructive(
+                Protocol(((1.0, DiscardPrepare(target)),)),
+                "target is separable: discard the input and prepare it",
+                source,
+                target,
+            )
         except NotProductDiagonalError:
             pass
-        else:
-            protocol = Protocol(((1.0, DiscardPrepare(target)),))
-            residual = verify_protocol(protocol, source, target)
-            return Convertible(
-                protocol, "target is separable: discard the input and prepare it", residual
-            )
     gate = rank_gate(source, target)
     if gate is not None:
         return gate

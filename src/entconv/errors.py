@@ -45,5 +45,9 @@ class NotEntangledError(EntconvError, ValueError):
     """Operation requires an entangled state but was given a separable one."""
 
 
+class ResidualError(EntconvError, RuntimeError):
+    """A constructive verdict's protocol missed its target beyond the run-time bound."""
+
+
 class SamplingExhaustedError(EntconvError, RuntimeError):
     """Rejection sampling hit its attempt bound without an accept."""

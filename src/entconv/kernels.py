@@ -34,13 +34,21 @@ def kron2(a, b):
 
 
 def apply_kraus(estack, rho):
-    """Sum_k E_k rho E_k^dagger for a stack of 4x4 Kraus operators."""
-    return np.einsum("kij,jl,kml->im", estack, rho, estack.conj(), optimize=True)
+    """Sum_k E_k rho E_k^dagger for an (n, 4, 4) stack of Kraus operators.
+
+    One batched matmul over the stack, then a sum over its leading axis.
+    """
+    return (estack @ rho @ estack.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def kraus_gram(estack):
-    """Sum_k E_k^dagger E_k, the completeness operator of a Kraus stack."""
-    return np.einsum("kji,kjl->il", estack.conj(), estack, optimize=True)
+    """Sum_k E_k^dagger E_k, the completeness operator of an (n, 4, 4) Kraus stack.
+
+    The rows of every E_k stacked into one (4n, 4) matrix R give the sum as
+    the single product R^dagger R.
+    """
+    rows = estack.reshape(-1, 4)
+    return rows.conj().T @ rows
 
 
 def partial_transpose(m, subsystem):

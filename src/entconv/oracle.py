@@ -82,6 +82,11 @@ _PAULI_PROJ = tuple(
 
 _PAULI_BASIS = (qmat.EYE2,) + _PAULI_AXES
 
+# [mu, nu] = sigma_mu (x) sigma_nu, the product Pauli basis of 4x4 operators
+_PAULI_PRODUCTS = kernels.kron2(
+    *np.broadcast_arrays(np.array(_PAULI_BASIS)[:, None], np.array(_PAULI_BASIS)[None, :])
+)
+
 
 def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     """Random trace-preserving separable channel with n_kraus free pairs.
@@ -101,25 +106,25 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         return SeparableChannel([(_polar_unitary(a), _polar_unitary(b))])
 
-    free = []
-    gram = np.zeros((4, 4), dtype=np.complex128)
-    for _ in range(n_kraus):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        free.append((a, b))
-        gram += qmat.kron2(a.conj().T @ a, b.conj().T @ b)
-
-    coeff = np.zeros((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            basis = qmat.kron2(_PAULI_BASIS[mu], _PAULI_BASIS[nu])
-            coeff[mu, nu] = np.vdot(basis, gram).real / 4.0
+    free = np.array([
+        (
+            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+        )
+        for _ in range(n_kraus)
+    ])
+    a, b = free[:, 0], free[:, 1]
+    gram = kernels.kron2(
+        a.conj().transpose(0, 2, 1) @ a, b.conj().transpose(0, 2, 1) @ b
+    ).sum(axis=0)
+    # <sigma_mu (x) sigma_nu, gram> / 4 for all 16 products at once
+    coeff = np.einsum("mnij,ij->mn", _PAULI_PRODUCTS.conj(), gram).real / 4.0
     weight_sum = coeff[0, 0] + np.sum(np.abs(coeff)) - abs(coeff[0, 0])
     u = rng.uniform(0.35, 0.9)
     c2 = u / weight_sum
     scale = c2 ** 0.25
 
-    pairs = [(scale * a, scale * b) for a, b in free]
+    pairs = list(scale * free)
 
     def completion_pair(w: float, pa: Optional[np.ndarray], pb: Optional[np.ndarray]):
         # left unitary factors keep the gram contribution w * Pa (x) Pb while

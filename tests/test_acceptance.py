@@ -6,9 +6,12 @@ criterion it reached. The randomized checks are fully seeded and the whole
 gate finishes in a few minutes on a laptop.
 """
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from entconv import kernels
 from entconv.channels import (
@@ -60,6 +63,7 @@ def test_c1_probabilistic_renormalization():
     assert ok
 
 
+@pytest.mark.slow
 def test_c2_bell_decision_grid():
     start = time.perf_counter()
 
@@ -80,8 +84,9 @@ def test_c2_bell_decision_grid():
     )
 
     # exhaustive grid of entangled sorted weight vectors with denominator 40;
-    # every ordered pair is checked against a vectorized re-evaluation of the
-    # three comparisons, written independently of the scalar decision path
+    # every ordered pair is checked against the three monotones evaluated in
+    # exact rational arithmetic (+inf for a zero denominator), which shares
+    # no float formula with the decision path and so keeps exact ties tied
     den = 40
     vecs = []
     for a in range(den // 2 + 1, den + 1):
@@ -90,24 +95,27 @@ def test_c2_bell_decision_grid():
                 d = den - a - b - c
                 if 0 <= d <= c:
                     vecs.append((a, b, c, d))
-    lam = np.array(vecs, dtype=float) / den
     n = len(vecs)
-    e1 = lam[:, 0]
-    den2 = lam[:, 2] + lam[:, 3]
-    e2 = np.divide(1.0 - 2.0 * lam[:, 1], den2, out=np.full(n, np.inf), where=den2 != 0.0)
-    e3 = np.divide(
-        1.0 - 2.0 * lam[:, 1] - 2.0 * lam[:, 2],
-        lam[:, 3],
-        out=np.full(n, np.inf),
-        where=lam[:, 3] != 0.0,
-    )
-    holds1 = e1[:, None] >= e1[None, :]
-    holds2 = e2[:, None] >= e2[None, :]
-    holds3 = e3[:, None] >= e3[None, :]
+
+    def exact_monotones(vec):
+        l1, l2, l3, l4 = (Fraction(x, den) for x in vec)
+        e2 = math.inf if l3 + l4 == 0 else (1 - 2 * l2) / (l3 + l4)
+        e3 = math.inf if l4 == 0 else (1 - 2 * l2 - 2 * l3) / l4
+        return l1, e2, e3
+
+    exact = [exact_monotones(v) for v in vecs]
+    # rank each monotone's exact values, so the pairwise comparisons run on
+    # integer arrays
+    holds = []
+    for k in range(3):
+        rank_of = {value: r for r, value in enumerate(sorted({m[k] for m in exact}))}
+        ranks = np.array([rank_of[m[k]] for m in exact])
+        holds.append(ranks[:, None] >= ranks[None, :])
+    holds1, holds2, holds3 = holds
     ref_convertible = holds1 & holds2 & holds3
 
     disagreements = 0
-    floats = [tuple(row) for row in lam]
+    floats = [tuple(x / den for x in v) for v in vecs]
     for i in range(n):
         for j in range(n):
             verdict = decide_bell(floats[i], floats[j])
@@ -125,6 +133,7 @@ def test_c2_bell_decision_grid():
     assert n * n >= 20**3
 
 
+@pytest.mark.slow
 def test_c3_monotone_audit_at_scale():
     report = monotone_audit(10_000, seed=20250819)
     ok = report.clean and report.elapsed < 120.0
@@ -226,6 +235,7 @@ def test_c5_werner_protocol_grid():
     assert ok
 
 
+@pytest.mark.slow
 def test_c6_rank_falsifier_at_scale():
     report = falsify_rank_monotonicity(100_000, seed=20250819)
     ok = report.clean and report.elapsed < 300.0

@@ -164,6 +164,47 @@ def test_discard_prepare_is_constant():
         npt.assert_allclose(out.matrix, sigma.matrix, atol=1e-12)
 
 
+def _loop_discard_prepare_pairs(target):
+    # the per-term, per-index construction that the broadcast lowering replaced
+    basis = np.eye(2, dtype=complex)
+    pairs = []
+    for p, a, b in product_diagonal_decomposition(target):
+        scale = p ** 0.25
+        for ja in basis:
+            for jb in basis:
+                pairs.append((scale * np.outer(a, ja.conj()), scale * np.outer(b, jb.conj())))
+    return np.array(pairs)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize(
+    "diag",
+    [[0.4, 0.3, 0.2, 0.1], [0.3, 0.3, 0.25, 0.15], [0.4, 0.2, 0.2, 0.2], [0.25] * 4],
+    ids=["distinct", "cluster2", "cluster3", "maximally_mixed"],
+)
+def test_discard_prepare_pairs_match_loop_construction(diag, rotated):
+    mat = np.diag(diag).astype(complex)
+    if rotated:
+        rng = np.random.default_rng(29)
+        u = qmat.kron2(haar_qubit_unitary(rng), haar_qubit_unitary(rng))
+        mat = u @ mat @ u.conj().T
+    target = DensityMatrix(mat)
+    pairs = discard_prepare_channel(target).kraus_pairs
+    expected = _loop_discard_prepare_pairs(target.matrix)
+    assert pairs.shape == expected.shape == (16, 2, 2, 2)
+    npt.assert_allclose(pairs, expected, rtol=0, atol=1e-15)
+
+
+def test_separable_werner_target_has_no_product_lowering():
+    # w = 0.2 is separable, but its three-fold eigenspace is the triplet, whose
+    # complement (the singlet) is not product
+    target = make_werner(0.2)
+    with pytest.raises(NotProductDiagonalError):
+        discard_prepare_channel(target)
+    with pytest.raises(NotProductDiagonalError):
+        compile_protocol(Protocol(((1.0, DiscardPrepare(target)),)))
+
+
 def test_product_decomposition_shapes():
     # nondegenerate diagonal, 2-fold, 3-fold, and 4-fold degenerate cases
     for diag in ([0.4, 0.3, 0.2, 0.1], [0.3, 0.3, 0.25, 0.15], [0.4, 0.2, 0.2, 0.2], [0.25] * 4):

@@ -7,10 +7,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from entconv import channels
 from entconv.cli import (
     EX_FORBIDDEN,
     EX_INCONCLUSIVE,
     EX_OK,
+    EX_SOFTWARE,
     EX_USAGE,
     main,
     parse_state_spec,
@@ -112,6 +114,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert code == EX_USAGE
         assert "source" in err
+
+    def test_residual_miss_exits_software(self, tmp_path, capsys, monkeypatch):
+        # a lowering that prepares a state 1% off its target
+        original = channels._prepare_channel
+        monkeypatch.setattr(
+            channels,
+            "_prepare_channel",
+            lambda rho: original(DensityMatrix(0.99 * rho.matrix + 0.01 * np.diag([1, 0, 0, 0]))),
+        )
+        a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
+        b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})
+        code = main(["check", a, b])
+        captured = capsys.readouterr()
+        assert code == EX_SOFTWARE
+        assert "ResidualError" in captured.err
+        assert captured.out == ""
 
     def test_text_mode_prints_verdict(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})

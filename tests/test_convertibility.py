@@ -6,7 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from entconv import channels
 from entconv.convertibility import (
+    RESIDUAL_BOUND,
     Convertible,
     Forbidden,
     Inconclusive,
@@ -19,7 +21,7 @@ from entconv.convertibility import (
     synthesize_mems_protocol,
     verify_protocol,
 )
-from entconv.errors import InfeasibleError, NotEntangledError, OutOfRangeError
+from entconv.errors import InfeasibleError, NotEntangledError, OutOfRangeError, ResidualError
 from entconv.states import (
     DensityMatrix,
     make_bell_diagonal,
@@ -73,6 +75,13 @@ def test_bell_worked_examples():
     assert v.reason == "monotone_e1"
 
     v = decide_bell((0.7, 0.1, 0.1, 0.1), (0.7, 0.1, 0.1, 0.1))
+    assert isinstance(v, Convertible)
+
+
+def test_bell_exact_monotone_tie_is_convertible():
+    # e3 is exactly 4 on both sides; the float quotients read
+    # 3.9999999999999996 against 4.0
+    v = decide_bell((0.6, 0.15, 0.15, 0.1), (0.55, 0.25, 0.15, 0.05))
     assert isinstance(v, Convertible)
 
 
@@ -236,6 +245,53 @@ def test_decide_separable_target_without_product_form():
     dst = make_bell_diagonal((0.4, 0.3, 0.2, 0.1))
     v = decide(src, dst)
     assert isinstance(v, Inconclusive)
+
+
+def test_decide_separable_target_decomposes_once(monkeypatch):
+    calls = []
+    original = channels.product_diagonal_decomposition
+
+    def counting(mat, *args, **kwargs):
+        calls.append(1)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(channels, "product_diagonal_decomposition", counting)
+    v = decide(make_werner(0.9), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    assert isinstance(v, Convertible)
+    assert len(calls) == 1
+
+
+def test_decide_separable_target_without_lowering_falls_through():
+    # the separable Werner target has no product eigenbasis, so the family
+    # rule decides: keep or refill with the maximally mixed state
+    v = decide(make_werner(0.5), make_werner(0.2))
+    assert isinstance(v, Convertible)
+    assert v.certificate.endswith("refill with the maximally mixed state")
+
+
+def _break_refill_lowering(monkeypatch):
+    # a lowering that still builds a complete channel, but prepares a state
+    # 1% off the one it was asked for
+    original = channels._prepare_channel
+
+    def skewed(rho):
+        return original(DensityMatrix(0.99 * rho.matrix + 0.01 * np.diag([1, 0, 0, 0])))
+
+    monkeypatch.setattr(channels, "_prepare_channel", skewed)
+
+
+def test_constructive_verdicts_check_their_residual(monkeypatch):
+    _break_refill_lowering(monkeypatch)
+    with pytest.raises(ResidualError):
+        decide(make_werner(0.9), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    with pytest.raises(ResidualError):
+        decide(make_werner(0.9), make_werner(0.5))
+    with pytest.raises(ResidualError):
+        decide_mems((0.6, 0.4, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0))
+    with pytest.raises(ResidualError):
+        decide_mems((0.5, 0.2, 0.2, 0.1), (0.44, 0.24, 0.2, 0.12))
+    # the identity branch lowers no refill; it still passes its check
+    assert decide_mems((0.6, 0.4, 0.0, 0.0), (0.6, 0.4, 0.0, 0.0)).residual <= RESIDUAL_BOUND
 
 
 def test_decide_cross_family_rank_gate():

@@ -142,6 +142,22 @@ def test_apply_kraus_single_unitary():
     npt.assert_allclose(out, v @ rho @ v.conj().T, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 3, 17, 103])
+def test_batched_kraus_kernels_match_per_operator_loop(n):
+    rng = np.random.default_rng(100 + n)
+    stack = (rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))) / (4 * np.sqrt(n))
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    applied = np.zeros((4, 4), dtype=complex)
+    gram = np.zeros((4, 4), dtype=complex)
+    for e in stack:
+        applied += e @ rho @ e.conj().T
+        gram += e.conj().T @ e
+    npt.assert_allclose(kernels.apply_kraus(stack, rho), applied, rtol=0, atol=1e-14)
+    npt.assert_allclose(kernels.kraus_gram(stack), gram, rtol=0, atol=1e-14)
+
+
 def test_kraus_gram_detects_completeness():
     u = np.eye(4, dtype=complex)
     stack = np.stack([u * np.sqrt(0.3), u * np.sqrt(0.7)])
