@@ -495,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="numeric protocol search")
     p.add_argument("source", help="path to the source state JSON")
     p.add_argument("target", help="path to the target state JSON")
-    p.add_argument("--budget", type=int, default=20000, help="objective evaluation budget")
+    p.add_argument(
+        "--budget", type=int, default=20000, help="iteration cap of the convex least-squares solve"
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("audit", parents=[common], help="run the randomized falsifiers")

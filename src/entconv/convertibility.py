@@ -166,27 +166,55 @@ def keep_or_refill(keep: float, refill_state) -> Protocol:
     return Protocol(((keep, _identity_atom()), (1.0 - keep, DiscardPrepare(refill_state))))
 
 
-def decide_werner(w, w2) -> Verdict:
-    """Convertible iff the singlet weight does not increase.
+@functools.cache
+def _max_mixed() -> DensityMatrix:
+    return DensityMatrix(np.eye(4, dtype=complex) / 4)
 
-    The protocol keeps the state with probability p = w'/w and otherwise
-    replaces it with the maximally mixed state.
+
+@functools.cache
+def _antiparallel_atoms() -> tuple:
+    """Discard and prepare |n><n| (x) |-n><-n| for n = +-x, +-y, +-z.
+
+    Their equal mixture is the Werner state at w = 1/3.
+    """
+    eye = qmat.EYE2
+    return tuple(
+        DiscardPrepare(DensityMatrix(np.kron(eye + s * p, eye - s * p) / 4.0))
+        for p in (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z)
+        for s in (1.0, -1.0)
+    )
+
+
+def decide_werner(w, w2) -> Verdict:
+    """Convertible iff the singlet weight does not increase or the target is separable.
+
+    When w' <= w the protocol keeps the state with probability p = w'/w and
+    otherwise replaces it with the maximally mixed state. A separable target
+    (w' <= 1/3, within the weight-validation tolerance) is prepared directly:
+    each of the six anti-parallel Pauli eigenstate pairs with weight w'/2,
+    and the maximally mixed state with the remaining 1 - 3w'.
     """
     source = w if isinstance(w, WernerParam) else WernerParam(float(w))
     target = w2 if isinstance(w2, WernerParam) else WernerParam(float(w2))
-    if target.w > source.w:
+    if target.w <= source.w:
+        p = 1.0 if source.w == 0.0 else target.w / source.w
+        protocol = keep_or_refill(p, _max_mixed())
+        certificate = f"keep with probability {p:.12g}, refill with the maximally mixed state"
+    elif 3.0 * target.w <= 1.0 + _WEIGHT_SUM_TOL:
+        branches = [(target.w / 2.0, atom) for atom in _antiparallel_atoms()]
+        branches.append((max(0.0, 1.0 - 3.0 * target.w), DiscardPrepare(_max_mixed())))
+        protocol = Protocol(tuple(branches))
+        certificate = (
+            "target is separable: prepare anti-parallel Pauli eigenstates, "
+            "refill with the maximally mixed state"
+        )
+    else:
         return Forbidden(
             "weight_infeasible",
-            f"identity weight w'/w = {target.w}/{source.w} exceeds 1",
+            f"identity weight w'/w = {target.w}/{source.w} exceeds 1 "
+            "and the target is entangled",
         )
-    p = 1.0 if source.w == 0.0 else target.w / source.w
-    protocol = keep_or_refill(p, DensityMatrix(np.eye(4, dtype=complex) / 4))
-    return _constructive(
-        protocol,
-        f"keep with probability {p:.12g}, refill with the maximally mixed state",
-        make_werner(source),
-        make_werner(target),
-    )
+    return _constructive(protocol, certificate, make_werner(source), make_werner(target))
 
 
 def _monotone_ratios(weights: tuple) -> tuple:
@@ -207,7 +235,9 @@ def decide_bell(l, l2) -> Verdict:
     tolerance counted as ties: the weights are only known to that tolerance,
     and a division would let rounding split an exact tie. All numerators are
     positive for entangled weights, so the cross-multiplied order is the
-    order of the ratios.
+    order of the ratios, and a zero denominator (an infinite monotone) needs
+    no case of its own: a source denominator that rounding left just above
+    zero ties with an infinite target monotone.
     """
     source = l if isinstance(l, BellWeights) else BellWeights(tuple(l))
     target = l2 if isinstance(l2, BellWeights) else BellWeights(tuple(l2))
@@ -221,9 +251,7 @@ def decide_bell(l, l2) -> Verdict:
     mt = bell_monotones(target)
     ratios = zip(_monotone_ratios(source.weights), _monotone_ratios(target.weights))
     for k, ((ns, ds), (nt, dt)) in enumerate(ratios, start=1):
-        if ds == 0.0:
-            continue
-        if dt == 0.0 or ns * dt < nt * ds - _WEIGHT_SUM_TOL:
+        if ns * dt < nt * ds - _WEIGHT_SUM_TOL:
             return Forbidden(
                 f"monotone_e{k}",
                 f"E{k} would increase: {ms[k - 1]!r} < {mt[k - 1]!r}",

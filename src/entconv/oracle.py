@@ -1,4 +1,4 @@
-"""Randomized adversarial checks and derivative-free protocol search.
+"""Randomized adversarial checks and a convex protocol search.
 
 Nothing here trusts the decision rules: the falsifiers sample separable
 channels and states independently and hunt for counterexamples to the claims
@@ -10,6 +10,9 @@ reproduce it.
 Determinism contract: every trial derives its own generator from
 (seed, trial index), so reports are reproducible bit-for-bit and trials can
 be sharded across workers without changing the outcome.
+
+The protocol search is a convex least-squares problem over the simplex of
+mixture weights of a fixed set of LOCC atoms; see ``convert_search``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernels, qmat
 from .channels import (
@@ -316,78 +318,64 @@ def _search_atoms() -> tuple:
     )
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    scipy.optimize is most of the package's import time and only the
+    protocol search needs it, so importing ``entconv`` does not load it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     """Search for a protocol sending rho to rho2; returns (distance, protocol).
 
-    The parameterization mixes the seven one-sided Pauli rotations with one
-    discard-and-prepare branch whose diagonal target is itself free, all
-    through softmax weights, and minimizes the output Frobenius distance with
-    Nelder-Mead restarts. Every atom is LOCC, so a protocol found below the
-    1e-6 acceptance distance is a constructive certificate. Failure to find
-    one proves nothing.
+    The protocols searched mix the seven one-sided Pauli rotations with one
+    discard-and-prepare branch whose diagonal target is itself free. Their
+    output is linear in eleven weights on the simplex: one per rotation and
+    one per diagonal entry of the prepared state. So the search is a convex
+    least-squares problem, solved to its minimum by SLSQP within at most
+    ``budget`` iterations. Every atom is LOCC, so a protocol found below the 1e-6
+    acceptance distance is a constructive certificate. A miss returns the
+    minimum output Frobenius distance over this family of protocols: no
+    protocol of this form reaches the target, but another one may. ``seed``
+    is unused; it is kept so that existing callers need no change.
     """
     source = as_density(rho)
     target = as_density(rho2)
     atoms = _search_atoms()
-    rotated = np.stack([_apply_unitary(atom, source.matrix) for atom in atoms])
-    target_mat = target.matrix
+    rotated = np.stack([_apply_unitary(atom, source.matrix).ravel() for atom in atoms])
+    # rows 0, 5, 10 and 15 of the 16x16 identity are the flattened |i><i|
+    columns = np.concatenate([rotated, np.eye(16)[::5]])
+    a = np.concatenate([columns.real, columns.imag], axis=1).T
+    t = np.concatenate([target.matrix.real.ravel(), target.matrix.imag.ravel()])
+    n = a.shape[1]
 
-    def objective(x: np.ndarray) -> float:
-        w = _softmax(x[:8])
-        prep = _softmax(x[8:12])
-        out = np.tensordot(w[:7], rotated, axes=1)
-        out[np.diag_indices(4)] += w[7] * prep
-        return float(np.linalg.norm(out - target_mat))
+    def objective(v: np.ndarray) -> tuple:
+        r = a @ v - t
+        return 0.5 * float(r @ r), a.T @ r
 
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(12), np.zeros(12)]
-    starts[1][0] = 25.0  # start at the (near-)identity corner
-    n_restarts = 10
-    for _ in range(n_restarts):
-        starts.append(rng.normal(0.0, 2.0, size=12))
-    # a quarter of the budget is held back to polish the best point found
-    explore = max(1, (3 * budget) // 4)
-    per_start = max(60, explore // len(starts))
-    best_val = np.inf
-    best_x = starts[0]
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": per_start, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = res.x
-    polish = minimize(
+    res = minimize(
         objective,
-        best_x,
-        method="Nelder-Mead",
-        options={
-            "maxfev": max(60, budget - explore),
-            "xatol": 1e-13,
-            "fatol": 1e-17,
-            "adaptive": True,
-        },
+        np.full(n, 1.0 / n),
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, None)] * n,
+        constraints=({"type": "eq", "fun": lambda v: v.sum() - 1.0, "jac": lambda v: np.ones(n)},),
+        options={"maxiter": budget, "ftol": 1e-30},
     )
-    if polish.fun < best_val:
-        best_val = float(polish.fun)
-        best_x = polish.x
+    v = np.clip(res.x, 0.0, None)
+    v /= v.sum()
+    best_val = float(np.linalg.norm(a @ v - t))
     if best_val >= 1e-6:
         return best_val, None
-    w = _softmax(best_x[:8])
-    prep = _softmax(best_x[8:12])
-    branches = [(float(wi), atom) for wi, atom in zip(w[:7], atoms) if wi > 1e-9]
-    if w[7] > 1e-9:
-        branches.append(
-            (float(w[7]), DiscardPrepare(DensityMatrix(np.diag(prep).astype(complex))))
-        )
+    w_prep = float(v[7:].sum())
+    branches = [(float(wi), atom) for wi, atom in zip(v[:7], atoms) if wi > 1e-9]
+    if w_prep > 1e-9:
+        prep = np.diag(v[7:] / w_prep).astype(complex)
+        branches.append((w_prep, DiscardPrepare(DensityMatrix(prep))))
     total = sum(wi for wi, _ in branches)
     protocol = Protocol(tuple((wi / total, atom) for wi, atom in branches))
     distance = verify_protocol(protocol, source, target)

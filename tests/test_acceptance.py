@@ -207,15 +207,18 @@ def _two_branch_protocol(params):
 
 
 def test_c5_werner_protocol_grid():
-    grid = np.linspace(0.0, 1.0, 21)
+    # exact rule on the w = k/20 grid: convertible iff w2 <= w or the
+    # target is separable (w2 <= 1/3)
+    n = 20
+    grid = np.linspace(0.0, 1.0, n + 1)
     convertible = 0
     forbidden = 0
     worst = 0.0
     ok = True
-    for w in grid:
-        for w2 in grid:
+    for k, w in enumerate(grid):
+        for k2, w2 in enumerate(grid):
             verdict = decide_werner(float(w), float(w2))
-            if w2 <= w:
+            if k2 <= k or Fraction(k2, n) <= Fraction(1, 3):
                 if not isinstance(verdict, Convertible):
                     ok = False
                     continue

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import entconv
 from entconv import channels
 from entconv.cli import (
     EX_FORBIDDEN,
@@ -279,3 +284,36 @@ class TestSearchAndAudit:
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
         assert err.value.code == EX_USAGE
+
+
+_SCIPY_PROBE = """
+import json, operator, sys
+import entconv, entconv.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+code = entconv.cli.main(["check", sys.argv[1], sys.argv[2]])
+after_check = scipy_modules()
+result = entconv.oracle.minimize(lambda x: float(x @ x), [1.0, 2.0], method="SLSQP")
+print(json.dumps({"import": after_import, "check": after_check, "code": code,
+                  "nfev": operator.index(result.nfev),
+                  "search": bool(scipy_modules())}))
+"""
+
+
+def test_scipy_loads_only_when_a_search_runs(tmp_path):
+    # a fresh interpreter, since this one has long imported scipy
+    a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
+    b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})
+    env = {**os.environ, "PYTHONPATH": str(Path(entconv.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, a, b], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["import"] == []
+    assert probe["code"] == EX_OK
+    assert probe["check"] == []
+    # perfbench's tracer wraps oracle.minimize and reads an integer nfev
+    assert probe["nfev"] > 0
+    assert probe["search"]

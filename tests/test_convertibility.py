@@ -50,19 +50,27 @@ def test_werner_zero_source():
     v = decide_werner(0.0, 0.0)
     assert isinstance(v, Convertible)
     assert v.protocol.branches[0][0] == 1.0
-    assert isinstance(decide_werner(0.0, 0.1), Forbidden)
+    # a separable target is prepared from any source
+    v = decide_werner(0.0, 0.1)
+    assert isinstance(v, Convertible)
+    assert v.residual < 1e-12
+    assert isinstance(decide_werner(0.0, 0.4), Forbidden)
 
 
 def test_werner_grid_soundness():
-    grid = np.linspace(0.0, 1.0, 20)
-    for w in grid:
-        for w2 in grid:
+    # exact rule on the w = k/19 grid: convertible iff w2 <= w or w2 <= 1/3
+    n = 19
+    for k, w in enumerate(np.linspace(0.0, 1.0, n + 1)):
+        for k2, w2 in enumerate(np.linspace(0.0, 1.0, n + 1)):
             v = decide_werner(w, w2)
-            if w2 <= w:
+            if k2 <= k or Fraction(k2, n) <= Fraction(1, 3):
                 assert isinstance(v, Convertible)
-                assert v.residual <= 1e-8
+                assert v.residual <= 1e-12
+                residual = verify_protocol(v.protocol, make_werner(w), make_werner(w2))
+                assert residual <= 1e-12
             else:
                 assert isinstance(v, Forbidden)
+                assert v.reason == "weight_infeasible"
 
 
 def test_bell_worked_examples():
@@ -76,6 +84,17 @@ def test_bell_worked_examples():
 
     v = decide_bell((0.7, 0.1, 0.1, 0.1), (0.7, 0.1, 0.1, 0.1))
     assert isinstance(v, Convertible)
+
+
+def test_bell_rounded_infinite_monotone_tie_is_convertible():
+    # the pure Bell source is fitted as Werner w = 1 - 6e-16, so its e3
+    # denominator is about 1e-16 where the target's is exactly 0: both e3
+    # are infinite
+    source = make_bell_diagonal((1.0, 0.0, 0.0, 0.0))
+    target = make_bell_diagonal((25 / 40, 10 / 40, 5 / 40, 0.0))
+    v = decide(source, target)
+    assert isinstance(v, Convertible)
+    assert isinstance(decide(target, source), Forbidden)
 
 
 def test_bell_exact_monotone_tie_is_convertible():

@@ -15,7 +15,13 @@ from entconv.oracle import (
     monotone_audit,
     random_separable_channel,
 )
-from entconv.states import make_bell_diagonal, make_mems, make_werner, min_pt_eigenvalue
+from entconv.states import (
+    DensityMatrix,
+    make_bell_diagonal,
+    make_mems,
+    make_werner,
+    min_pt_eigenvalue,
+)
 
 
 class TestRandomSeparableChannel:
@@ -150,6 +156,13 @@ class TestMonotoneAudit:
         assert all(f["kind"] == "left_bell_diagonal" for f in report.counterexamples)
 
 
+def _one_sided_rotations() -> list:
+    """The identity and the six one-sided Pauli rotations, as 4x4 unitaries."""
+    eye = np.eye(2)
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    return [np.eye(4)] + [m for p in paulis for m in (np.kron(p, eye), np.kron(eye, p))]
+
+
 class TestConvertSearch:
     def test_werner_halving_found(self):
         source = make_werner(0.9)
@@ -188,3 +201,48 @@ class TestConvertSearch:
         a = convert_search(make_werner(0.9), make_werner(0.5), budget=4000, seed=7)
         b = convert_search(make_werner(0.9), make_werner(0.5), budget=4000, seed=7)
         assert a[0] == b[0]
+
+    def test_mems_near_identity_found_on_every_seed(self):
+        source = make_mems((24 / 40, 10 / 40, 6 / 40, 0.0))
+        target = make_mems((22 / 40, 12 / 40, 6 / 40, 0.0))
+        for seed in range(1, 11):
+            distance, protocol = convert_search(source, target, seed=seed)
+            assert protocol is not None, seed
+            assert verify_protocol(protocol, source, target) < 1e-6
+
+    def test_random_feasible_targets_found(self):
+        # targets built inside the searched family: random sparse simplex
+        # weights over the seven one-sided Pauli rotations and the four
+        # diagonal product states, applied to sources of rank 1 to 4
+        unitaries = _one_sided_rotations()
+        rng = np.random.default_rng(2024)
+        for trial in range(200):
+            rank = int(rng.integers(1, 5))
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            support = rng.choice(11, size=int(rng.integers(1, 5)), replace=False)
+            v = np.zeros(11)
+            v[support] = rng.dirichlet(np.ones(len(support)))
+            target = sum(vi * u @ rho @ u.conj().T for vi, u in zip(v, unitaries))
+            target = target + np.diag(v[7:])
+            source, target = DensityMatrix(rho), DensityMatrix(target)
+            distance, protocol = convert_search(source, target)
+            assert protocol is not None, trial
+            assert verify_protocol(protocol, source, target) < 1e-6, trial
+
+    def test_miss_is_no_farther_than_any_vertex(self):
+        source = make_werner(0.8)
+        target = make_mems((0.9, 0.1, 0.0, 0.0))
+        distance, protocol = convert_search(source, target)
+        assert protocol is None
+        vertices = [u @ source.matrix @ u.conj().T for u in _one_sided_rotations()]
+        vertices += [np.diag(row).astype(complex) for row in np.eye(4)]
+        nearest = min(np.linalg.norm(m - target.matrix) for m in vertices)
+        assert distance <= nearest + 1e-12
+
+    def test_budget_one_returns(self):
+        distance, protocol = convert_search(make_werner(0.9), make_werner(0.45), budget=1)
+        assert np.isfinite(distance)
+        if protocol is not None:
+            assert distance < 1e-6
