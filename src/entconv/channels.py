@@ -14,6 +14,9 @@ Protocols are finite mixtures of two atom kinds:
 * ``DiscardPrepare(target)``: discard the input and prepare a fixed
   separable state.
 
+Each atom owns its action, ``atom.apply(mat)``, which ``Protocol.apply``
+mixes, and its lowering, ``atom.channel()``, which ``compile_protocol`` mixes.
+
 ``renormalize_probabilistic`` turns branches that only succeed with some
 probability into the conditional protocol given success, rescaling branch
 weights by their success probabilities.
@@ -62,8 +65,13 @@ class LocalUnitary:
             if not qmat.is_unitary(u):
                 raise NotUnitaryError(f"{name} is not unitary within 1e-9")
 
-    def lifted(self) -> np.ndarray:
-        return qmat.kron2(self.u_a, self.u_b)
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        u = qmat.kron2(self.u_a, self.u_b)
+        return u @ mat @ u.conj().T
+
+    def channel(self) -> "SeparableChannel":
+        """The single-pair channel (u_a, u_b)."""
+        return SeparableChannel([(self.u_a, self.u_b)], locc_certified=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +88,33 @@ class DiscardPrepare:
                 "prepared state fails the partial-transpose separability test"
             )
 
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        return self.target.matrix * np.trace(mat).real
+
+    def channel(self) -> "SeparableChannel":
+        """Trace out the input and prepare the target; needs a product eigenbasis.
+
+        The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over the
+        decomposition terms i and computational indices j_a, j_b, in the order
+        (i, j_a, j_b), built in one broadcast. Trace preservation needs the
+        product vectors orthogonal only within each degenerate cluster, which
+        the decomposition guarantees.
+        """
+        terms = product_diagonal_decomposition(self.target.matrix)
+        p, a, b = (np.array(column) for column in zip(*terms))
+        scale = p[:, None] ** 0.25
+
+        def outers(kets):
+            # [i, j] = scale_i |v_i><j| over the computational basis j
+            return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
+
+        left = outers(a)[:, :, None]
+        right = outers(b)[:, None, :]
+        factors = np.stack(np.broadcast_arrays(left, right), axis=3)
+        return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True)
+
 
 Atom = Union[LocalUnitary, DiscardPrepare]
-
-
-def _apply_atom(atom: Atom, mat: np.ndarray) -> np.ndarray:
-    if isinstance(atom, LocalUnitary):
-        u = atom.lifted()
-        return u @ mat @ u.conj().T
-    return atom.target.matrix * np.trace(mat).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +143,7 @@ class Protocol:
         out = np.zeros((4, 4), dtype=np.complex128)
         for w, atom in self.branches:
             if w > 0.0:
-                out += w * _apply_atom(atom, mat)
+                out += w * atom.apply(mat)
         return DensityMatrix(out)
 
 
@@ -231,8 +257,7 @@ class SeparableChannel:
 
 def local_unitary_channel(u_a, u_b) -> SeparableChannel:
     """Single-pair channel applying u_a (x) u_b; always LOCC."""
-    atom = LocalUnitary(u_a, u_b)
-    return SeparableChannel([(atom.u_a, atom.u_b)], locc_certified=True)
+    return LocalUnitary(u_a, u_b).channel()
 
 
 def _perp(v: np.ndarray) -> np.ndarray:
@@ -349,36 +374,8 @@ def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
 
 
 def discard_prepare_channel(target) -> SeparableChannel:
-    """Trace out the input and prepare ``target``; needs a product eigenbasis.
-
-    The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over all
-    decomposition terms i and computational indices j_a, j_b, in the order
-    (i, j_a, j_b); all 4 * n_terms of them are built in one broadcast. The
-    prepared product vectors never need to be orthogonal across clusters for
-    trace preservation; orthogonality within each degenerate cluster comes
-    from the decomposition itself.
-    """
-    rho = as_density(target)
-    if min_pt_eigenvalue(rho) < -1e-10:
-        raise NotSeparableError("cannot prepare an entangled state by discard-and-prepare")
-    return _prepare_channel(rho)
-
-
-def _prepare_channel(rho: DensityMatrix) -> SeparableChannel:
-    # the separability test is the caller's: discard_prepare_channel runs it,
-    # and a DiscardPrepare atom ran it when it was built
-    terms = product_diagonal_decomposition(rho.matrix)
-    p, a, b = (np.array(column) for column in zip(*terms))
-    scale = p[:, None] ** 0.25
-
-    def outers(kets):
-        # [i, j] = scale_i |v_i><j| over the computational basis j
-        return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
-
-    left = outers(a)[:, :, None]
-    right = outers(b)[:, None, :]
-    factors = np.stack(np.broadcast_arrays(left, right), axis=3)
-    return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True)
+    """Trace out the input and prepare ``target``; see ``DiscardPrepare.channel``."""
+    return DiscardPrepare(target).channel()
 
 
 def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> SeparableChannel:
@@ -404,22 +401,14 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
 def compile_protocol(protocol: Protocol) -> SeparableChannel:
     """Lower a protocol to an explicit separable Kraus channel.
 
-    Atoms validated themselves when they were built (unitarity, the
-    partial-transpose test), so lowering does not repeat those checks; every
-    channel it builds still checks its own Kraus completeness.
+    The live branches' ``atom.channel()`` are mixed with their weights,
+    renormalised. Atoms validated themselves when they were built (unitarity,
+    the partial-transpose test), so lowering does not repeat those checks;
+    every channel it builds still checks its own Kraus completeness.
     """
-    parts = []
-    weights = []
-    for w, atom in protocol.branches:
-        if w <= 0.0:
-            continue
-        if isinstance(atom, LocalUnitary):
-            parts.append(SeparableChannel([(atom.u_a, atom.u_b)], locc_certified=True))
-        else:
-            parts.append(_prepare_channel(atom.target))
-        weights.append(w)
-    total = sum(weights)
-    return mix(parts, [w / total for w in weights])
+    live = [(w, atom) for w, atom in protocol.branches if w > 0.0]
+    total = sum(w for w, _ in live)
+    return mix([atom.channel() for _, atom in live], [w / total for w, _ in live])
 
 
 # ---------------------------------------------------------------------------

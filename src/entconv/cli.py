@@ -46,6 +46,7 @@ from .measures import bell_monotones, concurrence, eof, negativity
 from .oracle import convert_search, falsify_rank_monotonicity, monotone_audit
 from .states import (
     DensityMatrix,
+    MemsWeights,
     classify_family,
     make_bell_diagonal,
     make_mems,
@@ -155,20 +156,15 @@ def parse_state_spec(obj, where: str) -> DensityMatrix:
     )
 
 
-def state_to_spec(rho: DensityMatrix) -> dict:
-    mat = rho.matrix
-    return {
-        "kind": "dense",
-        "re": [[float(x) for x in row] for row in mat.real],
-        "im": [[float(x) for x in row] for row in mat.imag],
-    }
-
-
 def _complex_grid_to_spec(mat: np.ndarray) -> dict:
     return {
         "re": [[float(x) for x in row] for row in mat.real],
         "im": [[float(x) for x in row] for row in mat.imag],
     }
+
+
+def state_to_spec(rho: DensityMatrix) -> dict:
+    return {"kind": "dense", **_complex_grid_to_spec(rho.matrix)}
 
 
 def _complex_grid_from_spec(obj, where: str, n: int) -> np.ndarray:
@@ -320,32 +316,24 @@ def cmd_measures(args) -> int:
     }
     lines = [f"{name}: {value!r}" for name, value in list(measures.items())[:5]]
     lines.append(f"rank: {scalars.rank}")
-    if tag.kind == "werner":
-        lines.append(f"family: werner (w={tag.params.w!r})")
-        triple = bell_monotones(tag.params.mixture_weights())
-    elif tag.kind == "bell_diagonal":
-        lines.append(f"family: bell_diagonal (lambda={list(tag.params.weights)!r})")
-        triple = bell_monotones(tag.params.weights)
-    else:
-        if tag.kind == "mems":
-            lines.append(f"family: mems (lambda={list(tag.params.weights)!r})")
-        else:
-            lines.append("family: general")
-        triple = None
-    if triple is not None:
+    family = tag.kind
+    for key, value in (measures["family"]["params"] or {}).items():
+        family += f" ({key}={value!r})"
+    lines.append(f"family: {family}")
+    bell = tag.bell_weights()
+    if bell is not None:
+        triple = bell_monotones(bell)
         measures["monotones"] = [triple.e1, triple.e2, triple.e3]
         lines.append(f"monotones: ({triple.e1!r}, {triple.e2!r}, {triple.e3!r})")
     _emit(args, {"measures": measures}, lines)
     return EX_OK
 
 
-def _mixture_weights_of(rho: DensityMatrix, where: str) -> tuple:
-    tag = classify_family(rho)
-    if tag.kind == "werner":
-        return tag.params.mixture_weights()
-    if tag.kind == "mems":
-        return tag.params.weights
-    raise _InputError(where, "state is not of the maximally-entangled-mixture form")
+def _mixture_weights_of(rho: DensityMatrix, where: str) -> MemsWeights:
+    weights = classify_family(rho).mems_weights()
+    if weights is None:
+        raise _InputError(where, "state is not of the maximally-entangled-mixture form")
+    return weights
 
 
 def cmd_synthesize(args) -> int:

@@ -185,14 +185,31 @@ def _antiparallel_atoms() -> tuple:
     )
 
 
+_SEPARABLE_WERNER_CERTIFICATE = (
+    "target is separable: prepare anti-parallel Pauli eigenstates, "
+    "refill with the maximally mixed state"
+)
+
+
+def _separable_werner_protocol(target: WernerParam) -> Optional[Protocol]:
+    """Prepare a Werner state with w' <= 1/3 (within 1e-12) from any input, else None.
+
+    Each of the six anti-parallel Pauli eigenstate pairs gets weight w'/2 and
+    the maximally mixed state the remaining 1 - 3w'.
+    """
+    if 3.0 * target.w > 1.0 + _WEIGHT_SUM_TOL:
+        return None
+    branches = [(target.w / 2.0, atom) for atom in _antiparallel_atoms()]
+    branches.append((max(0.0, 1.0 - 3.0 * target.w), DiscardPrepare(_max_mixed())))
+    return Protocol(tuple(branches))
+
+
 def decide_werner(w, w2) -> Verdict:
     """Convertible iff the singlet weight does not increase or the target is separable.
 
     When w' <= w the protocol keeps the state with probability p = w'/w and
     otherwise replaces it with the maximally mixed state. A separable target
-    (w' <= 1/3, within the weight-validation tolerance) is prepared directly:
-    each of the six anti-parallel Pauli eigenstate pairs with weight w'/2,
-    and the maximally mixed state with the remaining 1 - 3w'.
+    (w' <= 1/3) is prepared directly by ``_separable_werner_protocol``.
     """
     source = w if isinstance(w, WernerParam) else WernerParam(float(w))
     target = w2 if isinstance(w2, WernerParam) else WernerParam(float(w2))
@@ -200,20 +217,15 @@ def decide_werner(w, w2) -> Verdict:
         p = 1.0 if source.w == 0.0 else target.w / source.w
         protocol = keep_or_refill(p, _max_mixed())
         certificate = f"keep with probability {p:.12g}, refill with the maximally mixed state"
-    elif 3.0 * target.w <= 1.0 + _WEIGHT_SUM_TOL:
-        branches = [(target.w / 2.0, atom) for atom in _antiparallel_atoms()]
-        branches.append((max(0.0, 1.0 - 3.0 * target.w), DiscardPrepare(_max_mixed())))
-        protocol = Protocol(tuple(branches))
-        certificate = (
-            "target is separable: prepare anti-parallel Pauli eigenstates, "
-            "refill with the maximally mixed state"
-        )
     else:
-        return Forbidden(
-            "weight_infeasible",
-            f"identity weight w'/w = {target.w}/{source.w} exceeds 1 "
-            "and the target is entangled",
-        )
+        protocol = _separable_werner_protocol(target)
+        if protocol is None:
+            return Forbidden(
+                "weight_infeasible",
+                f"identity weight w'/w = {target.w}/{source.w} exceeds 1 "
+                "and the target is entangled",
+            )
+        certificate = _SEPARABLE_WERNER_CERTIFICATE
     return _constructive(protocol, certificate, make_werner(source), make_werner(target))
 
 
@@ -308,13 +320,9 @@ def decide_mems(l, l2) -> Verdict:
     s = source.weights
     t = target.weights
     if max(abs(a - b) for a, b in zip(s, t)) <= 1e-12:
-        return _constructive(
-            Protocol(((1.0, _identity_atom()),)),
-            "identical weights: identity protocol",
-            make_mems(source),
-            make_mems(target),
-        )
-    if all(x <= 1e-10 for x in (s[2], s[3], t[2], t[3])):
+        protocol = Protocol(((1.0, _identity_atom()),))
+        certificate = "identical weights: identity protocol"
+    elif all(x <= 1e-10 for x in (s[2], s[3], t[2], t[3])):
         if t[0] > s[0]:
             return Forbidden(
                 "eof_decrease",
@@ -325,35 +333,18 @@ def decide_mems(l, l2) -> Verdict:
         protocol = keep_or_refill(
             wid, DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
         )
-        return _constructive(
-            protocol,
-            f"keep with probability {wid:.12g}, refill with |01><01|",
-            make_mems(source),
-            make_mems(target),
+        certificate = f"keep with probability {wid:.12g}, refill with |01><01|"
+    else:
+        try:
+            params = synthesize_mems_protocol(source, target)
+        except InfeasibleError as err:
+            return Inconclusive(f"mixture-form synthesis infeasible: {err.detail}")
+        protocol = keep_or_refill(params.W, params.prepared_state())
+        certificate = (
+            f"keep with probability {params.W:.12g}, refill with diagonal weights "
+            f"{params.prep_weights}"
         )
-    try:
-        params = synthesize_mems_protocol(source, target)
-    except InfeasibleError as err:
-        return Inconclusive(f"mixture-form synthesis infeasible: {err.detail}")
-    return _constructive(
-        keep_or_refill(params.W, params.prepared_state()),
-        f"keep with probability {params.W:.12g}, refill with diagonal weights "
-        f"{params.prep_weights}",
-        make_mems(source),
-        make_mems(target),
-    )
-
-
-def _tag_bell_weights(tag) -> BellWeights:
-    if tag.kind == "werner":
-        return BellWeights(tag.params.mixture_weights())
-    return tag.params
-
-
-def _tag_mems_weights(tag) -> MemsWeights:
-    if tag.kind == "werner":
-        return MemsWeights(tag.params.mixture_weights())
-    return tag.params
+    return _constructive(protocol, certificate, make_mems(source), make_mems(target))
 
 
 def decide(rho, rho2) -> Verdict:
@@ -364,7 +355,8 @@ def decide(rho, rho2) -> Verdict:
     a target with no orthogonal product decomposition, which that lowering
     cannot build, falls through; (2) the rank gate blocks impossible
     entangled pairs; (3) both states are classified and a shared family rule
-    decides; (4) anything else is Inconclusive.
+    decides, and a separable Werner target outside the Bell-diagonal rule is
+    prepared directly; (4) anything else is Inconclusive.
 
     Every constructive verdict's residual is checked against RESIDUAL_BOUND;
     a miss raises ResidualError.
@@ -386,16 +378,23 @@ def decide(rho, rho2) -> Verdict:
         return gate
     tag_s = classify_family(source)
     tag_t = classify_family(target)
-    kinds = {tag_s.kind, tag_t.kind}
-    if kinds == {"werner"}:
+    if tag_s.kind == tag_t.kind == "werner":
         return decide_werner(tag_s.params, tag_t.params)
-    if kinds <= {"werner", "bell_diagonal"}:
+    bell_s, bell_t = tag_s.bell_weights(), tag_t.bell_weights()
+    if bell_s is not None and bell_t is not None:
         try:
-            return decide_bell(_tag_bell_weights(tag_s), _tag_bell_weights(tag_t))
+            return decide_bell(bell_s, bell_t)
         except NotEntangledError as err:
-            return Inconclusive(f"Bell-diagonal rule does not apply: {err}")
-    if kinds <= {"werner", "mems"}:
-        return decide_mems(_tag_mems_weights(tag_s), _tag_mems_weights(tag_t))
-    if "general" in kinds:
+            # a separable Werner target is prepared from any source
+            protocol = _separable_werner_protocol(tag_t.params) if tag_t.kind == "werner" else None
+            if protocol is None:
+                return Inconclusive(f"Bell-diagonal rule does not apply: {err}")
+            return _constructive(
+                protocol, _SEPARABLE_WERNER_CERTIFICATE, source, make_werner(tag_t.params)
+            )
+    mems_s, mems_t = tag_s.mems_weights(), tag_t.mems_weights()
+    if mems_s is not None and mems_t is not None:
+        return decide_mems(mems_s, mems_t)
+    if "general" in (tag_s.kind, tag_t.kind):
         return Inconclusive("at least one state fits no decided family")
     return Inconclusive("states fit different decided families with no shared rule")

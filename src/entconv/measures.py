@@ -1,9 +1,10 @@
 """Entanglement measures and the ordering monotones for Bell-diagonal states.
 
 The three Bell-diagonal monotones compare as extended reals: a zero
-denominator always means +inf, whatever the numerator would have been. This
-keeps the comparison e_k(source) >= e_k(target) a plain float comparison
-(inf >= inf holds), which is exactly the convertibility test downstream.
+denominator always means +inf, so ``MonotoneTriple.dominates`` is a plain
+float comparison (inf >= inf holds). ``decide_bell`` does not use it: it
+cross-multiplies each monotone's ratio with a 1e-12 tie band, so rounding
+cannot split an exact tie.
 """
 
 from __future__ import annotations

@@ -346,7 +346,7 @@ def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     source = as_density(rho)
     target = as_density(rho2)
     atoms = _search_atoms()
-    rotated = np.stack([_apply_unitary(atom, source.matrix).ravel() for atom in atoms])
+    rotated = np.stack([atom.apply(source.matrix).ravel() for atom in atoms])
     # rows 0, 5, 10 and 15 of the 16x16 identity are the flattened |i><i|
     columns = np.concatenate([rotated, np.eye(16)[::5]])
     a = np.concatenate([columns.real, columns.imag], axis=1).T
@@ -382,8 +382,3 @@ def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     if distance < 1e-6:
         return float(distance), protocol
     return best_val, None
-
-
-def _apply_unitary(atom: LocalUnitary, mat: np.ndarray) -> np.ndarray:
-    u = atom.lifted()
-    return u @ mat @ u.conj().T

@@ -118,38 +118,51 @@ class FamilyTag:
     kind: str  # "werner" | "bell_diagonal" | "mems" | "general"
     params: Union[WernerParam, BellWeights, MemsWeights, None] = None
 
+    def bell_weights(self) -> Optional[BellWeights]:
+        """Bell-diagonal weights of a Werner or Bell-diagonal state, else None."""
+        if self.kind == "werner":
+            return BellWeights(self.params.mixture_weights())
+        return self.params if self.kind == "bell_diagonal" else None
+
+    def mems_weights(self) -> Optional[MemsWeights]:
+        """Mixture-form weights of a Werner or mixture-form state, else None."""
+        if self.kind == "werner":
+            return MemsWeights(self.params.mixture_weights())
+        return self.params if self.kind == "mems" else None
+
 
 class DensityMatrix:
-    """A validated 4x4 density matrix with its eigendecomposition cached.
+    """A validated 4x4 density matrix with its spectral facts cached.
 
     Construction checks Hermiticity (1e-9), unit trace (1e-9) and positive
-    semidefiniteness (eigenvalues >= -1e-10). The stored array is read-only.
+    semidefiniteness (eigenvalues >= -1e-10). The eigendecomposition is kept,
+    and the separability test's value on first use. The array is read-only.
     """
 
-    __slots__ = ("_mat", "_eig")
+    __slots__ = ("_mat", "_eig", "_min_pt")
 
-    def __init__(self, matrix, *, _skip_checks: bool = False):
+    def __init__(self, matrix):
         mat = np.array(matrix, dtype=np.complex128)
         if mat.shape != (4, 4):
             raise OutOfRangeError(f"expected a 4x4 matrix, got shape {mat.shape}")
-        if not _skip_checks:
-            dev = qmat.frobenius_distance(mat, qmat.dag(mat))
-            if dev > 1e-9:
-                raise NotHermitianError(
-                    f"density matrix is not Hermitian within 1e-9 (deviation {dev:.3e})"
-                )
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > 1e-9:
-                raise OutOfRangeError(f"density matrix trace must be 1 within 1e-9, got {tr!r}")
+        dev = qmat.frobenius_distance(mat, qmat.dag(mat))
+        if dev > 1e-9:
+            raise NotHermitianError(
+                f"density matrix is not Hermitian within 1e-9 (deviation {dev:.3e})"
+            )
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > 1e-9:
+            raise OutOfRangeError(f"density matrix trace must be 1 within 1e-9, got {tr!r}")
         mat = 0.5 * (mat + qmat.dag(mat))
         eig = qmat.hermitian_eig(mat, tol=1e-8)
-        if not _skip_checks and eig.values[-1] < -1e-10:
+        if eig.values[-1] < -1e-10:
             raise OutOfRangeError(
                 f"density matrix has eigenvalue {eig.values[-1]:.3e} below -1e-10"
             )
         mat.setflags(write=False)
         self._mat = mat
         self._eig = eig
+        self._min_pt = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -158,6 +171,13 @@ class DensityMatrix:
     @property
     def eig(self) -> qmat.EigenDecomposition:
         return self._eig
+
+    def min_pt_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the partial transpose, computed once."""
+        if self._min_pt is None:
+            # the module-level function, on the raw array
+            self._min_pt = min_pt_eigenvalue(self._mat)
+        return self._min_pt
 
     def purity(self) -> float:
         return float(np.sum(np.abs(self._mat) ** 2))
@@ -188,31 +208,35 @@ def as_density(rho) -> DensityMatrix:
     return DensityMatrix(qmat.as_cmat(rho, 4))
 
 
+def _werner_matrix(w: float) -> np.ndarray:
+    return w * SINGLET_PROJECTOR + (1.0 - w) * MAX_MIXED
+
+
+def _bell_matrix(weights) -> np.ndarray:
+    return sum(l * p for l, p in zip(weights, BELL_PROJECTORS))
+
+
+def _mems_matrix(weights) -> np.ndarray:
+    l1, l2, l3, l4 = weights
+    return (l1 - l3) * SINGLET_PROJECTOR + np.diag([l3, l2, l4, l3])
+
+
 def make_werner(w) -> DensityMatrix:
     """Werner state w * singlet + (1-w) * I/4."""
     param = w if isinstance(w, WernerParam) else WernerParam(float(w))
-    mat = param.w * SINGLET_PROJECTOR + (1.0 - param.w) * MAX_MIXED
-    return DensityMatrix(mat)
+    return DensityMatrix(_werner_matrix(param.w))
 
 
 def make_bell_diagonal(weights) -> DensityMatrix:
     """Mixture of the four Bell projectors with non-ascending weights."""
     bw = weights if isinstance(weights, BellWeights) else BellWeights(tuple(weights))
-    mat = sum(l * p for l, p in zip(bw.weights, BELL_PROJECTORS))
-    return DensityMatrix(mat)
+    return DensityMatrix(_bell_matrix(bw.weights))
 
 
 def make_mems(weights) -> DensityMatrix:
     """Maximally-entangled-mixture form from its decomposition weights."""
     mw = weights if isinstance(weights, MemsWeights) else MemsWeights(tuple(weights))
-    l1, l2, l3, l4 = mw.weights
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    mat += (l1 - l3) * SINGLET_PROJECTOR
-    mat[0, 0] += l3
-    mat[3, 3] += l3
-    mat[1, 1] += l2
-    mat[2, 2] += l4
-    return DensityMatrix(mat)
+    return DensityMatrix(_mems_matrix(mw.weights))
 
 
 def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
@@ -227,8 +251,10 @@ def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
 
 
 def min_pt_eigenvalue(rho) -> float:
-    """Smallest eigenvalue of the partial transpose."""
-    pt = qmat.partial_transpose(_mat_of(rho), "b")
+    """Smallest eigenvalue of the partial transpose; a DensityMatrix keeps it."""
+    if isinstance(rho, DensityMatrix):
+        return rho.min_pt_eigenvalue()
+    pt = qmat.partial_transpose(qmat.as_cmat(rho, 4), "b")
     values, _ = qmat.hermitian_eig(pt)
     return float(values[-1])
 
@@ -266,8 +292,7 @@ def bell_weights_of(rho) -> tuple[np.ndarray, float]:
     weights = np.array(
         [np.vdot(v, mat @ v).real for v in BELL_VECTORS], dtype=np.float64
     )
-    recon = sum(l * p for l, p in zip(weights, BELL_PROJECTORS))
-    return weights, qmat.frobenius_distance(mat, recon)
+    return weights, qmat.frobenius_distance(mat, _bell_matrix(weights))
 
 
 def _clean_weights(raw, tol: float) -> Optional[tuple]:
@@ -291,8 +316,7 @@ def _werner_fit(mat: np.ndarray, tol: float) -> Optional[WernerParam]:
     if w < -tol or w > 1.0 + tol:
         return None
     w = min(1.0, max(0.0, w))
-    recon = w * SINGLET_PROJECTOR + (1.0 - w) * MAX_MIXED
-    if qmat.frobenius_distance(mat, recon) > tol:
+    if qmat.frobenius_distance(mat, _werner_matrix(w)) > tol:
         return None
     return WernerParam(w)
 
@@ -302,8 +326,7 @@ def _bell_fit(mat: np.ndarray, tol: float) -> Optional[BellWeights]:
     cleaned = _clean_weights(raw, tol)
     if cleaned is None:
         return None
-    recon = sum(l * p for l, p in zip(cleaned, BELL_PROJECTORS))
-    if qmat.frobenius_distance(mat, recon) > tol:
+    if qmat.frobenius_distance(mat, _bell_matrix(cleaned)) > tol:
         return None
     return BellWeights(cleaned)
 
@@ -325,8 +348,7 @@ def _mems_fit(mat: np.ndarray, tol: float) -> Optional[MemsWeights]:
         candidate = MemsWeights(cleaned)
     except OutOfRangeError:
         return None
-    recon = make_mems(candidate).matrix
-    if qmat.frobenius_distance(mat, recon) > tol:
+    if qmat.frobenius_distance(mat, _mems_matrix(candidate.weights)) > tol:
         return None
     return candidate
 

@@ -122,11 +122,15 @@ class TestCheck:
 
     def test_residual_miss_exits_software(self, tmp_path, capsys, monkeypatch):
         # a lowering that prepares a state 1% off its target
-        original = channels._prepare_channel
+        original = channels.DiscardPrepare.channel
         monkeypatch.setattr(
-            channels,
-            "_prepare_channel",
-            lambda rho: original(DensityMatrix(0.99 * rho.matrix + 0.01 * np.diag([1, 0, 0, 0]))),
+            channels.DiscardPrepare,
+            "channel",
+            lambda atom: original(
+                channels.DiscardPrepare(
+                    DensityMatrix(0.99 * atom.target.matrix + 0.01 * np.diag([1, 0, 0, 0]))
+                )
+            ),
         )
         a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
         b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})

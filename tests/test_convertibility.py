@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from entconv import channels
+from entconv import channels, qmat
 from entconv.convertibility import (
     RESIDUAL_BOUND,
     Convertible,
@@ -288,15 +288,50 @@ def test_decide_separable_target_without_lowering_falls_through():
     assert v.certificate.endswith("refill with the maximally mixed state")
 
 
+@pytest.mark.parametrize("source", [(0.7, 0.2, 0.05, 0.05), (0.55, 0.25, 0.15, 0.05)])
+@pytest.mark.parametrize("w2", [0.2, 1 / 3])
+def test_decide_bell_source_prepares_separable_werner_target(source, w2):
+    # the Bell-diagonal rule only covers entangled pairs; a separable Werner
+    # target is prepared from the Bell-diagonal source instead
+    rho = make_bell_diagonal(source)
+    v = decide(rho, make_werner(w2))
+    assert isinstance(v, Convertible)
+    assert v.residual <= 1e-12
+    assert v.certificate.startswith("target is separable: prepare anti-parallel")
+    assert verify_protocol(v.protocol, rho, make_werner(w2)) <= 1e-12
+
+
+def test_decide_tests_each_state_for_separability_once(monkeypatch):
+    calls = []
+    original = qmat.partial_transpose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qmat, "partial_transpose", counting)
+    source = make_mems((0.5, 0.2, 0.2, 0.1))
+    target = make_mems((0.44, 0.24, 0.2, 0.12))
+    v = decide(source, target)
+    assert isinstance(v, Convertible) and v.protocol is not None
+    # source, target and the refill state
+    assert len(calls) == 3
+    v = decide(source, target)
+    assert isinstance(v, Convertible)
+    # only the new refill state is tested
+    assert len(calls) == 4
+
+
 def _break_refill_lowering(monkeypatch):
     # a lowering that still builds a complete channel, but prepares a state
     # 1% off the one it was asked for
-    original = channels._prepare_channel
+    original = channels.DiscardPrepare.channel
 
-    def skewed(rho):
-        return original(DensityMatrix(0.99 * rho.matrix + 0.01 * np.diag([1, 0, 0, 0])))
+    def skewed(atom):
+        skew = DensityMatrix(0.99 * atom.target.matrix + 0.01 * np.diag([1, 0, 0, 0]))
+        return original(channels.DiscardPrepare(skew))
 
-    monkeypatch.setattr(channels, "_prepare_channel", skewed)
+    monkeypatch.setattr(channels.DiscardPrepare, "channel", skewed)
 
 
 def test_constructive_verdicts_check_their_residual(monkeypatch):

@@ -180,6 +180,62 @@ def test_classification_round_trip_reconstruction():
     npt.assert_allclose(make_mems(tag.params).matrix, rho.matrix, atol=1e-8)
 
 
+def test_classify_mems_builds_no_density_matrix(monkeypatch):
+    rho = make_mems((0.55, 0.25, 0.15, 0.05))
+    built = []
+    original = DensityMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting)
+    assert classify_family(rho).kind == "mems"
+    assert classify_family(rho.matrix).kind == "mems"
+    assert built == []
+
+
+def test_family_tag_weights_per_kind():
+    werner = classify_family(make_werner(0.6))
+    assert isinstance(werner.bell_weights(), BellWeights)
+    assert isinstance(werner.mems_weights(), MemsWeights)
+    npt.assert_allclose(werner.bell_weights().weights, (0.7, 0.1, 0.1, 0.1), atol=1e-12)
+    npt.assert_allclose(werner.mems_weights().weights, (0.7, 0.1, 0.1, 0.1), atol=1e-12)
+
+    bell = classify_family(make_bell_diagonal((0.6, 0.2, 0.15, 0.05)))
+    assert bell.bell_weights() is bell.params
+    assert bell.mems_weights() is None
+
+    mems = classify_family(make_mems((0.5, 0.2, 0.2, 0.1)))
+    assert mems.bell_weights() is None
+    assert mems.mems_weights() is mems.params
+
+    general = classify_family(random_density_matrix(5))
+    assert general.kind == "general"
+    assert general.bell_weights() is None
+    assert general.mems_weights() is None
+
+
+def test_density_matrix_tests_separability_once(monkeypatch):
+    rho = make_werner(0.8)
+    calls = []
+    original = qmat.partial_transpose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qmat, "partial_transpose", counting)
+    assert is_entangled(rho)
+    npt.assert_allclose(min_pt_eigenvalue(rho), (1 - 3 * 0.8) / 4, atol=1e-12)
+    assert rho.min_pt_eigenvalue() == min_pt_eigenvalue(rho)
+    assert len(calls) == 1
+    # a raw array has nowhere to keep the value
+    min_pt_eigenvalue(rho.matrix)
+    min_pt_eigenvalue(rho.matrix)
+    assert len(calls) == 3
+
+
 def test_bell_weights_of_detects_off_diagonal_mass():
     weights, residual = states.bell_weights_of(make_bell_diagonal((0.4, 0.3, 0.2, 0.1)))
     npt.assert_allclose(weights, [0.4, 0.3, 0.2, 0.1], atol=1e-12)
