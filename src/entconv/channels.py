@@ -41,6 +41,7 @@ from .errors import (
 from .states import BELL_PROJECTORS, DensityMatrix, _mat_of, as_density, min_pt_eigenvalue
 
 _COMPLETENESS_TOL = 1e-10
+_BELL_STACK = np.stack(BELL_PROJECTORS)
 
 
 def _as_qubit_mat(m, what: str) -> np.ndarray:
@@ -224,11 +225,13 @@ class SeparableChannel:
             bell_action = np.array(bell_action, dtype=np.float64)
             if bell_action.shape != (4, 4):
                 raise ValueError("bell_action must be 4x4")
-            for j, proj in enumerate(BELL_PROJECTORS):
-                out = self.apply_raw(proj)
-                recon = sum(bell_action[i, j] * BELL_PROJECTORS[i] for i in range(4))
-                if qmat.frobenius_distance(out, recon) > 1e-10:
-                    raise ValueError(f"bell_action column {j} disagrees with the channel")
+            # column j must be the Bell weights of the image of projector j
+            out = kernels.apply_kraus(estack, _BELL_STACK)
+            recon = (bell_action.T @ _BELL_STACK.reshape(4, 16)).reshape(4, 4, 4)
+            dev = np.linalg.norm((out - recon).reshape(4, 16), axis=1)
+            bad = np.flatnonzero(dev > 1e-10)
+            if bad.size:
+                raise ValueError(f"bell_action column {bad[0]} disagrees with the channel")
             bell_action.setflags(write=False)
         self.bell_action = bell_action
 

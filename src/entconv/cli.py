@@ -404,10 +404,12 @@ def cmd_audit(args) -> int:
         "rank_monotonicity": {
             "counterexamples": rank_report.counterexamples,
             "elapsed": rank_report.elapsed,
+            "live": dict(rank_report.live),
         },
         "monotones": {
             "counterexamples": mono_report.counterexamples,
             "elapsed": mono_report.elapsed,
+            "live": dict(mono_report.live),
         },
         "clean": clean,
     }

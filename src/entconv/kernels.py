@@ -5,7 +5,10 @@ randomized oracles) funnels its numerical work through the handful of
 functions defined here: a Hermitian eigensolver, Kronecker products, partial
 transpose/trace index shuffles, Kraus-stack application, and singular values.
 The eigensolver delegates to LAPACK via np.linalg.eigh and returns
-eigenvalues descending, eigenvectors as columns.
+eigenvalues descending, eigenvectors as columns. Kraus application is two
+matrix products over the whole operator stack and takes one input or a stack
+of inputs, so a caller with several states for one channel passes them in
+one call.
 """
 
 from __future__ import annotations
@@ -36,9 +39,20 @@ def kron2(a, b):
 def apply_kraus(estack, rho):
     """Sum_k E_k rho E_k^dagger for an (n, 4, 4) stack of Kraus operators.
 
-    One batched matmul over the stack, then a sum over its leading axis.
+    ``rho`` is one 4x4 operator or an (m, 4, 4) stack of them; the result has
+    the same shape. Two matrix products do the work instead of n small ones.
+    The first multiplies all inputs' rows, (4m, 4), by the daggered operators
+    side by side, [E_1^dagger ... E_n^dagger] of shape (4, 4n), giving every
+    rho_j E_k^dagger. The second, one per input, multiplies the operators
+    side by side, [E_1 ... E_n], by those blocks restacked as one (4n, 4)
+    column, which sums over k.
     """
-    return (estack @ rho @ estack.conj().transpose(0, 2, 1)).sum(axis=0)
+    n = estack.shape[0]
+    lead = rho.shape[:-2]
+    right = rho.reshape(-1, 4) @ estack.reshape(4 * n, 4).conj().T
+    # [..., a, k, l] = (rho E_k^dagger)[a, l] -> rows (k, a) of one column per input
+    tall = right.reshape(lead + (4, n, 4)).swapaxes(-3, -2).reshape(lead + (4 * n, 4))
+    return estack.transpose(1, 0, 2).reshape(4, 4 * n) @ tall
 
 
 def kraus_gram(estack):

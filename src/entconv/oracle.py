@@ -9,7 +9,11 @@ reproduce it.
 
 Determinism contract: every trial derives its own generator from
 (seed, trial index), so reports are reproducible bit-for-bit and trials can
-be sharded across workers without changing the outcome.
+be sharded across workers without changing the outcome. A random channel
+reads its generator in three draws (its free factors, its scale, then all of
+its Haar factors in one Gaussian draw), whose numbers are exactly those of
+drawing each block in turn, so a trial's stream does not depend on how the
+channel is assembled.
 
 The protocol search is a convex least-squares problem over the simplex of
 mixture weights of a fixed set of LOCC atoms; see ``convert_search``.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -46,40 +51,30 @@ _RANK_LIVE_TOL = 1e-6
 
 @dataclass
 class SearchReport:
-    """Outcome of a randomized hunt: sample count, findings, wall time."""
+    """Outcome of a randomized hunt: sample count, findings, wall time.
+
+    ``live`` maps each claim the hunt checks to the number of trials that
+    actually tested it; a trial whose output cannot witness a violation
+    does not count. A claim no trial reached reads 0.
+    """
 
     trials: int
     counterexamples: list = field(default_factory=list)
     elapsed: float = 0.0
+    live: Counter = field(default_factory=Counter)
 
     @property
     def clean(self) -> bool:
         return not self.counterexamples
 
 
-def _haar_qubit(rng) -> np.ndarray:
-    # a normalized complex Gaussian pair is Haar on SU(2)
-    a = rng.normal() + 1j * rng.normal()
-    b = rng.normal() + 1j * rng.normal()
-    norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    a, b = a / norm, b / norm
-    return np.array([[a, b], [-np.conj(b), np.conj(a)]], dtype=np.complex128)
-
-
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
 _PAULI_AXES = (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z)
 
-# rank-1 eigenprojectors (plus, minus) of each Pauli axis
-_PAULI_PROJ = tuple(
-    (
-        0.5 * (qmat.EYE2 + sigma),
-        0.5 * (qmat.EYE2 - sigma),
-    )
-    for sigma in _PAULI_AXES
+# the projectors a completion pair acts on, by index: the identity at 0, then
+# the rank-1 eigenprojectors (plus, minus) of each Pauli axis at _PROJ_INDEX
+_PROJ_INDEX = ((1, 2), (3, 4), (5, 6))
+_COMPLETION_PROJ = np.array(
+    [qmat.EYE2] + [0.5 * (qmat.EYE2 + sign * sigma) for sigma in _PAULI_AXES for sign in (1, -1)]
 )
 
 _PAULI_BASIS = (qmat.EYE2,) + _PAULI_AXES
@@ -96,25 +91,25 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     The free pairs have complex Gaussian factors. They are rescaled so the
     remainder I - sum E^dagger E stays diagonally dominant in the product
     Pauli basis, then that remainder is emitted exactly as product-projector
-    pairs plus an identity slack term. A single-pair request returns the
-    polar unitary parts of the Gaussian draw, since one Kraus operator can
-    only be trace preserving when it is unitary.
+    pairs plus an identity slack term, each behind Haar-random unitaries. A
+    single-pair request returns the polar unitary parts of the Gaussian
+    draw, since one Kraus operator can only be trace preserving when it is
+    unitary.
+
+    The generator is read three times: every free factor in one Gaussian
+    draw, the remainder's scale, then every Haar factor in one Gaussian
+    draw. Each draw yields the same numbers as drawing its blocks one by one.
     """
     if n_kraus < 1:
         raise ValueError(f"n_kraus must be >= 1, got {n_kraus!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    # [pair, side, real/imaginary part]
+    g = rng.normal(size=(n_kraus, 2, 2, 2, 2))
+    free = g[:, :, 0] + 1j * g[:, :, 1]
     if n_kraus == 1:
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return SeparableChannel([(_polar_unitary(a), _polar_unitary(b))])
+        u, _, vh = np.linalg.svd(free)
+        return SeparableChannel(u @ vh)
 
-    free = np.array([
-        (
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-        )
-        for _ in range(n_kraus)
-    ])
     a, b = free[:, 0], free[:, 1]
     gram = kernels.kron2(
         a.conj().transpose(0, 2, 1) @ a, b.conj().transpose(0, 2, 1) @ b
@@ -126,41 +121,48 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     c2 = u / weight_sum
     scale = c2 ** 0.25
 
-    pairs = list(scale * free)
-
-    def completion_pair(w: float, pa: Optional[np.ndarray], pb: Optional[np.ndarray]):
-        # left unitary factors keep the gram contribution w * Pa (x) Pb while
-        # randomizing where the channel sends that component
-        qa = w ** 0.25 * (_haar_qubit(rng) @ (pa if pa is not None else qmat.EYE2))
-        qb = w ** 0.25 * (_haar_qubit(rng) @ (pb if pb is not None else qmat.EYE2))
-        pairs.append((qa, qb))
-
+    # the remainder as (gram weight w, index of Pa, index of Pb)
+    eye = 0
+    remainder = (-c2 * coeff).tolist()
+    terms = []
     for mu in range(4):
         for nu in range(4):
             if mu == 0 and nu == 0:
                 continue
-            r = -c2 * coeff[mu, nu]
+            r = remainder[mu][nu]
             if abs(r) < 1e-15:
                 continue
             if mu > 0 and nu > 0:
-                plus_a, minus_a = _PAULI_PROJ[mu - 1]
-                plus_b, minus_b = _PAULI_PROJ[nu - 1]
+                plus_a, minus_a = _PROJ_INDEX[mu - 1]
+                plus_b, minus_b = _PROJ_INDEX[nu - 1]
                 if r > 0:
-                    completion_pair(2 * r, plus_a, plus_b)
-                    completion_pair(2 * r, minus_a, minus_b)
+                    terms += [(2 * r, plus_a, plus_b), (2 * r, minus_a, minus_b)]
                 else:
-                    completion_pair(-2 * r, plus_a, minus_b)
-                    completion_pair(-2 * r, minus_a, plus_b)
+                    terms += [(-2 * r, plus_a, minus_b), (-2 * r, minus_a, plus_b)]
             elif mu == 0:
-                plus_b, minus_b = _PAULI_PROJ[nu - 1]
-                completion_pair(2 * abs(r), None, plus_b if r > 0 else minus_b)
+                plus_b, minus_b = _PROJ_INDEX[nu - 1]
+                terms.append((2 * abs(r), eye, plus_b if r > 0 else minus_b))
             else:
-                plus_a, minus_a = _PAULI_PROJ[mu - 1]
-                completion_pair(2 * abs(r), plus_a if r > 0 else minus_a, None)
+                plus_a, minus_a = _PROJ_INDEX[mu - 1]
+                terms.append((2 * abs(r), plus_a if r > 0 else minus_a, eye))
+    terms.append((1.0 - u, eye, eye))
+    weights = np.array([w for w, _, _ in terms])
+    projectors = _COMPLETION_PROJ[np.array([(pa, pb) for _, pa, pb in terms])]
 
-    slack = 1.0 - u
-    completion_pair(slack, None, None)
-    return SeparableChannel(pairs)
+    # a normalized complex Gaussian pair (alpha, beta) is Haar on SU(2);
+    # [term, side, (re alpha, im alpha, re beta, im beta)]
+    h = rng.normal(size=(len(terms), 2, 4))
+    alpha = h[..., 0] + 1j * h[..., 1]
+    beta = h[..., 2] + 1j * h[..., 3]
+    norm = np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
+    alpha, beta = alpha / norm, beta / norm
+    haar = np.empty(h.shape[:2] + (2, 2), dtype=np.complex128)
+    haar[..., 0, 0], haar[..., 0, 1] = alpha, beta
+    haar[..., 1, 0], haar[..., 1, 1] = -beta.conj(), alpha.conj()
+    # left unitary factors keep the gram contribution w * Pa (x) Pb while
+    # randomizing where the channel sends that component
+    completion = weights[:, None, None, None] ** 0.25 * (haar @ projectors)
+    return SeparableChannel(np.concatenate([scale * free, completion]))
 
 
 def _random_entangled(rng, rank: int, max_tries: int = 200) -> np.ndarray:
@@ -199,10 +201,11 @@ def falsify_rank_monotonicity(
     spectrum that is rank-deficient with a clean gap (an eigenvalue below
     1e-12 while every surviving one exceeds 1e-6). The expected outcome is an
     empty report; ``channel_factory(rng, n_kraus)`` can inject other channel
-    ensembles as a control.
+    ensembles as a control. ``live["rank"]`` counts the trials whose output
+    cleared the negativity margin.
     """
     start = time.perf_counter()
-    report = SearchReport(trials=trials)
+    report = SearchReport(trials=trials, live=Counter(rank=0))
     factory = channel_factory or (lambda rng, n: random_separable_channel(rng, n))
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
@@ -214,6 +217,7 @@ def falsify_rank_monotonicity(
         neg = _negativity_raw(out)
         if neg <= _NEGATIVITY_MARGIN:
             continue
+        report.live["rank"] += 1
         values, _ = kernels.hermitian_eigh(out)
         live = int(np.sum(values > _RANK_LIVE_TOL))
         dead = int(np.sum(values < _RANK_ZERO_TOL))
@@ -246,10 +250,13 @@ def monotone_audit(
     output weights numerically. For outputs that remain entangled, any
     monotone that grew by more than 1e-9 is recorded. The same mixture is
     also applied to a random rank-4 state to audit concurrence non-increase,
-    which holds for every certified channel on every state.
+    which holds for every certified channel on every state. Both states go
+    through the mixture in one stacked call. ``live["monotones"]`` counts the
+    outputs that stayed entangled, ``live["concurrence"]`` the trials that
+    reached the concurrence check.
     """
     start = time.perf_counter()
-    report = SearchReport(trials=trials)
+    report = SearchReport(trials=trials, live=Counter(monotones=0, concurrence=0))
     pool = tuple(channel_pool) if channel_pool is not None else bell_extremal_catalog()
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
@@ -261,7 +268,10 @@ def monotone_audit(
             raise SamplingExhaustedError("no entangled Bell-diagonal sample found")
         rho = make_bell_diagonal(tuple(weights))
         channel = mix(pool, rng.dirichlet(np.ones(len(pool))))
-        out = channel.apply_raw(rho.matrix)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        general = g @ g.conj().T
+        general /= np.trace(general).real
+        out, general_out = channel.apply_raw(np.stack([rho.matrix, general]))
         out_weights, residual = bell_weights_of(out)
         if residual > 1e-9:
             report.counterexamples.append(
@@ -270,6 +280,7 @@ def monotone_audit(
             continue
         out_sorted = tuple(np.sort(out_weights)[::-1])
         if out_sorted[0] > 0.5:
+            report.live["monotones"] += 1
             m_in = bell_monotones(tuple(weights))
             m_out = bell_monotones(out_sorted)
             for k, (a, b) in enumerate(zip(m_in, m_out), start=1):
@@ -285,11 +296,9 @@ def monotone_audit(
                             "e_out": float(b),
                         }
                     )
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        general = g @ g.conj().T
-        general /= np.trace(general).real
+        report.live["concurrence"] += 1
         c_in = concurrence(general)
-        c_out = concurrence(channel.apply_raw(general))
+        c_out = concurrence(general_out)
         if c_out > c_in + 1e-9:
             report.counterexamples.append(
                 {

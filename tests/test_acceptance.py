@@ -139,7 +139,8 @@ def test_c3_monotone_audit_at_scale():
     ok = report.clean and report.elapsed < 120.0
     _report(3, "monotone audit", ok,
             f"{report.trials} trials, {len(report.counterexamples)} violations, "
-            f"{report.elapsed:.1f}s < 120s")
+            f"live: {report.live['monotones']} monotones, "
+            f"{report.live['concurrence']} concurrence, {report.elapsed:.1f}s < 120s")
     assert ok
 
 
@@ -244,7 +245,7 @@ def test_c6_rank_falsifier_at_scale():
     ok = report.clean and report.elapsed < 300.0
     _report(6, "rank monotonicity falsifier", ok,
             f"{report.trials} trials, {len(report.counterexamples)} counterexamples, "
-            f"{report.elapsed:.1f}s < 300s")
+            f"{report.live['rank']} live, {report.elapsed:.1f}s < 300s")
     assert ok
 
 

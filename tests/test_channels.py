@@ -278,6 +278,15 @@ def test_bell_action_validation_rejects_wrong_matrix():
         )
 
 
+def test_bell_action_validation_names_the_bad_column():
+    # the identity channel, claimed to send projector 2 to projector 3 and
+    # every other projector to itself: only column 2 is wrong
+    action = np.eye(4)
+    action[:, 2] = (0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="bell_action column 2 disagrees"):
+        SeparableChannel([(qmat.EYE2, qmat.EYE2)], bell_action=action)
+
+
 def test_mix_weights_validation():
     cat = bell_extremal_catalog()
     with pytest.raises(BadWeightsError):

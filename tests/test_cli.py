@@ -278,6 +278,9 @@ class TestSearchAndAudit:
         assert payload["clean"] is True
         assert payload["rank_monotonicity"]["counterexamples"] == []
         assert payload["monotones"]["counterexamples"] == []
+        assert 0 <= payload["rank_monotonicity"]["live"]["rank"] <= 40
+        assert payload["monotones"]["live"]["concurrence"] == 40
+        assert 0 <= payload["monotones"]["live"]["monotones"] <= 40
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as err:

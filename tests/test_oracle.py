@@ -24,7 +24,72 @@ from entconv.states import (
 )
 
 
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1, -1]).astype(complex),
+)
+
+
+def _sequential_random_channel(seed, n_kraus):
+    """Kraus factors of ``random_separable_channel`` drawn one block at a time.
+
+    The free factors come 2x2 block by 2x2 block, every Haar unitary from
+    four scalar draws, and the completion pairs are appended one by one.
+    """
+    rng = np.random.default_rng(seed)
+    free = [
+        tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        for _ in range(n_kraus)
+    ]
+    gram = sum(np.kron(a.conj().T @ a, b.conj().T @ b) for a, b in free)
+    coeff = np.array(
+        [[np.trace(np.kron(p, q).conj().T @ gram).real / 4 for q in _PAULIS] for p in _PAULIS]
+    )
+    u = rng.uniform(0.35, 0.9)
+    c2 = u / (coeff[0, 0] + np.abs(coeff).sum() - abs(coeff[0, 0]))
+    pairs = [(c2 ** 0.25 * a, c2 ** 0.25 * b) for a, b in free]
+
+    def haar():
+        a = rng.normal() + 1j * rng.normal()
+        b = rng.normal() + 1j * rng.normal()
+        norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        a, b = a / norm, b / norm
+        return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+    def completion(w, pa, pb):
+        pairs.append((w ** 0.25 * (haar() @ pa), w ** 0.25 * (haar() @ pb)))
+
+    def proj(mu, sign):
+        return 0.5 * (_PAULIS[0] + sign * _PAULIS[mu])
+
+    for mu in range(4):
+        for nu in range(4):
+            r = -c2 * coeff[mu, nu]
+            if mu == nu == 0 or abs(r) < 1e-15:
+                continue
+            sign = 1 if r > 0 else -1
+            if mu and nu:
+                completion(2 * abs(r), proj(mu, 1), proj(nu, sign))
+                completion(2 * abs(r), proj(mu, -1), proj(nu, -sign))
+            elif mu == 0:
+                completion(2 * abs(r), _PAULIS[0], proj(nu, sign))
+            else:
+                completion(2 * abs(r), proj(mu, sign), _PAULIS[0])
+    completion(1.0 - u, _PAULIS[0], _PAULIS[0])
+    return np.array(pairs)
+
+
 class TestRandomSeparableChannel:
+    @pytest.mark.parametrize("n_kraus", [2, 3, 4, 5])
+    def test_matches_sequential_draws(self, n_kraus):
+        for seed in range(50):
+            expected = _sequential_random_channel(seed, n_kraus)
+            got = random_separable_channel(seed, n_kraus).kraus_pairs
+            assert got.shape == expected.shape, seed
+            npt.assert_allclose(got, expected, rtol=0, atol=1e-15, err_msg=str(seed))
+
     def test_deterministic_per_seed(self):
         a = random_separable_channel(7, 4)
         b = random_separable_channel(7, 4)
@@ -110,6 +175,13 @@ class TestRankFalsifier:
         report = falsify_rank_monotonicity(0)
         assert report == SearchReport(trials=0, counterexamples=[], elapsed=report.elapsed)
 
+    def test_live_count_pins_the_draw_stream(self):
+        # 219 of these trials reach the rank test; drawing more or fewer
+        # numbers per trial, or in another order, moves the count
+        report = falsify_rank_monotonicity(1000, seed=42)
+        assert report.live["rank"] == 219
+        assert report.counterexamples == []
+
     def test_deterministic_findings(self):
         a = falsify_rank_monotonicity(50, seed=3)
         b = falsify_rank_monotonicity(50, seed=3)
@@ -154,6 +226,8 @@ class TestMonotoneAudit:
         report = monotone_audit(5, seed=0, channel_pool=pool)
         assert len(report.counterexamples) == 5
         assert all(f["kind"] == "left_bell_diagonal" for f in report.counterexamples)
+        # an output that left the Bell-diagonal family tests neither claim
+        assert report.live == {"monotones": 0, "concurrence": 0}
 
 
 def _one_sided_rotations() -> list:

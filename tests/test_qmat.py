@@ -158,6 +158,25 @@ def test_batched_kraus_kernels_match_per_operator_loop(n):
     npt.assert_allclose(kernels.kraus_gram(stack), gram, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 3, 17, 103])
+def test_apply_kraus_on_input_stack_matches_single_calls(n):
+    rng = np.random.default_rng(200 + n)
+    stack = (rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))) / (4 * np.sqrt(n))
+    # two density matrices and two general operators
+    g = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    inputs = np.concatenate([g[:2] @ g[:2].conj().transpose(0, 2, 1), g[2:]])
+    inputs /= np.abs(np.trace(inputs, axis1=1, axis2=2))[:, None, None]
+    for m in (1, 2, 4):
+        out = kernels.apply_kraus(stack, inputs[:m])
+        assert out.shape == (m, 4, 4)
+        for rho, got in zip(inputs[:m], out):
+            loop = np.zeros((4, 4), dtype=complex)
+            for e in stack:
+                loop += e @ rho @ e.conj().T
+            npt.assert_allclose(got, kernels.apply_kraus(stack, rho), rtol=0, atol=1e-14)
+            npt.assert_allclose(got, loop, rtol=0, atol=1e-14)
+
+
 def test_kraus_gram_detects_completeness():
     u = np.eye(4, dtype=complex)
     stack = np.stack([u * np.sqrt(0.3), u * np.sqrt(0.7)])
