@@ -38,10 +38,16 @@ from .errors import (
     NotTracePreservingError,
     NotUnitaryError,
 )
-from .states import BELL_PROJECTORS, DensityMatrix, _mat_of, as_density, min_pt_eigenvalue
+from .states import (
+    _BELL_STACK,
+    BELL_PROJECTORS,
+    DensityMatrix,
+    _mat_of,
+    as_density,
+    min_pt_eigenvalue,
+)
 
 _COMPLETENESS_TOL = 1e-10
-_BELL_STACK = np.stack(BELL_PROJECTORS)
 
 
 def _as_qubit_mat(m, what: str) -> np.ndarray:
@@ -258,6 +264,23 @@ class SeparableChannel:
         return f"SeparableChannel(n_kraus={self.n_kraus}{tag})"
 
 
+def separable_kraus_stacks(factors: np.ndarray, counts) -> np.ndarray:
+    """Lifted Kraus stacks of many channels given as zero-padded factor rows.
+
+    Row t of ``factors``, shape (t, n, 2, 2, 2), holds one channel's pairs in
+    its first counts[t] entries and zeros after them. The result, shape
+    (t, n, 4, 4), is what ``kernels.apply_kraus`` takes for several channels
+    at once. Each channel passes the completeness check ``SeparableChannel``
+    makes, evaluated over all rows at once; a row that fails is rebuilt as a
+    ``SeparableChannel``, which raises that row's error.
+    """
+    estacks = kernels.kron2(factors[..., 0, :, :], factors[..., 1, :, :])
+    dev = qmat.frobenius_norm(kernels.kraus_gram(estacks) - np.eye(4))
+    for row in np.flatnonzero(~(dev <= _COMPLETENESS_TOL)):
+        SeparableChannel(factors[row, : counts[row]])
+    return estacks
+
+
 def local_unitary_channel(u_a, u_b) -> SeparableChannel:
     """Single-pair channel applying u_a (x) u_b; always LOCC."""
     return LocalUnitary(u_a, u_b).channel()
@@ -401,6 +424,61 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
     )
 
 
+class ChannelPool:
+    """A fixed set of channels, prepared once so that many mixtures apply at once.
+
+    ``apply_mixtures(weights, rho)`` gives, for each row t of a (t, c) weight
+    matrix, the mixture sum_c w_tc Phi_c applied to rho[t]. No mixed channel
+    is built: every channel is applied once to all the inputs, through its
+    16x16 transfer matrix (the images of the 16 matrix units, computed with
+    ``kernels.apply_kraus`` when the pool is built), and the images are mixed
+    by linearity. Each row still passes the checks ``mix`` makes on its
+    mixture, evaluated over the rows at once: weights nonnegative and
+    summing to 1 within 1e-9, completeness sum_c w_tc gram_c = I within
+    1e-10, and, when every channel carries one, the mixed Bell action within
+    1e-10 per column. A row that fails is rebuilt through ``mix``, which
+    raises that row's error.
+    """
+
+    __slots__ = ("channels", "_transfer", "_grams", "_bell_defects")
+
+    def __init__(self, channels: Sequence[SeparableChannel]):
+        self.channels = tuple(channels)
+        count = len(self.channels)
+        # one zero-padded Kraus stack per channel; zero operators add nothing
+        estacks = np.zeros((count, max(ch.n_kraus for ch in self.channels), 4, 4), complex)
+        for c, ch in enumerate(self.channels):
+            estacks[c, : ch.n_kraus] = ch.estack
+        units = np.broadcast_to(np.eye(16).reshape(16, 4, 4), (count, 16, 4, 4))
+        # [c, i, o]: entry o of the channel's image of matrix unit i
+        self._transfer = kernels.apply_kraus(estacks, units).reshape(count, 16, 16)
+        self._grams = kernels.kraus_gram(estacks).reshape(count, 16)
+        self._bell_defects = None
+        if all(ch.bell_action is not None for ch in self.channels):
+            # what SeparableChannel checks, per channel: the image of each Bell
+            # projector minus its action's reconstruction; mixing is linear
+            images = _BELL_STACK.reshape(4, 16) @ self._transfer
+            actions = np.stack([ch.bell_action for ch in self.channels]).swapaxes(-1, -2)
+            self._bell_defects = (images - actions @ _BELL_STACK.reshape(4, 16)).reshape(count, 64)
+
+    def apply_mixtures(self, weights, rho) -> np.ndarray:
+        """sum_c w_tc Phi_c(rho[t]) for a (t, c) weight matrix and a (t, ..., 4, 4) input stack."""
+        w = np.asarray(weights, dtype=np.float64)
+        ok = (w >= -1e-12).all(axis=1) & (np.abs(w.sum(axis=1) - 1.0) <= 1e-9)
+        gram = (w @ self._grams).reshape(-1, 4, 4)
+        ok &= qmat.frobenius_norm(gram - np.eye(4)) <= _COMPLETENESS_TOL
+        if self._bell_defects is not None:
+            columns = np.linalg.norm((w @ self._bell_defects).reshape(-1, 4, 16), axis=-1)
+            ok &= (columns <= 1e-10).all(axis=1)
+        for row in np.flatnonzero(~ok):
+            mix(self.channels, w[row])
+        # [c, t, x, o]: every channel's image of every input
+        images = rho.reshape(-1, 16) @ self._transfer
+        images = images.reshape((len(self.channels), len(w), -1, 16))
+        # [t, x, 0, o] = sum_c w_tc images[c, t, x, o]
+        return (w[:, None, None, :] @ images.transpose(1, 2, 0, 3)).reshape(rho.shape)
+
+
 def compile_protocol(protocol: Protocol) -> SeparableChannel:
     """Lower a protocol to an explicit separable Kraus channel.
 
@@ -473,3 +551,9 @@ def bell_extremal_catalog() -> tuple:
                 )
             )
     return tuple(channels)
+
+
+@functools.cache
+def bell_extremal_pool() -> ChannelPool:
+    """``bell_extremal_catalog()`` stacked for mixing, built once."""
+    return ChannelPool(bell_extremal_catalog())

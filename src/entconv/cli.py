@@ -405,11 +405,13 @@ def cmd_audit(args) -> int:
             "counterexamples": rank_report.counterexamples,
             "elapsed": rank_report.elapsed,
             "live": dict(rank_report.live),
+            "skipped": dict(rank_report.skipped),
         },
         "monotones": {
             "counterexamples": mono_report.counterexamples,
             "elapsed": mono_report.elapsed,
             "live": dict(mono_report.live),
+            "skipped": dict(mono_report.skipped),
         },
         "clean": clean,
     }

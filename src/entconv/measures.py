@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels, qmat
 from .errors import OutOfRangeError
-from .states import BellWeights, _mat_of
+from .states import BellWeights, DensityMatrix, _mat_of
 
 _YY = qmat.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
 
@@ -48,22 +48,26 @@ def bell_monotones(weights) -> MonotoneTriple:
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
     values, vectors = qmat.hermitian_eig(mat, tol=1e-8)
     roots = np.sqrt(np.clip(values, 0.0, None))
-    return (vectors * roots) @ vectors.conj().T
+    return (vectors * roots[..., None, :]) @ qmat.dag(vectors)
 
 
-def concurrence(rho) -> float:
-    """Concurrence of a two-qubit state.
+def concurrence(rho):
+    """Concurrence of a two-qubit state, or of each state in a stack.
 
     Computed as max(0, s1 - s2 - s3 - s4) from the singular values of
     sqrt(rho) (sy x sy) conj(sqrt(rho)). Taking singular values of this
     product, rather than square roots of eigenvalues of rho rho~, keeps the
     small values accurate to machine precision instead of sqrt(eps).
+
+    One state gives a float; a (..., 4, 4) stack gives an array of shape
+    (...), each entry computed as for that state alone.
     """
-    mat = _mat_of(rho)
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else qmat.as_cmats(rho, 4)
     root = _sqrt_psd(mat)
     k = root @ _YY @ root.conj()
     s = kernels.singular_values(np.ascontiguousarray(k))
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    c = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 def binary_entropy(x: float) -> float:

@@ -39,15 +39,35 @@ def as_cmat(m, dim: int) -> np.ndarray:
     return out
 
 
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
+def as_cmats(m, dim: int) -> np.ndarray:
+    """Coerce to a contiguous complex128 stack of dim x dim matrices, (..., dim, dim)."""
+    out = np.ascontiguousarray(m, dtype=np.complex128)
+    if out.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected {dim}x{dim} matrices, got shape {out.shape}")
+    return out
+
+
+def frobenius_norm(m):
+    """Frobenius norm of a matrix, or an array of one norm per matrix of a stack.
+
+    A stack's sums of squares are dot products of the real and imaginary
+    parts, the arithmetic ``np.linalg.norm`` uses for one matrix.
+    """
+    m = np.asarray(m)
+    if m.ndim <= 2:
+        return float(np.linalg.norm(m))
+    rows = m.reshape(m.shape[:-2] + (1, -1))
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
+
 
 def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
 def dag(m) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
 def kron2(a, b) -> np.ndarray:
@@ -56,18 +76,21 @@ def kron2(a, b) -> np.ndarray:
 
 
 def hermitian_eig(m, tol: float = 1e-9) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian 4x4 (or 2x2) matrix.
+    """Eigendecomposition of a Hermitian 4x4 (or 2x2) matrix, or of a stack of them.
 
-    Raises NotHermitianError when ||m - m^dagger||_F exceeds tol. The matrix
-    is symmetrized before solving, so drift below tol cannot skew results.
+    Raises NotHermitianError when ||m - m^dagger||_F exceeds tol for any
+    matrix. Each matrix is symmetrized before solving, so drift below tol
+    cannot skew results.
     """
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if frobenius_distance(m, dag(m)) > tol:
+    dev = frobenius_norm(m - dag(m))
+    if m.ndim > 2:
+        dev = float(dev.max(initial=0.0))  # the worst matrix
+    if dev > tol:
         raise NotHermitianError(
-            f"matrix is not Hermitian within {tol:g} (deviation "
-            f"{frobenius_distance(m, dag(m)):.3e})"
+            f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})"
         )
     sym = 0.5 * (m + dag(m))
     values, vectors = kernels.hermitian_eigh(sym)

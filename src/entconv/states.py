@@ -45,6 +45,9 @@ BELL_VECTORS = np.array(
 
 BELL_PROJECTORS = tuple(np.outer(v, v.conj()) for v in BELL_VECTORS)
 SINGLET_PROJECTOR = BELL_PROJECTORS[0]
+_BELL_STACK = np.stack(BELL_PROJECTORS)
+_BELL_KETS = BELL_VECTORS[:, :, None]
+_BELL_BRAS = BELL_VECTORS.conj()[:, None, :]
 
 MAX_MIXED = np.eye(4, dtype=np.complex128) / 4.0
 
@@ -213,7 +216,8 @@ def _werner_matrix(w: float) -> np.ndarray:
 
 
 def _bell_matrix(weights) -> np.ndarray:
-    return sum(l * p for l, p in zip(weights, BELL_PROJECTORS))
+    """Bell mixture of each (..., 4) weight row, the projectors summed in order."""
+    return (np.asarray(weights, dtype=np.float64)[..., None, None] * _BELL_STACK).sum(axis=-3)
 
 
 def _mems_matrix(weights) -> np.ndarray:
@@ -231,6 +235,32 @@ def make_bell_diagonal(weights) -> DensityMatrix:
     """Mixture of the four Bell projectors with non-ascending weights."""
     bw = weights if isinstance(weights, BellWeights) else BellWeights(tuple(weights))
     return DensityMatrix(_bell_matrix(bw.weights))
+
+
+def bell_diagonal_matrices(weights) -> np.ndarray:
+    """The matrices ``make_bell_diagonal`` builds, one per row of an (m, 4) weight stack.
+
+    Every row passes the checks ``make_bell_diagonal`` makes, evaluated over
+    the stack at once: the ``BellWeights`` checks (finite, nonnegative,
+    non-ascending within 1e-12, summing to 1 within 1e-12) and the
+    ``DensityMatrix`` checks of its matrix (Hermitian and unit trace within
+    1e-9, eigenvalues of the symmetrized matrix >= -1e-10). A row that fails
+    is rebuilt through ``make_bell_diagonal``, which raises that row's error.
+    The matrices come back symmetrized, as ``DensityMatrix.matrix`` holds them.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    total = w[:, 0] + w[:, 1] + w[:, 2] + w[:, 3]
+    ok = np.isfinite(w).all(axis=1) & (w >= 0.0).all(axis=1)
+    ok &= (w[:, 1:] <= w[:, :-1] + _ORDER_TOL).all(axis=1)
+    ok &= np.abs(total - 1.0) <= _WEIGHT_SUM_TOL
+    mats = _bell_matrix(w)
+    ok &= qmat.frobenius_norm(mats - qmat.dag(mats)) <= 1e-9
+    ok &= np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0) <= 1e-9
+    mats = 0.5 * (mats + qmat.dag(mats))
+    ok &= qmat.hermitian_eig(mats, tol=1e-8).values[:, -1] >= -1e-10
+    for row in np.flatnonzero(~ok):
+        make_bell_diagonal(tuple(w[row]))
+    return mats
 
 
 def make_mems(weights) -> DensityMatrix:
@@ -280,19 +310,19 @@ def state_scalars(rho: DensityMatrix, tol: float = 1e-9) -> StateScalars:
     return StateScalars(rho.purity(), rho.entropy(), rho.rank(tol))
 
 
-def bell_weights_of(rho) -> tuple[np.ndarray, float]:
+def bell_weights_of(rho) -> tuple:
     """Bell-basis diagonal of a state and the off-diagonal residual.
 
     Returns (weights, residual) where weights[i] = <bell_i|rho|bell_i> in the
     fixed Bell order (not sorted) and residual is the Frobenius distance to
     the Bell-diagonal reconstruction. A residual near zero certifies the
     state is Bell-diagonal; the caller decides what tolerance to apply.
+    A (..., 4, 4) stack of matrices gives (..., 4) weights and (...) residuals.
     """
-    mat = _mat_of(rho)
-    weights = np.array(
-        [np.vdot(v, mat @ v).real for v in BELL_VECTORS], dtype=np.float64
-    )
-    return weights, qmat.frobenius_distance(mat, _bell_matrix(weights))
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else qmat.as_cmats(rho, 4)
+    # <v|mat|v> for each Bell vector v: a matrix-vector, then a vector-vector product
+    weights = (_BELL_BRAS @ (mat[..., None, :, :] @ _BELL_KETS))[..., 0, 0].real
+    return weights, qmat.frobenius_norm(mat - _bell_matrix(weights))
 
 
 def _clean_weights(raw, tol: float) -> Optional[tuple]:

@@ -140,7 +140,10 @@ def test_c3_monotone_audit_at_scale():
     _report(3, "monotone audit", ok,
             f"{report.trials} trials, {len(report.counterexamples)} violations, "
             f"live: {report.live['monotones']} monotones, "
-            f"{report.live['concurrence']} concurrence, {report.elapsed:.1f}s < 120s")
+            f"{report.live['concurrence']} concurrence, "
+            f"skipped: {report.skipped['left_bell_diagonal']} left Bell-diagonal, "
+            f"{report.skipped['output_not_entangled']} not entangled, "
+            f"{report.elapsed:.1f}s < 120s")
     assert ok
 
 
@@ -245,7 +248,9 @@ def test_c6_rank_falsifier_at_scale():
     ok = report.clean and report.elapsed < 300.0
     _report(6, "rank monotonicity falsifier", ok,
             f"{report.trials} trials, {len(report.counterexamples)} counterexamples, "
-            f"{report.live['rank']} live, {report.elapsed:.1f}s < 300s")
+            f"{report.live['rank']} live, "
+            f"{report.skipped['output_not_entangled']} skipped not entangled, "
+            f"{report.elapsed:.1f}s < 300s")
     assert ok
 
 

@@ -6,18 +6,21 @@ import pytest
 
 from entconv import channels, qmat
 from entconv.channels import (
+    ChannelPool,
     DiscardPrepare,
     LocalUnitary,
     ProbabilisticBranch,
     Protocol,
     SeparableChannel,
     bell_extremal_catalog,
+    bell_extremal_pool,
     compile_protocol,
     discard_prepare_channel,
     local_unitary_channel,
     mix,
     product_diagonal_decomposition,
     renormalize_probabilistic,
+    separable_kraus_stacks,
 )
 from entconv.errors import (
     BadWeightsError,
@@ -331,3 +334,70 @@ def test_compile_protocol_matches_direct_application():
     for seed in (2, 9):
         rho = random_density_matrix(seed)
         npt.assert_allclose(ch.apply(rho).matrix, proto.apply(rho).matrix, atol=1e-11)
+
+
+def test_pool_mixtures_match_mixed_channels():
+    rng = np.random.default_rng(61)
+    pool = bell_extremal_pool()
+    assert pool is bell_extremal_pool()
+    weights = rng.dirichlet(np.ones(13), size=9)
+    weights[0] = np.eye(13)[4]  # a single channel
+    g = rng.normal(size=(9, 2, 4, 4)) + 1j * rng.normal(size=(9, 2, 4, 4))
+    out = pool.apply_mixtures(weights, g)
+    assert out.shape == g.shape
+    for w, rho, got in zip(weights, g, out):
+        npt.assert_allclose(got, mix(bell_extremal_catalog(), w).apply_raw(rho), rtol=0, atol=1e-14)
+
+
+def test_pool_rejects_a_bad_row_with_the_error_of_mix():
+    pool = ChannelPool(bell_extremal_catalog())
+    rho = np.broadcast_to(np.eye(4) / 4, (3, 4, 4)).astype(complex)
+    good = np.full(13, 1 / 13)
+    for bad, error, match in (
+        (np.r_[1.1, -0.1, np.zeros(11)], BadWeightsError, "nonnegative"),
+        (np.r_[0.5, np.zeros(12)], BadWeightsError, "sum to 1"),
+        # within mix's 1e-9 on the sum, but not trace preserving within 1e-10
+        (good + 5e-10 / 13, NotTracePreservingError, "completeness"),
+    ):
+        with pytest.raises(error, match=match):
+            pool.apply_mixtures(np.stack([good, bad, good]), rho)
+
+
+def test_pool_checks_the_mixed_bell_action():
+    # a channel whose declared Bell action is wrong only in column 2: a
+    # mixture that gives it weight fails, and the error names column 2
+    eye = np.eye(2, dtype=complex)
+    ident = SeparableChannel([(eye, eye)], locc_certified=True, bell_action=np.eye(4))
+    wrong = SeparableChannel([(eye, eye)], locc_certified=True, bell_action=np.eye(4))
+    action = np.eye(4)
+    action[:, 2] = (0.0, 0.0, 0.5, 0.5)
+    object.__setattr__(wrong, "bell_action", action)
+    pool = ChannelPool([ident, wrong])
+    rho = np.broadcast_to(np.eye(4) / 4, (2, 4, 4)).astype(complex)
+    pool.apply_mixtures(np.array([[1.0, 0.0], [1.0, 0.0]]), rho)
+    with pytest.raises(ValueError, match="column 2"):
+        pool.apply_mixtures(np.array([[1.0, 0.0], [0.5, 0.5]]), rho)
+
+
+def test_pool_without_bell_actions_mixes_any_channels():
+    rng = np.random.default_rng(62)
+    u = haar_qubit_unitary(rng)
+    pool_channels = [local_unitary_channel(u, np.eye(2)), discard_prepare_channel(make_werner(0.0))]
+    pool = ChannelPool(pool_channels)
+    weights = np.array([[0.3, 0.7], [1.0, 0.0]])
+    rho = np.stack([random_density_matrix(1).matrix, random_density_matrix(2).matrix])
+    for w, r, got in zip(weights, rho, pool.apply_mixtures(weights, rho)):
+        npt.assert_allclose(got, mix(pool_channels, w).apply_raw(r), rtol=0, atol=1e-14)
+
+
+def test_separable_kraus_stacks_check_every_row():
+    u = np.eye(2, dtype=complex)
+    factors = np.zeros((3, 2, 2, 2, 2), dtype=complex)
+    factors[:, 0] = (u, u)
+    factors[1, :2] = (np.sqrt(0.5) * u, u), (np.sqrt(0.5) * u, u)
+    estacks = separable_kraus_stacks(factors, [1, 2, 1])
+    assert estacks.shape == (3, 2, 4, 4)
+    npt.assert_allclose(estacks[1, 1], np.sqrt(0.5) * np.eye(4))
+    factors[2, 0, 0] *= 1.001
+    with pytest.raises(NotTracePreservingError):
+        separable_kraus_stacks(factors, [1, 2, 1])

@@ -281,6 +281,11 @@ class TestSearchAndAudit:
         assert 0 <= payload["rank_monotonicity"]["live"]["rank"] <= 40
         assert payload["monotones"]["live"]["concurrence"] == 40
         assert 0 <= payload["monotones"]["live"]["monotones"] <= 40
+        rank, mono = payload["rank_monotonicity"], payload["monotones"]
+        assert rank["skipped"] == {"output_not_entangled": 40 - rank["live"]["rank"]}
+        assert set(mono["skipped"]) == {"left_bell_diagonal", "output_not_entangled"}
+        assert mono["skipped"]["left_bell_diagonal"] == 0
+        assert mono["live"]["monotones"] + mono["skipped"]["output_not_entangled"] == 40
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as err:

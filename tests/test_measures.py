@@ -77,6 +77,24 @@ def test_concurrence_precision_on_rank_deficient_state():
     assert err < 1e-11
 
 
+def test_concurrence_of_a_stack_matches_each_state():
+    rng = np.random.default_rng(41)
+    mats = []
+    for rank in (1, 2, 3, 4, 4, 2):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        mat = g @ g.conj().T
+        mats.append(mat / np.trace(mat).real)
+    mats.append(make_werner(0.2).matrix)  # separable: concurrence 0
+    stack = np.array(mats)
+    got = concurrence(stack)
+    assert got.shape == (len(mats),)
+    for mat, c in zip(mats, got):
+        assert abs(c - concurrence(mat)) <= 1e-14
+    assert got[-1] == 0.0
+    assert concurrence(stack.reshape(7, 1, 4, 4)).shape == (7, 1)
+    assert isinstance(concurrence(mats[0]), float)
+
+
 def test_negativity_references():
     npt.assert_allclose(negativity(make_werner(1.0)), 0.5, atol=1e-12)
     npt.assert_allclose(negativity(make_werner(0.6)), 0.2, atol=1e-12)

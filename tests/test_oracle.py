@@ -7,7 +7,7 @@ import pytest
 from entconv import kernels, oracle
 from entconv.channels import DiscardPrepare, LocalUnitary, SeparableChannel, local_unitary_channel
 from entconv.convertibility import verify_protocol
-from entconv.errors import NotTracePreservingError
+from entconv.errors import NotTracePreservingError, SamplingExhaustedError
 from entconv.oracle import (
     SearchReport,
     convert_search,
@@ -133,6 +133,16 @@ class TestRandomSeparableChannel:
             out = channel.apply_raw(ket00)
             assert min_pt_eigenvalue(out) >= -1e-10
 
+    def test_block_builder_rows_are_single_channels(self):
+        n_kraus = [1, 2, 3, 4, 5, 5, 1, 3]
+        rngs = [np.random.default_rng(seed) for seed in range(len(n_kraus))]
+        factors, counts = oracle._random_channel_factors(rngs, n_kraus)
+        for seed, (row, count) in enumerate(zip(factors, counts)):
+            single = random_separable_channel(seed, n_kraus[seed]).kraus_pairs
+            assert count == len(single), seed
+            npt.assert_allclose(row[:count], single, rtol=0, atol=1e-15)
+            assert not row[count:].any()
+
     def test_completeness_violation_rejected(self):
         good = random_separable_channel(5, 3)
         scaled = [(1.001 * a, b) for a, b in good.kraus_pairs]
@@ -162,6 +172,94 @@ class _EntangledPrepareShim:
 
     def apply_raw(self, mat):
         return np.trace(mat) * self.proj
+
+
+H = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
+
+# every falsifier configuration: the default channels and each planted control
+RUNS = {
+    "rank": lambda n: falsify_rank_monotonicity(n, seed=11),
+    "rank_global_unitary": lambda n: falsify_rank_monotonicity(
+        n, seed=12, channel_factory=lambda rng, k: _GlobalUnitaryShim(rng)
+    ),
+    "rank_entangled_prepare": lambda n: falsify_rank_monotonicity(
+        n, seed=13, channel_factory=lambda rng, k: _EntangledPrepareShim()
+    ),
+    "audit": lambda n: monotone_audit(n, seed=14),
+    "audit_hadamard": lambda n: monotone_audit(
+        n, seed=15, channel_pool=[local_unitary_channel(H, np.eye(2, dtype=complex))]
+    ),
+}
+
+
+def _assert_same_findings(got, expected):
+    """Equal findings: the same trials, kinds and integers, floats to rounding."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], (float, list)):
+                npt.assert_allclose(a[key], b[key], rtol=1e-13, atol=0, err_msg=key)
+            else:
+                assert a[key] == b[key], key
+
+
+class TestBlocks:
+    TRIALS = 263  # one full block of 256 and 7 more
+
+    @pytest.fixture(scope="class")
+    def long_runs(self):
+        return {name: run(self.TRIALS) for name, run in RUNS.items()}
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_reports_do_not_depend_on_the_block(self, monkeypatch, long_runs, name, block):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        report = RUNS[name](self.TRIALS)
+        expected = long_runs[name]
+        assert report.live == expected.live
+        assert report.skipped == expected.skipped
+        _assert_same_findings(report.counterexamples, expected.counterexamples)
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("n", [5, 256, 257])
+    def test_short_run_is_a_prefix_of_a_long_run(self, long_runs, name, n):
+        report = RUNS[name](n)
+        expected = [f for f in long_runs[name].counterexamples if f["trial"] < n]
+        _assert_same_findings(report.counterexamples, expected)
+        assert sum(report.live.values()) <= sum(long_runs[name].live.values())
+
+    def test_planted_controls_flag_every_trial_across_blocks(self, long_runs):
+        flagged = {f["trial"] for f in long_runs["rank_entangled_prepare"].counterexamples}
+        assert flagged == set(range(self.TRIALS))
+        flagged = {f["trial"] for f in long_runs["audit_hadamard"].counterexamples}
+        assert flagged == set(range(self.TRIALS))
+        assert long_runs["rank_global_unitary"].clean
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_live_and_skipped_counts_cover_every_trial(self, long_runs, name):
+        report = long_runs[name]
+        if name.startswith("rank"):
+            assert report.live["rank"] + report.skipped["output_not_entangled"] == report.trials
+            return
+        left = report.skipped["left_bell_diagonal"]
+        assert report.live["concurrence"] + left == report.trials
+        assert (
+            report.live["monotones"] + left + report.skipped["output_not_entangled"]
+            == report.trials
+        )
+
+    def test_exhausted_sampling_raises_from_inside_a_block(self, monkeypatch):
+        # one candidate per trial: some trials of the first block find no
+        # entangled input, and the first of them raises
+        monkeypatch.setattr(oracle, "_ENTANGLED_TRIES", 1)
+        with pytest.raises(SamplingExhaustedError, match="found in 1 draws"):
+            falsify_rank_monotonicity(300, seed=0)
+        monkeypatch.setattr(oracle, "_ENTANGLED_TRIES", 200)
+        monkeypatch.setattr(oracle, "_ENTANGLEMENT_MARGIN", 0.5)
+        # trial 0 has rank 4 and is the first to give up
+        with pytest.raises(SamplingExhaustedError, match="no rank-4 state .* in 200 draws"):
+            falsify_rank_monotonicity(300, seed=0)
 
 
 class TestRankFalsifier:
@@ -214,6 +312,14 @@ class TestMonotoneAudit:
 
     def test_zero_trials(self):
         assert monotone_audit(0).clean
+
+    def test_live_counts_pin_the_draw_stream(self):
+        # like the rank falsifier's pin: a change to the draws per trial, or
+        # to their order, moves these counts
+        report = monotone_audit(1000, seed=42)
+        assert report.live == {"monotones": 0, "concurrence": 1000}
+        assert report.clean
+        assert monotone_audit(2000, seed=7).live["monotones"] == 5
 
     def test_deterministic(self):
         a = monotone_audit(60, seed=4)

@@ -177,6 +177,68 @@ def test_apply_kraus_on_input_stack_matches_single_calls(n):
             npt.assert_allclose(got, loop, rtol=0, atol=1e-14)
 
 
+def test_apply_kraus_on_padded_channel_stacks_matches_per_channel_calls():
+    # channels of 1 to 6 operators zero-padded to one (t, 6, 4, 4) stack, each
+    # with its own inputs: one input per channel, then three
+    rng = np.random.default_rng(31)
+    sizes = [1, 4, 6, 2, 3, 1, 5]
+    padded = np.zeros((len(sizes), 6, 4, 4), dtype=complex)
+    stacks = []
+    for t, n in enumerate(sizes):
+        stack = (rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))) / (4 * np.sqrt(n))
+        padded[t, :n] = stack
+        stacks.append(stack)
+    for lead in ((), (3,)):
+        shape = (len(sizes),) + lead + (4, 4)
+        inputs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = kernels.apply_kraus(padded, inputs)
+        assert out.shape == shape
+        for stack, rho, got in zip(stacks, inputs, out):
+            npt.assert_allclose(got, kernels.apply_kraus(stack, rho), rtol=0, atol=1e-14)
+    gram = kernels.kraus_gram(padded)
+    for stack, got in zip(stacks, gram):
+        npt.assert_allclose(got, kernels.kraus_gram(stack), rtol=0, atol=1e-14)
+
+
+def test_stacked_kernels_match_per_matrix_calls():
+    rng = np.random.default_rng(32)
+    g = rng.normal(size=(2, 5, 4, 4)) + 1j * rng.normal(size=(2, 5, 4, 4))
+    herm = g + g.conj().swapaxes(-1, -2)
+    values, vectors = kernels.hermitian_eigh(herm)
+    assert values.shape == (2, 5, 4) and vectors.shape == (2, 5, 4, 4)
+    for i in range(2):
+        for j in range(5):
+            v, u = kernels.hermitian_eigh(herm[i, j])
+            npt.assert_allclose(values[i, j], v, rtol=0, atol=1e-13)
+            # eigenvectors agree up to phase: compare the projectors
+            npt.assert_allclose(np.abs(np.sum(vectors[i, j].conj() * u, axis=0)), 1.0, atol=1e-12)
+            for sub in (0, 1):
+                assert np.array_equal(
+                    kernels.partial_transpose(g, sub)[i, j], kernels.partial_transpose(g[i, j], sub)
+                )
+    # a stack of one matrix is the matrix's own result
+    v1, u1 = kernels.hermitian_eigh(herm[0, :1])
+    v, u = kernels.hermitian_eigh(herm[0, 0])
+    npt.assert_allclose(v1[0], v, rtol=0, atol=1e-13)
+    npt.assert_allclose(u1[0], u, rtol=0, atol=1e-12)
+
+
+def test_hermitian_eig_checks_every_matrix_of_a_stack():
+    stack = np.stack([np.eye(4), np.eye(4)]).astype(complex)
+    stack[1, 0, 1] = 1e-3
+    with pytest.raises(NotHermitianError):
+        qmat.hermitian_eig(stack)
+    assert qmat.hermitian_eig(stack[:1]).values.shape == (1, 4)
+
+
+def test_frobenius_norm_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(33)
+    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    norms = qmat.frobenius_norm(stack)
+    assert norms.shape == (6,)
+    npt.assert_allclose(norms, [qmat.frobenius_norm(m) for m in stack], rtol=1e-15, atol=0)
+
+
 def test_kraus_gram_detects_completeness():
     u = np.eye(4, dtype=complex)
     stack = np.stack([u * np.sqrt(0.3), u * np.sqrt(0.7)])

@@ -278,3 +278,32 @@ def test_random_states_are_valid(seed):
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
     assert rho.eig.values[-1] > -1e-10
     assert qmat.frobenius_distance(rho.matrix, qmat.dag(rho.matrix)) < 1e-12
+
+
+def test_bell_diagonal_matrices_match_make_bell_diagonal():
+    rng = np.random.default_rng(71)
+    weights = np.sort(rng.dirichlet(np.ones(4), size=20), axis=1)[:, ::-1]
+    weights[0] = (1.0, 0.0, 0.0, 0.0)
+    mats = states.bell_diagonal_matrices(weights)
+    for w, mat in zip(weights, mats):
+        assert np.array_equal(mat, make_bell_diagonal(tuple(w)).matrix)
+
+
+def test_bell_diagonal_matrices_raise_the_error_of_a_bad_row():
+    weights = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]])
+    with pytest.raises(OutOfRangeError, match="non-ascending"):
+        states.bell_diagonal_matrices(weights)
+    with pytest.raises(OutOfRangeError, match="sum to 1"):
+        states.bell_diagonal_matrices(np.array([[0.7, 0.2, 0.1, 0.1]]))
+
+
+def test_bell_weights_of_a_stack_match_each_matrix():
+    rng = np.random.default_rng(72)
+    g = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    weights, residuals = states.bell_weights_of(g)
+    assert weights.shape == (5, 4) and residuals.shape == (5,)
+    for mat, w, r in zip(g, weights, residuals):
+        w1, r1 = states.bell_weights_of(mat)
+        assert isinstance(r1, float)
+        npt.assert_allclose(w, w1, rtol=0, atol=1e-15)
+        assert abs(r - r1) <= 1e-15 * r1
