@@ -15,7 +15,9 @@ Protocols are finite mixtures of two atom kinds:
   separable state.
 
 Each atom owns its action, ``atom.apply(mat)``, which ``Protocol.apply``
-mixes, and its lowering, ``atom.channel()``, which ``compile_protocol`` mixes.
+mixes, and its lowering, ``atom.kraus_factors()``: Kraus factor rows that
+are computed and checked once, then kept. ``compile_protocol`` scales and
+stacks them into one channel; ``atom.channel()`` is one atom's rows alone.
 
 ``renormalize_probabilistic`` turns branches that only succeed with some
 probability into the conditional protocol given success, rescaling branch
@@ -76,9 +78,17 @@ class LocalUnitary:
         u = qmat.kron2(self.u_a, self.u_b)
         return u @ mat @ u.conj().T
 
-    def channel(self) -> "SeparableChannel":
-        """The single-pair channel (u_a, u_b)."""
+    @functools.cached_property
+    def _channel(self) -> "SeparableChannel":
         return SeparableChannel([(self.u_a, self.u_b)], locc_certified=True)
+
+    def channel(self) -> "SeparableChannel":
+        """The single-pair channel (u_a, u_b), built and checked once per atom."""
+        return self._channel
+
+    def kraus_factors(self) -> np.ndarray:
+        """The (1, 2, 2, 2) factor array of ``channel()``."""
+        return self._channel.kraus_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,27 +108,43 @@ class DiscardPrepare:
     def apply(self, mat: np.ndarray) -> np.ndarray:
         return self.target.matrix * np.trace(mat).real
 
+    def kraus_factors(self) -> np.ndarray:
+        """The validated factor array of ``channel()``, kept on the target state.
+
+        The first call on a state lowers it and checks the channel's
+        completeness; the array, or a NotProductDiagonalError's message, then
+        stays in ``DensityMatrix.lowering``, so every atom that prepares the
+        same state object reads it without decomposing again.
+        """
+        return self.target.lowering(_lower_prepared)
+
     def channel(self) -> "SeparableChannel":
         """Trace out the input and prepare the target; needs a product eigenbasis.
 
         The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over the
         decomposition terms i and computational indices j_a, j_b, in the order
-        (i, j_a, j_b), built in one broadcast. Trace preservation needs the
-        product vectors orthogonal only within each degenerate cluster, which
-        the decomposition guarantees.
+        (i, j_a, j_b). Trace preservation needs the product vectors orthogonal
+        only within each degenerate cluster, which the decomposition
+        guarantees. The pairs are ``kraus_factors()``, so a state is
+        decomposed once however often it is lowered.
         """
-        terms = product_diagonal_decomposition(self.target.matrix)
-        p, a, b = (np.array(column) for column in zip(*terms))
-        scale = p[:, None] ** 0.25
+        return SeparableChannel(self.kraus_factors(), locc_certified=True)
 
-        def outers(kets):
-            # [i, j] = scale_i |v_i><j| over the computational basis j
-            return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
 
-        left = outers(a)[:, :, None]
-        right = outers(b)[:, None, :]
-        factors = np.stack(np.broadcast_arrays(left, right), axis=3)
-        return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True)
+def _lower_prepared(target: DensityMatrix) -> np.ndarray:
+    """The pairs of ``DiscardPrepare.channel`` for ``target``, built in one broadcast and checked."""
+    terms = product_diagonal_decomposition(target)
+    p, a, b = (np.array(column) for column in zip(*terms))
+    scale = p[:, None] ** 0.25
+
+    def outers(kets):
+        # [i, j] = scale_i |v_i><j| over the computational basis j
+        return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
+
+    left = outers(a)[:, :, None]
+    right = outers(b)[:, None, :]
+    factors = np.stack(np.broadcast_arrays(left, right), axis=3)
+    return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True).kraus_pairs
 
 
 Atom = Union[LocalUnitary, DiscardPrepare]
@@ -220,7 +246,7 @@ class SeparableChannel:
         estack = kernels.kron2(factors[:, 0], factors[:, 1])
         gram = kernels.kraus_gram(estack)
         dev = qmat.frobenius_distance(gram, np.eye(4))
-        if dev > tol:
+        if not dev <= tol:
             raise NotTracePreservingError(
                 f"Kraus completeness fails: ||sum E^dagger E - I|| = {dev:.3e} > {tol:g}"
             )
@@ -341,9 +367,17 @@ def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
     NotProductDiagonalError when no such decomposition exists; that happens
     for every entangled state and also for some separable ones, since
     separability does not require a product eigenbasis.
+
+    A ``DensityMatrix`` brings its cached eigendecomposition, which is the one
+    a raw array of its symmetrized matrix would give. Nothing is cached here:
+    ``DensityMatrix.lowering`` keeps the factors built from the terms.
     """
-    mat = qmat.as_cmat(mat, 4)
-    values, vectors = qmat.hermitian_eig(mat, tol=1e-8)
+    if isinstance(mat, DensityMatrix):
+        values, vectors = mat.eig
+        mat = mat.matrix
+    else:
+        mat = qmat.as_cmat(mat, 4)
+        values, vectors = qmat.hermitian_eig(mat, tol=1e-8)
     live = [i for i in range(4) if values[i] > 1e-12]
     clusters: list = []
     for i in live:
@@ -482,14 +516,18 @@ class ChannelPool:
 def compile_protocol(protocol: Protocol) -> SeparableChannel:
     """Lower a protocol to an explicit separable Kraus channel.
 
-    The live branches' ``atom.channel()`` are mixed with their weights,
-    renormalised. Atoms validated themselves when they were built (unitarity,
-    the partial-transpose test), so lowering does not repeat those checks;
-    every channel it builds still checks its own Kraus completeness.
+    The live branches' ``atom.kraus_factors()`` are scaled by the fourth root
+    of their renormalised weights and stacked, the arithmetic of ``mix``, into
+    one channel, whose constructor checks the mixture's Kraus completeness
+    once. Atoms validated themselves when they were built (unitarity, the
+    partial-transpose test), and each atom's factors passed their own
+    completeness check when first lowered: a ``LocalUnitary`` keeps its
+    channel, and a prepared ``DensityMatrix`` keeps its factors.
     """
     live = [(w, atom) for w, atom in protocol.branches if w > 0.0]
     total = sum(w for w, _ in live)
-    return mix([atom.channel() for _, atom in live], [w / total for w, _ in live])
+    factors = [(w / total) ** 0.25 * atom.kraus_factors() for w, atom in live]
+    return SeparableChannel(np.concatenate(factors), locc_certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +580,9 @@ def bell_extremal_catalog() -> tuple:
     for i in range(4):
         for j in range(i + 1, 4):
             target = DensityMatrix(0.5 * BELL_PROJECTORS[i] + 0.5 * BELL_PROJECTORS[j])
-            base = discard_prepare_channel(target)
             channels.append(
                 SeparableChannel(
-                    base.kraus_pairs,
+                    DiscardPrepare(target).kraus_factors(),
                     locc_certified=True,
                     bell_action=_pair_replace_action(i, j),
                 )

@@ -172,6 +172,11 @@ def _max_mixed() -> DensityMatrix:
 
 
 @functools.cache
+def _refill_01() -> DensityMatrix:
+    return DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+
+
+@functools.cache
 def _antiparallel_atoms() -> tuple:
     """Discard and prepare |n><n| (x) |-n><-n| for n = +-x, +-y, +-z.
 
@@ -330,9 +335,7 @@ def decide_mems(l, l2) -> Verdict:
                 "entanglement of formation",
             )
         wid = t[0] / s[0]
-        protocol = keep_or_refill(
-            wid, DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-        )
+        protocol = keep_or_refill(wid, _refill_01())
         certificate = f"keep with probability {wid:.12g}, refill with |01><01|"
     else:
         try:

@@ -122,6 +122,47 @@ def test_separable_channel_completeness_check():
     assert not ch.locc_certified
 
 
+def test_nan_factors_fail_completeness(monkeypatch):
+    nan = np.full((1, 2, 2, 2), np.nan)
+    with pytest.raises(NotTracePreservingError):
+        SeparableChannel(nan)
+    # an atom whose factors escaped their own check: the compiled protocol's
+    # single completeness check still refuses them
+    monkeypatch.setattr(DiscardPrepare, "kraus_factors", lambda atom: nan)
+    protocol = Protocol(
+        (
+            (0.5, LocalUnitary(np.eye(2), np.eye(2))),
+            (0.5, DiscardPrepare(DensityMatrix(np.eye(4, dtype=complex) / 4))),
+        )
+    )
+    with pytest.raises(NotTracePreservingError):
+        compile_protocol(protocol)
+
+
+def test_atoms_keep_their_lowering():
+    unitary = LocalUnitary(np.eye(2), qmat.SIGMA_X)
+    assert unitary.channel() is unitary.channel()
+    assert unitary.kraus_factors() is unitary.channel().kraus_pairs
+    target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    # two atoms preparing one state object share its factors
+    factors = DiscardPrepare(target).kraus_factors()
+    assert DiscardPrepare(target).kraus_factors() is factors
+    assert not factors.flags.writeable
+    npt.assert_array_equal(DiscardPrepare(target).channel().kraus_pairs, factors)
+
+
+def test_compile_protocol_stack_is_mix_of_atom_channels():
+    # compile_protocol scales and stacks atom factors itself; the result is
+    # bit for bit the mix of the atoms' channels
+    keep = LocalUnitary(np.eye(2), np.eye(2))
+    prepare = DiscardPrepare(DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)))
+    dead = LocalUnitary(qmat.SIGMA_X, np.eye(2))
+    compiled = compile_protocol(Protocol(((0.3, keep), (0.0, dead), (0.7, prepare))))
+    mixed = mix([keep.channel(), prepare.channel()], [0.3, 0.7])
+    npt.assert_array_equal(compiled.kraus_pairs, mixed.kraus_pairs)
+    assert compiled.locc_certified
+
+
 def test_separable_channel_rejects_non_qubit_factors():
     with pytest.raises(ValueError):
         SeparableChannel([(np.eye(3), np.eye(3))])

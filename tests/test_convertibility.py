@@ -7,12 +7,14 @@ import numpy.testing as npt
 import pytest
 
 from entconv import channels, qmat
+from entconv.channels import compile_protocol
 from entconv.convertibility import (
     RESIDUAL_BOUND,
     Convertible,
     Forbidden,
     Inconclusive,
     MemsProtocolParams,
+    _separable_werner_protocol,
     decide,
     decide_bell,
     decide_mems,
@@ -21,9 +23,16 @@ from entconv.convertibility import (
     synthesize_mems_protocol,
     verify_protocol,
 )
-from entconv.errors import InfeasibleError, NotEntangledError, OutOfRangeError, ResidualError
+from entconv.errors import (
+    InfeasibleError,
+    NotEntangledError,
+    NotProductDiagonalError,
+    OutOfRangeError,
+    ResidualError,
+)
 from entconv.states import (
     DensityMatrix,
+    WernerParam,
     make_bell_diagonal,
     make_mems,
     make_werner,
@@ -266,7 +275,9 @@ def test_decide_separable_target_without_product_form():
     assert isinstance(v, Inconclusive)
 
 
-def test_decide_separable_target_decomposes_once(monkeypatch):
+@pytest.fixture
+def decompositions(monkeypatch):
+    """One entry per product_diagonal_decomposition call from here on."""
     calls = []
     original = channels.product_diagonal_decomposition
 
@@ -275,9 +286,106 @@ def test_decide_separable_target_decomposes_once(monkeypatch):
         return original(mat, *args, **kwargs)
 
     monkeypatch.setattr(channels, "product_diagonal_decomposition", counting)
+    return calls
+
+
+def test_decide_separable_target_decomposes_once(decompositions):
     v = decide(make_werner(0.9), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     assert isinstance(v, Convertible)
-    assert len(calls) == 1
+    assert len(decompositions) == 1
+
+
+def test_separable_werner_protocol_is_lowered_once(decompositions):
+    compile_protocol(_separable_werner_protocol(WernerParam(0.2)))
+    before = len(decompositions)
+    compile_protocol(_separable_werner_protocol(WernerParam(0.2)))
+    assert len(decompositions) == before
+
+
+def test_werner_refill_is_lowered_once(decompositions):
+    first = decide_werner(0.9, 0.45)
+    before = len(decompositions)
+    second = decide_werner(0.9, 0.45)
+    assert len(decompositions) == before
+    assert second.residual == first.residual
+
+
+def test_decide_same_separable_target_decomposes_once(decompositions):
+    target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    first = decide(make_werner(0.9), target)
+    second = decide(make_werner(0.7), target)
+    assert isinstance(first, Convertible) and isinstance(second, Convertible)
+    assert len(decompositions) == 1
+
+
+def test_decide_target_without_product_basis_decomposes_once(decompositions):
+    source = make_bell_diagonal((0.7, 0.1, 0.1, 0.1))
+    target = make_bell_diagonal((0.4, 0.3, 0.2, 0.1))
+    first = decide(source, target)
+    second = decide(source, target)
+    assert isinstance(first, Inconclusive)
+    assert first == second
+    assert len(decompositions) == 1
+    # the kept failure is raised anew, with the first message
+    with pytest.raises(NotProductDiagonalError, match="not a product state"):
+        channels.DiscardPrepare(target).channel()
+    assert len(decompositions) == 1
+
+
+def _random_unitary(rng) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+
+
+def _family_matrix(family: str, rng) -> np.ndarray:
+    def weights():
+        return np.sort(rng.dirichlet(np.ones(4)))[::-1]
+
+    if family == "werner":
+        return make_werner(rng.uniform()).matrix
+    if family == "bell_diagonal":
+        return make_bell_diagonal(tuple(weights())).matrix
+    if family == "mems":
+        w = weights()
+        if rng.uniform() < 0.5:  # rank 2: no corner weights
+            top = max(w[0], 1.0 - w[0])
+            w = np.array([top, 1.0 - top, 0.0, 0.0])
+        return make_mems(tuple(w)).matrix
+    if family == "separable":
+        # a product eigenbasis: a diagonal state turned by a local unitary
+        u = qmat.kron2(_random_unitary(rng), _random_unitary(rng))
+        return u @ np.diag(weights()).astype(complex) @ u.conj().T
+    return random_density_matrix(rng).matrix
+
+
+def _verdict_bits(v) -> tuple:
+    protocol = getattr(v, "protocol", None)
+    weights = () if protocol is None else tuple(float(w).hex() for w, _ in protocol.branches)
+    residual = getattr(v, "residual", None)
+    return (
+        type(v).__name__,
+        getattr(v, "reason", None),
+        getattr(v, "detail", None),
+        getattr(v, "certificate", None),
+        None if residual is None else float(residual).hex(),
+        weights,
+    )
+
+
+def test_cached_lowerings_never_change_a_verdict():
+    families = ("werner", "bell_diagonal", "mems", "separable", "general")
+    rng = np.random.default_rng(8)
+    arrays = [
+        (_family_matrix(f, rng), _family_matrix(g, rng))
+        for f in families
+        for g in families
+        for _ in range(3)
+    ]
+    states = [(DensityMatrix(a), DensityMatrix(b)) for a, b in arrays]
+    fresh = [_verdict_bits(decide(s, t)) for s, t in states]
+    again = [_verdict_bits(decide(s, t)) for s, t in states]
+    rebuilt = [_verdict_bits(decide(DensityMatrix(a), DensityMatrix(b))) for a, b in arrays]
+    assert fresh == again == rebuilt
+    assert {v[0] for v in fresh} == {"Convertible", "Forbidden", "Inconclusive"}
 
 
 def test_decide_separable_target_without_lowering_falls_through():
@@ -323,15 +431,15 @@ def test_decide_tests_each_state_for_separability_once(monkeypatch):
 
 
 def _break_refill_lowering(monkeypatch):
-    # a lowering that still builds a complete channel, but prepares a state
-    # 1% off the one it was asked for
-    original = channels.DiscardPrepare.channel
+    # a lowering that still builds complete Kraus factors, but prepares a
+    # state 1% off the one it was asked for
+    original = channels.DiscardPrepare.kraus_factors
 
     def skewed(atom):
         skew = DensityMatrix(0.99 * atom.target.matrix + 0.01 * np.diag([1, 0, 0, 0]))
         return original(channels.DiscardPrepare(skew))
 
-    monkeypatch.setattr(channels.DiscardPrepare, "channel", skewed)
+    monkeypatch.setattr(channels.DiscardPrepare, "kraus_factors", skewed)
 
 
 def test_constructive_verdicts_check_their_residual(monkeypatch):
