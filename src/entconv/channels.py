@@ -15,9 +15,10 @@ Protocols are finite mixtures of two atom kinds:
   separable state.
 
 Each atom owns its action, ``atom.apply(mat)``, which ``Protocol.apply``
-mixes, and its lowering, ``atom.kraus_factors()``: Kraus factor rows that
-are computed and checked once, then kept. ``compile_protocol`` scales and
-stacks them into one channel; ``atom.channel()`` is one atom's rows alone.
+mixes, and its lowering, ``atom.channel()``, which ``compile_protocol`` mixes.
+An atom made with ``shared=True`` keeps its channel, so the atoms that
+decisions share (the identity, the refills and the anti-parallel
+preparations, cached in ``convertibility``) are lowered once per process.
 
 ``renormalize_probabilistic`` turns branches that only succeed with some
 probability into the conditional protocol given success, rescaling branch
@@ -60,12 +61,32 @@ def _as_qubit_mat(m, what: str) -> np.ndarray:
     return arr
 
 
+class _Lowering:
+    """``channel()`` for both atom kinds.
+
+    An atom lowers itself with ``_lower()`` on every call, and keeps nothing,
+    so a verdict that holds a protocol does not hold its channels. An atom
+    made with ``shared=True``, one built once and used by many protocols (the
+    identity, the refills and the anti-parallel preparations that
+    ``convertibility`` caches), builds and checks its channel on the first
+    call and keeps it.
+    """
+
+    def channel(self) -> "SeparableChannel":
+        return self._kept_channel if self.shared else self._lower()
+
+    @functools.cached_property
+    def _kept_channel(self) -> "SeparableChannel":
+        return self._lower()
+
+
 @dataclass(frozen=True, eq=False)
-class LocalUnitary:
+class LocalUnitary(_Lowering):
     """Product unitary u_a (x) u_b applied to both sides at once."""
 
     u_a: np.ndarray
     u_b: np.ndarray
+    shared: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "u_a", _as_qubit_mat(self.u_a, "u_a"))
@@ -78,24 +99,17 @@ class LocalUnitary:
         u = qmat.kron2(self.u_a, self.u_b)
         return u @ mat @ u.conj().T
 
-    @functools.cached_property
-    def _channel(self) -> "SeparableChannel":
+    def _lower(self) -> "SeparableChannel":
+        """The single-pair channel (u_a, u_b)."""
         return SeparableChannel([(self.u_a, self.u_b)], locc_certified=True)
-
-    def channel(self) -> "SeparableChannel":
-        """The single-pair channel (u_a, u_b), built and checked once per atom."""
-        return self._channel
-
-    def kraus_factors(self) -> np.ndarray:
-        """The (1, 2, 2, 2) factor array of ``channel()``."""
-        return self._channel.kraus_pairs
 
 
 @dataclass(frozen=True, eq=False)
-class DiscardPrepare:
+class DiscardPrepare(_Lowering):
     """Discard the input and prepare a fixed separable state."""
 
     target: DensityMatrix
+    shared: bool = False
 
     def __post_init__(self):
         target = as_density(self.target)
@@ -108,43 +122,27 @@ class DiscardPrepare:
     def apply(self, mat: np.ndarray) -> np.ndarray:
         return self.target.matrix * np.trace(mat).real
 
-    def kraus_factors(self) -> np.ndarray:
-        """The validated factor array of ``channel()``, kept on the target state.
-
-        The first call on a state lowers it and checks the channel's
-        completeness; the array, or a NotProductDiagonalError's message, then
-        stays in ``DensityMatrix.lowering``, so every atom that prepares the
-        same state object reads it without decomposing again.
-        """
-        return self.target.lowering(_lower_prepared)
-
-    def channel(self) -> "SeparableChannel":
+    def _lower(self) -> "SeparableChannel":
         """Trace out the input and prepare the target; needs a product eigenbasis.
 
         The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over the
         decomposition terms i and computational indices j_a, j_b, in the order
-        (i, j_a, j_b). Trace preservation needs the product vectors orthogonal
-        only within each degenerate cluster, which the decomposition
-        guarantees. The pairs are ``kraus_factors()``, so a state is
-        decomposed once however often it is lowered.
+        (i, j_a, j_b), built in one broadcast. Trace preservation needs the
+        product vectors orthogonal only within each degenerate cluster, which
+        the decomposition guarantees.
         """
-        return SeparableChannel(self.kraus_factors(), locc_certified=True)
+        terms = product_diagonal_decomposition(self.target)
+        p, a, b = (np.array(column) for column in zip(*terms))
+        scale = p[:, None] ** 0.25
 
+        def outers(kets):
+            # [i, j] = scale_i |v_i><j| over the computational basis j
+            return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
 
-def _lower_prepared(target: DensityMatrix) -> np.ndarray:
-    """The pairs of ``DiscardPrepare.channel`` for ``target``, built in one broadcast and checked."""
-    terms = product_diagonal_decomposition(target)
-    p, a, b = (np.array(column) for column in zip(*terms))
-    scale = p[:, None] ** 0.25
-
-    def outers(kets):
-        # [i, j] = scale_i |v_i><j| over the computational basis j
-        return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
-
-    left = outers(a)[:, :, None]
-    right = outers(b)[:, None, :]
-    factors = np.stack(np.broadcast_arrays(left, right), axis=3)
-    return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True).kraus_pairs
+        left = outers(a)[:, :, None]
+        right = outers(b)[:, None, :]
+        factors = np.stack(np.broadcast_arrays(left, right), axis=3)
+        return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True)
 
 
 Atom = Union[LocalUnitary, DiscardPrepare]
@@ -368,16 +366,13 @@ def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
     for every entangled state and also for some separable ones, since
     separability does not require a product eigenbasis.
 
-    A ``DensityMatrix`` brings its cached eigendecomposition, which is the one
-    a raw array of its symmetrized matrix would give. Nothing is cached here:
-    ``DensityMatrix.lowering`` keeps the factors built from the terms.
+    ``mat`` is a state or a 4x4 array, which is validated as one; the
+    state's kept eigendecomposition is used. Nothing else is cached here: a
+    shared ``DiscardPrepare`` atom keeps the channel built from the terms.
     """
-    if isinstance(mat, DensityMatrix):
-        values, vectors = mat.eig
-        mat = mat.matrix
-    else:
-        mat = qmat.as_cmat(mat, 4)
-        values, vectors = qmat.hermitian_eig(mat, tol=1e-8)
+    state = as_density(mat)
+    mat = state.matrix
+    values, vectors = state.eig
     live = [i for i in range(4) if values[i] > 1e-12]
     clusters: list = []
     for i in live:
@@ -439,7 +434,11 @@ def discard_prepare_channel(target) -> SeparableChannel:
 
 
 def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> SeparableChannel:
-    """Convex mixture of separable channels."""
+    """Convex mixture of separable channels.
+
+    A mixture of one channel at weight 1 is that channel, already checked,
+    and is returned as it is.
+    """
     if len(channels) != len(weights):
         raise BadWeightsError("need one weight per channel")
     weights = [float(w) for w in weights]
@@ -447,6 +446,8 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
         raise BadWeightsError(f"mixture weights must be nonnegative, got {weights}")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise BadWeightsError(f"mixture weights must sum to 1, got {sum(weights)!r}")
+    if weights == [1.0]:
+        return channels[0]
     factors = [w ** 0.25 * ch.kraus_pairs for ch, w in zip(channels, weights) if w > 0.0]
     action = None
     if all(ch.bell_action is not None for ch in channels):
@@ -516,18 +517,16 @@ class ChannelPool:
 def compile_protocol(protocol: Protocol) -> SeparableChannel:
     """Lower a protocol to an explicit separable Kraus channel.
 
-    The live branches' ``atom.kraus_factors()`` are scaled by the fourth root
-    of their renormalised weights and stacked, the arithmetic of ``mix``, into
-    one channel, whose constructor checks the mixture's Kraus completeness
-    once. Atoms validated themselves when they were built (unitarity, the
-    partial-transpose test), and each atom's factors passed their own
-    completeness check when first lowered: a ``LocalUnitary`` keeps its
-    channel, and a prepared ``DensityMatrix`` keeps its factors.
+    The live branches' ``atom.channel()`` are mixed with their weights,
+    renormalised, by ``mix``, whose one channel checks the mixture's Kraus
+    completeness. Atoms validated themselves when they were built (unitarity,
+    the partial-transpose test), so lowering does not repeat those checks. A
+    shared atom keeps its channel, checked when first built, so it is lowered
+    and checked once per process.
     """
     live = [(w, atom) for w, atom in protocol.branches if w > 0.0]
     total = sum(w for w, _ in live)
-    factors = [(w / total) ** 0.25 * atom.kraus_factors() for w, atom in live]
-    return SeparableChannel(np.concatenate(factors), locc_certified=True)
+    return mix([atom.channel() for _, atom in live], [w / total for w, _ in live])
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +579,10 @@ def bell_extremal_catalog() -> tuple:
     for i in range(4):
         for j in range(i + 1, 4):
             target = DensityMatrix(0.5 * BELL_PROJECTORS[i] + 0.5 * BELL_PROJECTORS[j])
+            base = discard_prepare_channel(target)
             channels.append(
                 SeparableChannel(
-                    DiscardPrepare(target).kraus_factors(),
+                    base.kraus_pairs,
                     locc_certified=True,
                     bell_action=_pair_replace_action(i, j),
                 )

@@ -158,22 +158,30 @@ def rank_gate(rho, rho2) -> Optional[Forbidden]:
 
 @functools.cache
 def _identity_atom() -> LocalUnitary:
-    return LocalUnitary(qmat.EYE2, qmat.EYE2)
+    return LocalUnitary(qmat.EYE2, qmat.EYE2, shared=True)
 
 
 def keep_or_refill(keep: float, refill_state) -> Protocol:
     """Keep the input with probability ``keep``, else replace it by ``refill_state``."""
-    return Protocol(((keep, _identity_atom()), (1.0 - keep, DiscardPrepare(refill_state))))
+    return _keep_or(keep, DiscardPrepare(refill_state))
+
+
+def _keep_or(keep: float, refill: DiscardPrepare) -> Protocol:
+    return Protocol(((keep, _identity_atom()), (1.0 - keep, refill)))
 
 
 @functools.cache
-def _max_mixed() -> DensityMatrix:
-    return DensityMatrix(np.eye(4, dtype=complex) / 4)
+def _max_mixed_atom() -> DiscardPrepare:
+    """Discard and prepare the maximally mixed state, the Werner refill."""
+    return DiscardPrepare(DensityMatrix(np.eye(4, dtype=complex) / 4), shared=True)
 
 
 @functools.cache
-def _refill_01() -> DensityMatrix:
-    return DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+def _refill_01_atom() -> DiscardPrepare:
+    """Discard and prepare |01><01|, the rank-2 MEMS refill."""
+    return DiscardPrepare(
+        DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)), shared=True
+    )
 
 
 @functools.cache
@@ -184,7 +192,7 @@ def _antiparallel_atoms() -> tuple:
     """
     eye = qmat.EYE2
     return tuple(
-        DiscardPrepare(DensityMatrix(np.kron(eye + s * p, eye - s * p) / 4.0))
+        DiscardPrepare(DensityMatrix(np.kron(eye + s * p, eye - s * p) / 4.0), shared=True)
         for p in (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z)
         for s in (1.0, -1.0)
     )
@@ -205,7 +213,7 @@ def _separable_werner_protocol(target: WernerParam) -> Optional[Protocol]:
     if 3.0 * target.w > 1.0 + _WEIGHT_SUM_TOL:
         return None
     branches = [(target.w / 2.0, atom) for atom in _antiparallel_atoms()]
-    branches.append((max(0.0, 1.0 - 3.0 * target.w), DiscardPrepare(_max_mixed())))
+    branches.append((max(0.0, 1.0 - 3.0 * target.w), _max_mixed_atom()))
     return Protocol(tuple(branches))
 
 
@@ -220,7 +228,7 @@ def decide_werner(w, w2) -> Verdict:
     target = w2 if isinstance(w2, WernerParam) else WernerParam(float(w2))
     if target.w <= source.w:
         p = 1.0 if source.w == 0.0 else target.w / source.w
-        protocol = keep_or_refill(p, _max_mixed())
+        protocol = _keep_or(p, _max_mixed_atom())
         certificate = f"keep with probability {p:.12g}, refill with the maximally mixed state"
     else:
         protocol = _separable_werner_protocol(target)
@@ -335,7 +343,7 @@ def decide_mems(l, l2) -> Verdict:
                 "entanglement of formation",
             )
         wid = t[0] / s[0]
-        protocol = keep_or_refill(wid, _refill_01())
+        protocol = _keep_or(wid, _refill_01_atom())
         certificate = f"keep with probability {wid:.12g}, refill with |01><01|"
     else:
         try:

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from . import qmat
-from .errors import NotHermitianError, NotProductDiagonalError, OutOfRangeError
+from .errors import NotHermitianError, OutOfRangeError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -139,12 +139,10 @@ class DensityMatrix:
 
     Construction checks Hermiticity (1e-9), unit trace (1e-9) and positive
     semidefiniteness (eigenvalues >= -1e-10). The eigendecomposition is kept,
-    and, on first use, the separability test's value and the Kraus lowering
-    of discarding the input and preparing this state (``lowering``). The
-    array is read-only.
+    and the separability test's value on first use. The array is read-only.
     """
 
-    __slots__ = ("_mat", "_eig", "_min_pt", "_lowering")
+    __slots__ = ("_mat", "_eig", "_min_pt")
 
     def __init__(self, matrix):
         mat = np.array(matrix, dtype=np.complex128)
@@ -168,7 +166,6 @@ class DensityMatrix:
         self._mat = mat
         self._eig = eig
         self._min_pt = None
-        self._lowering = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -184,24 +181,6 @@ class DensityMatrix:
             # the module-level function, on the raw array
             self._min_pt = min_pt_eigenvalue(self._mat)
         return self._min_pt
-
-    def lowering(self, lower) -> np.ndarray:
-        """Kraus factors that prepare this state, ``lower(self)`` on first use.
-
-        ``lower`` is ``channels``' discard-and-prepare lowering, which returns
-        the validated (n, 2, 2, 2) factor array; that array is kept. When it
-        raises NotProductDiagonalError, only the message is kept, never the
-        exception, whose traceback would keep the failing frames alive, and
-        every later call raises the same error anew.
-        """
-        if self._lowering is None:
-            try:
-                self._lowering = lower(self)
-            except NotProductDiagonalError as err:
-                self._lowering = str(err)
-        if isinstance(self._lowering, str):
-            raise NotProductDiagonalError(self._lowering)
-        return self._lowering
 
     def purity(self) -> float:
         return float(np.sum(np.abs(self._mat) ** 2))

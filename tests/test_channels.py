@@ -1,5 +1,7 @@
 """Tests for protocol atoms, separable channels, and the extremal catalog."""
 
+import types
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -126,9 +128,10 @@ def test_nan_factors_fail_completeness(monkeypatch):
     nan = np.full((1, 2, 2, 2), np.nan)
     with pytest.raises(NotTracePreservingError):
         SeparableChannel(nan)
-    # an atom whose factors escaped their own check: the compiled protocol's
-    # single completeness check still refuses them
-    monkeypatch.setattr(DiscardPrepare, "kraus_factors", lambda atom: nan)
+    # an atom channel whose factors escaped their own check: the check of the
+    # compiled mixture still refuses them
+    escaped = types.SimpleNamespace(kraus_pairs=nan, locc_certified=True, bell_action=None)
+    monkeypatch.setattr(DiscardPrepare, "channel", lambda atom: escaped)
     protocol = Protocol(
         (
             (0.5, LocalUnitary(np.eye(2), np.eye(2))),
@@ -139,28 +142,31 @@ def test_nan_factors_fail_completeness(monkeypatch):
         compile_protocol(protocol)
 
 
-def test_atoms_keep_their_lowering():
-    unitary = LocalUnitary(np.eye(2), qmat.SIGMA_X)
-    assert unitary.channel() is unitary.channel()
-    assert unitary.kraus_factors() is unitary.channel().kraus_pairs
+def test_only_shared_atoms_keep_their_channel(monkeypatch):
+    calls = []
+    original = channels.product_diagonal_decomposition
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(channels, "product_diagonal_decomposition", counting)
     target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-    # two atoms preparing one state object share its factors
-    factors = DiscardPrepare(target).kraus_factors()
-    assert DiscardPrepare(target).kraus_factors() is factors
-    assert not factors.flags.writeable
-    npt.assert_array_equal(DiscardPrepare(target).channel().kraus_pairs, factors)
-
-
-def test_compile_protocol_stack_is_mix_of_atom_channels():
-    # compile_protocol scales and stacks atom factors itself; the result is
-    # bit for bit the mix of the atoms' channels
-    keep = LocalUnitary(np.eye(2), np.eye(2))
-    prepare = DiscardPrepare(DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)))
-    dead = LocalUnitary(qmat.SIGMA_X, np.eye(2))
-    compiled = compile_protocol(Protocol(((0.3, keep), (0.0, dead), (0.7, prepare))))
-    mixed = mix([keep.channel(), prepare.channel()], [0.3, 0.7])
-    npt.assert_array_equal(compiled.kraus_pairs, mixed.kraus_pairs)
-    assert compiled.locc_certified
+    atom = DiscardPrepare(target)
+    assert atom.channel() is not atom.channel()
+    assert len(calls) == 2
+    shared = DiscardPrepare(target, shared=True)
+    assert shared.channel() is shared.channel()
+    assert len(calls) == 3
+    npt.assert_array_equal(shared.channel().kraus_pairs, atom.channel().kraus_pairs)
+    unitary = LocalUnitary(np.eye(2), qmat.SIGMA_X, shared=True)
+    assert unitary.channel() is unitary.channel()
+    assert LocalUnitary(np.eye(2), qmat.SIGMA_X).channel() is not unitary.channel()
+    # a shared target without a product eigenbasis raises on every call
+    entangled = DiscardPrepare(make_bell_diagonal((0.4, 0.3, 0.2, 0.1)), shared=True)
+    for _ in range(2):
+        with pytest.raises(NotProductDiagonalError):
+            entangled.channel()
 
 
 def test_separable_channel_rejects_non_qubit_factors():
@@ -360,6 +366,17 @@ def test_mix_stack_is_scaled_concatenation():
             [np.sqrt(w) * ch.estack for ch, w in zip(cat, weights) if w > 0.0]
         )
         npt.assert_allclose(mix(cat, weights).estack, expected, rtol=0, atol=1e-15)
+
+
+def test_mix_of_one_channel_is_that_channel():
+    cat = bell_extremal_catalog()
+    assert mix([cat[2]], [1.0]) is cat[2]
+    # a one-branch protocol compiles to its atom's channel, checked once
+    target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    atom = DiscardPrepare(target, shared=True)
+    assert compile_protocol(Protocol(((1.0 - 5e-10, atom),))) is atom.channel()
+    # a weight within the sum tolerance of 1 is still mixed
+    assert mix([cat[2]], [1.0 - 1e-12]) is not cat[2]
 
 
 def test_compile_protocol_matches_direct_application():

@@ -122,10 +122,10 @@ class TestCheck:
 
     def test_residual_miss_exits_software(self, tmp_path, capsys, monkeypatch):
         # a lowering that prepares a state 1% off its target
-        original = channels.DiscardPrepare.kraus_factors
+        original = channels.DiscardPrepare.channel
         monkeypatch.setattr(
             channels.DiscardPrepare,
-            "kraus_factors",
+            "channel",
             lambda atom: original(
                 channels.DiscardPrepare(
                     DensityMatrix(0.99 * atom.target.matrix + 0.01 * np.diag([1, 0, 0, 0]))

@@ -23,13 +23,7 @@ from entconv.convertibility import (
     synthesize_mems_protocol,
     verify_protocol,
 )
-from entconv.errors import (
-    InfeasibleError,
-    NotEntangledError,
-    NotProductDiagonalError,
-    OutOfRangeError,
-    ResidualError,
-)
+from entconv.errors import InfeasibleError, NotEntangledError, OutOfRangeError, ResidualError
 from entconv.states import (
     DensityMatrix,
     WernerParam,
@@ -302,34 +296,29 @@ def test_separable_werner_protocol_is_lowered_once(decompositions):
     assert len(decompositions) == before
 
 
-def test_werner_refill_is_lowered_once(decompositions):
-    first = decide_werner(0.9, 0.45)
+@pytest.mark.parametrize(
+    "decide_family, source, target",
+    [
+        (decide_werner, 0.9, 0.45),
+        (decide_mems, (0.9, 0.1, 0.0, 0.0), (0.7, 0.3, 0.0, 0.0)),
+    ],
+)
+def test_shared_refill_is_lowered_once(decompositions, decide_family, source, target):
+    first = decide_family(source, target)
     before = len(decompositions)
-    second = decide_werner(0.9, 0.45)
+    second = decide_family(source, target)
+    assert isinstance(first, Convertible)
     assert len(decompositions) == before
     assert second.residual == first.residual
-
-
-def test_decide_same_separable_target_decomposes_once(decompositions):
-    target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-    first = decide(make_werner(0.9), target)
-    second = decide(make_werner(0.7), target)
-    assert isinstance(first, Convertible) and isinstance(second, Convertible)
-    assert len(decompositions) == 1
 
 
 def test_decide_target_without_product_basis_decomposes_once(decompositions):
     source = make_bell_diagonal((0.7, 0.1, 0.1, 0.1))
     target = make_bell_diagonal((0.4, 0.3, 0.2, 0.1))
     first = decide(source, target)
-    second = decide(source, target)
     assert isinstance(first, Inconclusive)
-    assert first == second
     assert len(decompositions) == 1
-    # the kept failure is raised anew, with the first message
-    with pytest.raises(NotProductDiagonalError, match="not a product state"):
-        channels.DiscardPrepare(target).channel()
-    assert len(decompositions) == 1
+    assert decide(source, target) == first
 
 
 def _random_unitary(rng) -> np.ndarray:
@@ -431,15 +420,15 @@ def test_decide_tests_each_state_for_separability_once(monkeypatch):
 
 
 def _break_refill_lowering(monkeypatch):
-    # a lowering that still builds complete Kraus factors, but prepares a
-    # state 1% off the one it was asked for
-    original = channels.DiscardPrepare.kraus_factors
+    # a lowering that still builds a complete channel, but prepares a state
+    # 1% off the one it was asked for
+    original = channels.DiscardPrepare.channel
 
     def skewed(atom):
         skew = DensityMatrix(0.99 * atom.target.matrix + 0.01 * np.diag([1, 0, 0, 0]))
         return original(channels.DiscardPrepare(skew))
 
-    monkeypatch.setattr(channels.DiscardPrepare, "kraus_factors", skewed)
+    monkeypatch.setattr(channels.DiscardPrepare, "channel", skewed)
 
 
 def test_constructive_verdicts_check_their_residual(monkeypatch):
