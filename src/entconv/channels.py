@@ -2,11 +2,13 @@
 
 A separable channel is stored as its product Kraus pairs (A_k, B_k); the
 lifted operators E_k = A_k (x) B_k must satisfy sum_k E_k^dagger E_k = I
-within 1e-10. Separability of the Kraus form is a necessary condition for
-the channel to be implementable with local operations and classical
-communication but not a sufficient one, so channels carry an explicit
-``locc_certified`` flag that is set only by constructors whose protocol is
-known (local unitaries, measure-discard-prepare, and mixtures thereof).
+within 1e-10. That is the channel's only form and its only check. A
+separable Kraus form is necessary for local operations and classical
+communication (LOCC) but not sufficient, so the type does not claim LOCC.
+Every channel the package builds from protocol atoms is LOCC: a local
+unitary, a discard-and-prepare of a separable state, and their mixtures.
+``oracle.random_separable_channel`` draws separable channels that need not
+be LOCC, which is what the paper's rank condition is stated for.
 
 Protocols are finite mixtures of two atom kinds:
 
@@ -41,16 +43,11 @@ from .errors import (
     NotTracePreservingError,
     NotUnitaryError,
 )
-from .states import (
-    _BELL_STACK,
-    BELL_PROJECTORS,
-    DensityMatrix,
-    _mat_of,
-    as_density,
-    min_pt_eigenvalue,
-)
+from .states import BELL_PROJECTORS, DensityMatrix, _mat_of, as_density, is_entangled
 
 _COMPLETENESS_TOL = 1e-10
+# singular-value and reconstruction tolerance of product_diagonal_decomposition
+_PRODUCT_TOL = 1e-9
 
 
 def _as_qubit_mat(m, what: str) -> np.ndarray:
@@ -101,7 +98,7 @@ class LocalUnitary(_Lowering):
 
     def _lower(self) -> "SeparableChannel":
         """The single-pair channel (u_a, u_b)."""
-        return SeparableChannel([(self.u_a, self.u_b)], locc_certified=True)
+        return SeparableChannel([(self.u_a, self.u_b)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +111,7 @@ class DiscardPrepare(_Lowering):
     def __post_init__(self):
         target = as_density(self.target)
         object.__setattr__(self, "target", target)
-        if min_pt_eigenvalue(target) < -1e-10:
+        if is_entangled(target):
             raise NotSeparableError(
                 "prepared state fails the partial-transpose separability test"
             )
@@ -142,7 +139,7 @@ class DiscardPrepare(_Lowering):
         left = outers(a)[:, :, None]
         right = outers(b)[:, None, :]
         factors = np.stack(np.broadcast_arrays(left, right), axis=3)
-        return SeparableChannel(factors.reshape(-1, 2, 2, 2), locc_certified=True)
+        return SeparableChannel(factors.reshape(-1, 2, 2, 2))
 
 
 Atom = Union[LocalUnitary, DiscardPrepare]
@@ -159,10 +156,10 @@ class Protocol:
         if not branches:
             raise BadWeightsError("a protocol needs at least one branch")
         weights = [w for w, _ in branches]
-        if any(w < -1e-12 for w in weights):
+        if not all(w >= -1e-12 for w in weights):
             raise BadWeightsError(f"branch weights must be nonnegative, got {weights}")
         total = sum(weights)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise BadWeightsError(f"branch weights must sum to 1 within 1e-9, got {total!r}")
         for _, atom in branches:
             if not isinstance(atom, (LocalUnitary, DiscardPrepare)):
@@ -205,7 +202,7 @@ def renormalize_probabilistic(branches: Sequence[ProbabilisticBranch]) -> tuple:
     if not branches:
         raise BadWeightsError("need at least one branch")
     total_w = sum(b.weight for b in branches)
-    if abs(total_w - 1.0) > 1e-9:
+    if not abs(total_w - 1.0) <= 1e-9:
         raise BadWeightsError(f"branch weights must sum to 1 within 1e-9, got {total_w!r}")
     success = sum(b.weight * b.success_prob for b in branches)
     if success <= 0.0:
@@ -225,16 +222,9 @@ class SeparableChannel:
     (A_k, B_k), and lifted once to the (n, 4, 4) stack E_k = A_k (x) B_k.
     """
 
-    __slots__ = ("_factors", "_estack", "locc_certified", "bell_action")
+    __slots__ = ("_factors", "_estack")
 
-    def __init__(
-        self,
-        pairs,
-        *,
-        locc_certified: bool = False,
-        bell_action: Optional[np.ndarray] = None,
-        tol: float = _COMPLETENESS_TOL,
-    ):
+    def __init__(self, pairs):
         factors = np.array(pairs, dtype=np.complex128)
         if factors.ndim != 4 or factors.shape[0] == 0 or factors.shape[1:] != (2, 2, 2):
             raise ValueError(
@@ -244,26 +234,13 @@ class SeparableChannel:
         estack = kernels.kron2(factors[:, 0], factors[:, 1])
         gram = kernels.kraus_gram(estack)
         dev = qmat.frobenius_distance(gram, np.eye(4))
-        if not dev <= tol:
+        if not dev <= _COMPLETENESS_TOL:
             raise NotTracePreservingError(
-                f"Kraus completeness fails: ||sum E^dagger E - I|| = {dev:.3e} > {tol:g}"
+                f"Kraus completeness fails: ||sum E^dagger E - I|| = {dev:.3e} "
+                f"> {_COMPLETENESS_TOL:g}"
             )
         self._factors = factors
         self._estack = estack
-        self.locc_certified = bool(locc_certified)
-        if bell_action is not None:
-            bell_action = np.array(bell_action, dtype=np.float64)
-            if bell_action.shape != (4, 4):
-                raise ValueError("bell_action must be 4x4")
-            # column j must be the Bell weights of the image of projector j
-            out = kernels.apply_kraus(estack, _BELL_STACK)
-            recon = (bell_action.T @ _BELL_STACK.reshape(4, 16)).reshape(4, 4, 4)
-            dev = np.linalg.norm((out - recon).reshape(4, 16), axis=1)
-            bad = np.flatnonzero(dev > 1e-10)
-            if bad.size:
-                raise ValueError(f"bell_action column {bad[0]} disagrees with the channel")
-            bell_action.setflags(write=False)
-        self.bell_action = bell_action
 
     @property
     def kraus_pairs(self) -> np.ndarray:
@@ -284,8 +261,7 @@ class SeparableChannel:
         return DensityMatrix(self.apply_raw(_mat_of(rho)))
 
     def __repr__(self):
-        tag = ", locc_certified" if self.locc_certified else ""
-        return f"SeparableChannel(n_kraus={self.n_kraus}{tag})"
+        return f"SeparableChannel(n_kraus={self.n_kraus})"
 
 
 def separable_kraus_stacks(factors: np.ndarray, counts) -> np.ndarray:
@@ -305,16 +281,11 @@ def separable_kraus_stacks(factors: np.ndarray, counts) -> np.ndarray:
     return estacks
 
 
-def local_unitary_channel(u_a, u_b) -> SeparableChannel:
-    """Single-pair channel applying u_a (x) u_b; always LOCC."""
-    return LocalUnitary(u_a, u_b).channel()
-
-
 def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=np.complex128)
 
 
-def _product_split(v: np.ndarray, tol: float) -> Optional[tuple]:
+def _product_split(v: np.ndarray, tol: float = _PRODUCT_TOL) -> Optional[tuple]:
     m = v.reshape(2, 2)
     u, s, vh = np.linalg.svd(m)
     if s[1] > tol:
@@ -322,7 +293,7 @@ def _product_split(v: np.ndarray, tol: float) -> Optional[tuple]:
     return np.ascontiguousarray(u[:, 0]), np.ascontiguousarray(s[0] * vh[0, :])
 
 
-def _pencil_products(v1: np.ndarray, v2: np.ndarray, tol: float) -> Optional[list]:
+def _pencil_products(v1: np.ndarray, v2: np.ndarray) -> Optional[list]:
     # product vectors in span{v1, v2} are the roots of det(M1 + t M2) = 0,
     # where Mi is vi reshaped to 2x2; degree drops signal roots at infinity
     m1 = v1.reshape(2, 2)
@@ -357,7 +328,7 @@ def _pencil_products(v1: np.ndarray, v2: np.ndarray, tol: float) -> Optional[lis
     return [w1, w2]
 
 
-def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
+def product_diagonal_decomposition(mat) -> list:
     """Decompose a state as sum_i p_i |a_i b_i><a_i b_i| with orthogonal terms.
 
     Works cluster by cluster over the (possibly degenerate) eigenspaces,
@@ -385,14 +356,14 @@ def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
         mean_w = float(np.mean([values[i] for i in cluster]))
         vecs = [np.ascontiguousarray(vectors[:, i]) for i in cluster]
         if len(cluster) == 1:
-            split = _product_split(vecs[0], tol)
+            split = _product_split(vecs[0])
             if split is None:
                 raise NotProductDiagonalError(
                     "a nondegenerate eigenvector is not a product state"
                 )
             terms.append((float(values[cluster[0]]), split[0], split[1]))
         elif len(cluster) == 2:
-            found = _pencil_products(vecs[0], vecs[1], tol)
+            found = _pencil_products(vecs[0], vecs[1])
             if found is None:
                 raise NotProductDiagonalError(
                     "a two-dimensional eigenspace has no orthogonal product basis"
@@ -408,7 +379,7 @@ def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
             # a 3-space has an orthogonal product basis exactly when its
             # orthocomplement vector is product
             rest = next(i for i in range(4) if i not in cluster)
-            split = _product_split(np.ascontiguousarray(vectors[:, rest]), tol)
+            split = _product_split(np.ascontiguousarray(vectors[:, rest]))
             if split is None:
                 raise NotProductDiagonalError(
                     "the complement of a three-dimensional eigenspace is not product"
@@ -423,7 +394,7 @@ def product_diagonal_decomposition(mat, tol: float = 1e-9) -> list:
     p, a, b = (np.array(column) for column in zip(*terms))
     ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
     recon = (ab.T * p) @ ab.conj()
-    if qmat.frobenius_distance(recon, mat) > max(tol, 1e-9):
+    if qmat.frobenius_distance(recon, mat) > _PRODUCT_TOL:
         raise NotProductDiagonalError("product reconstruction failed verification")
     return terms
 
@@ -436,27 +407,21 @@ def discard_prepare_channel(target) -> SeparableChannel:
 def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> SeparableChannel:
     """Convex mixture of separable channels.
 
-    A mixture of one channel at weight 1 is that channel, already checked,
-    and is returned as it is.
+    The channels' factor rows, each scaled by w^(1/4), are concatenated and
+    checked as one channel. A mixture of one channel at weight 1 is that
+    channel, already checked, and is returned as it is.
     """
     if len(channels) != len(weights):
         raise BadWeightsError("need one weight per channel")
     weights = [float(w) for w in weights]
-    if any(w < -1e-12 for w in weights):
+    if not all(w >= -1e-12 for w in weights):
         raise BadWeightsError(f"mixture weights must be nonnegative, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if not abs(sum(weights) - 1.0) <= 1e-9:
         raise BadWeightsError(f"mixture weights must sum to 1, got {sum(weights)!r}")
     if weights == [1.0]:
         return channels[0]
     factors = [w ** 0.25 * ch.kraus_pairs for ch, w in zip(channels, weights) if w > 0.0]
-    action = None
-    if all(ch.bell_action is not None for ch in channels):
-        action = sum(w * ch.bell_action for ch, w in zip(channels, weights))
-    return SeparableChannel(
-        np.concatenate(factors),
-        locc_certified=all(ch.locc_certified for ch in channels),
-        bell_action=action,
-    )
+    return SeparableChannel(np.concatenate(factors))
 
 
 class ChannelPool:
@@ -469,13 +434,12 @@ class ChannelPool:
     ``kernels.apply_kraus`` when the pool is built), and the images are mixed
     by linearity. Each row still passes the checks ``mix`` makes on its
     mixture, evaluated over the rows at once: weights nonnegative and
-    summing to 1 within 1e-9, completeness sum_c w_tc gram_c = I within
-    1e-10, and, when every channel carries one, the mixed Bell action within
-    1e-10 per column. A row that fails is rebuilt through ``mix``, which
-    raises that row's error.
+    summing to 1 within 1e-9, and completeness sum_c w_tc gram_c = I within
+    1e-10. A row that fails is rebuilt through ``mix``, which raises that
+    row's error.
     """
 
-    __slots__ = ("channels", "_transfer", "_grams", "_bell_defects")
+    __slots__ = ("channels", "_transfer", "_grams")
 
     def __init__(self, channels: Sequence[SeparableChannel]):
         self.channels = tuple(channels)
@@ -488,13 +452,6 @@ class ChannelPool:
         # [c, i, o]: entry o of the channel's image of matrix unit i
         self._transfer = kernels.apply_kraus(estacks, units).reshape(count, 16, 16)
         self._grams = kernels.kraus_gram(estacks).reshape(count, 16)
-        self._bell_defects = None
-        if all(ch.bell_action is not None for ch in self.channels):
-            # what SeparableChannel checks, per channel: the image of each Bell
-            # projector minus its action's reconstruction; mixing is linear
-            images = _BELL_STACK.reshape(4, 16) @ self._transfer
-            actions = np.stack([ch.bell_action for ch in self.channels]).swapaxes(-1, -2)
-            self._bell_defects = (images - actions @ _BELL_STACK.reshape(4, 16)).reshape(count, 64)
 
     def apply_mixtures(self, weights, rho) -> np.ndarray:
         """sum_c w_tc Phi_c(rho[t]) for a (t, c) weight matrix and a (t, ..., 4, 4) input stack."""
@@ -502,9 +459,6 @@ class ChannelPool:
         ok = (w >= -1e-12).all(axis=1) & (np.abs(w.sum(axis=1) - 1.0) <= 1e-9)
         gram = (w @ self._grams).reshape(-1, 4, 4)
         ok &= qmat.frobenius_norm(gram - np.eye(4)) <= _COMPLETENESS_TOL
-        if self._bell_defects is not None:
-            columns = np.linalg.norm((w @ self._bell_defects).reshape(-1, 4, 16), axis=-1)
-            ok &= (columns <= 1e-10).all(axis=1)
         for row in np.flatnonzero(~ok):
             mix(self.channels, w[row])
         # [c, t, x, o]: every channel's image of every input
@@ -532,27 +486,6 @@ def compile_protocol(protocol: Protocol) -> SeparableChannel:
 # ---------------------------------------------------------------------------
 # the Bell-extremal catalog
 
-_PAULI_BELL_PERMS = {
-    "x": (2, 3, 0, 1),  # swaps psi- <-> phi-, phi+ <-> psi+
-    "y": (1, 0, 3, 2),  # swaps psi- <-> phi+, phi- <-> psi+
-    "z": (3, 2, 1, 0),  # swaps psi- <-> psi+, phi+ <-> phi-
-}
-
-
-def _perm_matrix(perm) -> np.ndarray:
-    m = np.zeros((4, 4))
-    for j, i in enumerate(perm):
-        m[i, j] = 1.0
-    return m
-
-
-def _pair_replace_action(i: int, j: int) -> np.ndarray:
-    col = np.zeros(4)
-    col[i] = 0.5
-    col[j] = 0.5
-    return np.tile(col[:, None], (1, 4))
-
-
 @functools.cache
 def bell_extremal_catalog() -> tuple:
     """The 13 channels spanning Bell-diagonal transitions.
@@ -560,33 +493,19 @@ def bell_extremal_catalog() -> tuple:
     One identity, six one-sided Pauli rotations (each permutes the Bell
     projectors), and six replace channels that discard the input and prepare
     the even mixture of one Bell pair (those mixtures are exactly the
-    separable edges of the Bell-diagonal tetrahedron). Every channel carries
-    its verified 4x4 ``bell_action``.
+    separable edges of the Bell-diagonal tetrahedron). A channel's action on
+    Bell weights is read off the channel: ``bell_weights_of`` of its image
+    of each Bell projector.
     """
     eye = qmat.EYE2
-    paulis = {"x": qmat.SIGMA_X, "y": qmat.SIGMA_Y, "z": qmat.SIGMA_Z}
-    channels = [
-        SeparableChannel([(eye, eye)], locc_certified=True, bell_action=np.eye(4))
-    ]
-    for name, sigma in paulis.items():
-        action = _perm_matrix(_PAULI_BELL_PERMS[name])
-        channels.append(
-            SeparableChannel([(sigma, eye)], locc_certified=True, bell_action=action)
-        )
-        channels.append(
-            SeparableChannel([(eye, sigma)], locc_certified=True, bell_action=action)
-        )
+    channels = [SeparableChannel([(eye, eye)])]
+    for sigma in (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z):
+        channels.append(SeparableChannel([(sigma, eye)]))
+        channels.append(SeparableChannel([(eye, sigma)]))
     for i in range(4):
         for j in range(i + 1, 4):
             target = DensityMatrix(0.5 * BELL_PROJECTORS[i] + 0.5 * BELL_PROJECTORS[j])
-            base = discard_prepare_channel(target)
-            channels.append(
-                SeparableChannel(
-                    base.kraus_pairs,
-                    locc_certified=True,
-                    bell_action=_pair_replace_action(i, j),
-                )
-            )
+            channels.append(discard_prepare_channel(target))
     return tuple(channels)
 
 

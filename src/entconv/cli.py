@@ -26,16 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import (
-    DiscardPrepare,
-    LocalUnitary,
-    Protocol,
-    compile_protocol,
-)
+from .channels import DiscardPrepare, LocalUnitary, Protocol
 from .convertibility import (
     Convertible,
     Forbidden,
-    Inconclusive,
     decide,
     keep_or_refill,
     synthesize_mems_protocol,
@@ -368,7 +362,7 @@ def cmd_synthesize(args) -> int:
 def cmd_apply(args) -> int:
     protocol = parse_protocol_spec(_load_json(args.protocol, "protocol"))
     rho = _load_state(args.state, "state")
-    out = compile_protocol(protocol).apply(rho)
+    out = protocol.apply(rho)
     payload = {"state": state_to_spec(out)}
     lines = []
     for row in out.matrix:
@@ -436,7 +430,7 @@ def _add_common(parser) -> None:
         "--tol",
         type=float,
         default=argparse.SUPPRESS,
-        help="numeric tolerance for rank and family readouts (default 1e-9)",
+        help="numeric tolerance for the rank readout (default 1e-9)",
     )
     parser.add_argument(
         "--seed",

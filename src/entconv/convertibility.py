@@ -42,7 +42,7 @@ from .errors import (
     OutOfRangeError,
     ResidualError,
 )
-from .measures import bell_monotones
+from .measures import bell_monotones, monotone_ratios
 from .states import (
     BellWeights,
     DensityMatrix,
@@ -242,12 +242,6 @@ def decide_werner(w, w2) -> Verdict:
     return _constructive(protocol, certificate, make_werner(source), make_werner(target))
 
 
-def _monotone_ratios(weights: tuple) -> tuple:
-    """(numerator, denominator) of e1, e2, e3; a zero denominator means +inf."""
-    l1, l2, l3, l4 = weights
-    return ((l1, 1.0), (1.0 - 2.0 * l2, l3 + l4), (1.0 - 2.0 * l2 - 2.0 * l3, l4))
-
-
 def decide_bell(l, l2) -> Verdict:
     """Exact decision for entangled Bell-diagonal pairs by monotone dominance.
 
@@ -274,7 +268,7 @@ def decide_bell(l, l2) -> Verdict:
             )
     ms = bell_monotones(source)
     mt = bell_monotones(target)
-    ratios = zip(_monotone_ratios(source.weights), _monotone_ratios(target.weights))
+    ratios = zip(monotone_ratios(source.weights), monotone_ratios(target.weights))
     for k, ((ns, ds), (nt, dt)) in enumerate(ratios, start=1):
         if ns * dt < nt * ds - _WEIGHT_SUM_TOL:
             return Forbidden(

@@ -1,9 +1,9 @@
 """Entanglement measures and the ordering monotones for Bell-diagonal states.
 
-The three Bell-diagonal monotones compare as extended reals: a zero
-denominator always means +inf, so ``MonotoneTriple.dominates`` is a plain
-float comparison (inf >= inf holds). ``decide_bell`` does not use it: it
-cross-multiplies each monotone's ratio with a 1e-12 tie band, so rounding
+Each Bell-diagonal monotone is a ratio, and ``monotone_ratios`` is the one
+place that writes its numerator and denominator. ``bell_monotones`` divides
+them, with +inf for a zero denominator, for display and for the falsifiers;
+``decide_bell`` cross-multiplies them with a 1e-12 tie band, so rounding
 cannot split an exact tie.
 """
 
@@ -31,18 +31,19 @@ class MonotoneTriple(NamedTuple):
     e2: float
     e3: float
 
-    def dominates(self, other: "MonotoneTriple") -> bool:
-        return self.e1 >= other.e1 and self.e2 >= other.e2 and self.e3 >= other.e3
+
+def monotone_ratios(weights: tuple) -> tuple:
+    """(numerator, denominator) of e1, e2, e3 for sorted Bell weights."""
+    l1, l2, l3, l4 = weights
+    return ((l1, 1.0), (1.0 - 2.0 * l2, l3 + l4), (1.0 - 2.0 * l2 - 2.0 * l3, l4))
 
 
 def bell_monotones(weights) -> MonotoneTriple:
     """Monotone triple of a Bell-diagonal state given its sorted weights."""
     bw = weights if isinstance(weights, BellWeights) else BellWeights(tuple(weights))
-    l1, l2, l3, l4 = bw.weights
-    e1 = l1
-    e2 = math.inf if l3 + l4 == 0.0 else (1.0 - 2.0 * l2) / (l3 + l4)
-    e3 = math.inf if l4 == 0.0 else (1.0 - 2.0 * l2 - 2.0 * l3) / l4
-    return MonotoneTriple(e1, e2, e3)
+    return MonotoneTriple(
+        *(math.inf if d == 0.0 else n / d for n, d in monotone_ratios(bw.weights))
+    )
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:

@@ -53,6 +53,10 @@ MAX_MIXED = np.eye(4, dtype=np.complex128) / 4.0
 
 _WEIGHT_SUM_TOL = 1e-12
 _ORDER_TOL = 1e-12
+# partial-transpose eigenvalues within this of zero count as separable
+_ENTANGLED_TOL = 1e-10
+# how far a state may sit from its best-fit family reconstruction
+_FAMILY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,9 @@ class DensityMatrix:
     """A validated 4x4 density matrix with its spectral facts cached.
 
     Construction checks Hermiticity (1e-9), unit trace (1e-9) and positive
-    semidefiniteness (eigenvalues >= -1e-10). The eigendecomposition is kept,
-    and the separability test's value on first use. The array is read-only.
+    semidefiniteness (eigenvalues >= -1e-10); each check is written so that
+    a NaN entry fails it. The eigendecomposition is kept, and the
+    separability test's value on first use. The array is read-only.
     """
 
     __slots__ = ("_mat", "_eig", "_min_pt")
@@ -149,16 +154,16 @@ class DensityMatrix:
         if mat.shape != (4, 4):
             raise OutOfRangeError(f"expected a 4x4 matrix, got shape {mat.shape}")
         dev = qmat.frobenius_distance(mat, qmat.dag(mat))
-        if dev > 1e-9:
+        if not dev <= 1e-9:
             raise NotHermitianError(
                 f"density matrix is not Hermitian within 1e-9 (deviation {dev:.3e})"
             )
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-9:
+        if not abs(tr - 1.0) <= 1e-9:
             raise OutOfRangeError(f"density matrix trace must be 1 within 1e-9, got {tr!r}")
         mat = 0.5 * (mat + qmat.dag(mat))
         eig = qmat.hermitian_eig(mat, tol=1e-8)
-        if eig.values[-1] < -1e-10:
+        if not eig.values[-1] >= -1e-10:
             raise OutOfRangeError(
                 f"density matrix has eigenvalue {eig.values[-1]:.3e} below -1e-10"
             )
@@ -289,13 +294,13 @@ def min_pt_eigenvalue(rho) -> float:
     return float(values[-1])
 
 
-def is_entangled(rho, tol: float = 1e-10) -> bool:
+def is_entangled(rho) -> bool:
     """Partial-transpose test, exact for two qubits.
 
-    Entangled iff the partial transpose has an eigenvalue below -tol; states
-    within tol of the boundary are reported separable.
+    Entangled iff the partial transpose has an eigenvalue below -1e-10;
+    states within 1e-10 of the boundary are reported separable.
     """
-    return min_pt_eigenvalue(rho) < -tol
+    return min_pt_eigenvalue(rho) < -_ENTANGLED_TOL
 
 
 class StateScalars(NamedTuple):
@@ -325,66 +330,66 @@ def bell_weights_of(rho) -> tuple:
     return weights, qmat.frobenius_norm(mat - _bell_matrix(weights))
 
 
-def _clean_weights(raw, tol: float) -> Optional[tuple]:
+def _clean_weights(raw) -> Optional[tuple]:
     vals = [float(x) for x in raw]
     for i, x in enumerate(vals):
-        if x < -tol:
+        if x < -_FAMILY_TOL:
             return None
         vals[i] = max(x, 0.0)
     for i in range(3):
-        if vals[i + 1] > vals[i] + tol:
+        if vals[i + 1] > vals[i] + _FAMILY_TOL:
             return None
         vals[i + 1] = min(vals[i + 1], vals[i])
     total = sum(vals)
-    if abs(total - 1.0) > max(tol, 1e-12) or total <= 0.0:
+    if abs(total - 1.0) > _FAMILY_TOL or total <= 0.0:
         return None
     return tuple(x / total for x in vals)
 
 
-def _werner_fit(mat: np.ndarray, tol: float) -> Optional[WernerParam]:
+def _werner_fit(mat: np.ndarray) -> Optional[WernerParam]:
     w = (4.0 * np.vdot(SINGLET_PROJECTOR, mat).real - 1.0) / 3.0
-    if w < -tol or w > 1.0 + tol:
+    if w < -_FAMILY_TOL or w > 1.0 + _FAMILY_TOL:
         return None
     w = min(1.0, max(0.0, w))
-    if qmat.frobenius_distance(mat, _werner_matrix(w)) > tol:
+    if not qmat.frobenius_distance(mat, _werner_matrix(w)) <= _FAMILY_TOL:
         return None
     return WernerParam(w)
 
 
-def _bell_fit(mat: np.ndarray, tol: float) -> Optional[BellWeights]:
+def _bell_fit(mat: np.ndarray) -> Optional[BellWeights]:
     raw, _ = bell_weights_of(mat)
-    cleaned = _clean_weights(raw, tol)
+    cleaned = _clean_weights(raw)
     if cleaned is None:
         return None
-    if qmat.frobenius_distance(mat, _bell_matrix(cleaned)) > tol:
+    if not qmat.frobenius_distance(mat, _bell_matrix(cleaned)) <= _FAMILY_TOL:
         return None
     return BellWeights(cleaned)
 
 
-def _mems_fit(mat: np.ndarray, tol: float) -> Optional[MemsWeights]:
+def _mems_fit(mat: np.ndarray) -> Optional[MemsWeights]:
     # the form fixes every entry: corners carry l3, the central block carries
     # the singlet weight on its off-diagonal and l2/l4 plus half the singlet
     # weight on its diagonal
     l3 = 0.5 * (mat[0, 0].real + mat[3, 3].real)
     s = -2.0 * mat[1, 2]
-    if abs(s.imag) > tol:
+    if abs(s.imag) > _FAMILY_TOL:
         return None
     s = s.real
     raw = (s + l3, mat[1, 1].real - 0.5 * s, l3, mat[2, 2].real - 0.5 * s)
-    cleaned = _clean_weights(raw, tol)
+    cleaned = _clean_weights(raw)
     if cleaned is None:
         return None
     try:
         candidate = MemsWeights(cleaned)
     except OutOfRangeError:
         return None
-    if qmat.frobenius_distance(mat, _mems_matrix(candidate.weights)) > tol:
+    if not qmat.frobenius_distance(mat, _mems_matrix(candidate.weights)) <= _FAMILY_TOL:
         return None
     return candidate
 
 
-def classify_family(rho, tol: float = 1e-8) -> FamilyTag:
-    """Most specific family whose best-fit reconstruction is within tol.
+def classify_family(rho) -> FamilyTag:
+    """Most specific family whose best-fit reconstruction is within 1e-8.
 
     Precedence is Werner, then Bell-diagonal, then the
     maximally-entangled-mixture form, then general: the families nest and
@@ -392,13 +397,13 @@ def classify_family(rho, tol: float = 1e-8) -> FamilyTag:
     form), so the narrowest parameterization wins.
     """
     mat = _mat_of(rho)
-    werner = _werner_fit(mat, tol)
+    werner = _werner_fit(mat)
     if werner is not None:
         return FamilyTag("werner", werner)
-    bell = _bell_fit(mat, tol)
+    bell = _bell_fit(mat)
     if bell is not None:
         return FamilyTag("bell_diagonal", bell)
-    mems = _mems_fit(mat, tol)
+    mems = _mems_fit(mat)
     if mems is not None:
         return FamilyTag("mems", mems)
     return FamilyTag("general", None)

@@ -18,7 +18,6 @@ from entconv.channels import (
     bell_extremal_pool,
     compile_protocol,
     discard_prepare_channel,
-    local_unitary_channel,
     mix,
     product_diagonal_decomposition,
     renormalize_probabilistic,
@@ -48,6 +47,14 @@ def haar_qubit_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def bell_action(ch):
+    """4x4 action on Bell weights read off the channel: column j holds the
+    Bell weights of its image of projector j, which must be Bell-diagonal."""
+    weights, residual = bell_weights_of(np.stack([ch.apply_raw(p) for p in BELL_PROJECTORS]))
+    assert np.all(residual < 1e-12)
+    return weights.T
+
+
 def test_local_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         LocalUnitary(np.eye(2) * 1.01, np.eye(2))
@@ -68,6 +75,9 @@ def test_protocol_weight_validation():
         Protocol(((1.5, atom), (-0.5, atom)))
     with pytest.raises(BadWeightsError):
         Protocol(())
+    # a NaN weight fails closed instead of being dropped
+    with pytest.raises(BadWeightsError, match="nonnegative"):
+        Protocol(((np.nan, atom), (1.0, atom)))
 
 
 def test_protocol_apply_mixes_atoms():
@@ -121,7 +131,7 @@ def test_separable_channel_completeness_check():
         SeparableChannel([(np.eye(2) * 0.9, np.eye(2))])
     ch = SeparableChannel([(np.eye(2), np.eye(2))])
     assert ch.n_kraus == 1
-    assert not ch.locc_certified
+    assert repr(ch) == "SeparableChannel(n_kraus=1)"
 
 
 def test_nan_factors_fail_completeness(monkeypatch):
@@ -130,7 +140,7 @@ def test_nan_factors_fail_completeness(monkeypatch):
         SeparableChannel(nan)
     # an atom channel whose factors escaped their own check: the check of the
     # compiled mixture still refuses them
-    escaped = types.SimpleNamespace(kraus_pairs=nan, locc_certified=True, bell_action=None)
+    escaped = types.SimpleNamespace(kraus_pairs=nan)
     monkeypatch.setattr(DiscardPrepare, "channel", lambda atom: escaped)
     protocol = Protocol(
         (
@@ -190,8 +200,7 @@ def test_kraus_pairs_are_read_only_factors():
 def test_unitary_channel_action():
     rng = np.random.default_rng(3)
     ua, ub = haar_qubit_unitary(rng), haar_qubit_unitary(rng)
-    ch = local_unitary_channel(ua, ub)
-    assert ch.locc_certified
+    ch = LocalUnitary(ua, ub).channel()
     rho = random_density_matrix(8)
     u = qmat.kron2(ua, ub)
     npt.assert_allclose(ch.apply(rho).matrix, u @ rho.matrix @ u.conj().T, atol=1e-12)
@@ -201,14 +210,13 @@ def test_local_unitaries_preserve_negativity():
     rng = np.random.default_rng(5)
     for seed in range(10):
         rho = random_density_matrix(seed, rank=rng.integers(1, 5))
-        ch = local_unitary_channel(haar_qubit_unitary(rng), haar_qubit_unitary(rng))
+        ch = LocalUnitary(haar_qubit_unitary(rng), haar_qubit_unitary(rng)).channel()
         npt.assert_allclose(negativity(ch.apply(rho)), negativity(rho), atol=1e-10)
 
 
 def test_discard_prepare_is_constant():
     sigma = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     ch = discard_prepare_channel(sigma)
-    assert ch.locc_certified
     for seed in (0, 1):
         out = ch.apply(random_density_matrix(seed))
         npt.assert_allclose(out.matrix, sigma.matrix, atol=1e-12)
@@ -288,15 +296,33 @@ def test_product_decomposition_refuses_skew_separable():
         product_diagonal_decomposition(m)
 
 
+def _permutation(perm):
+    m = np.zeros((4, 4))
+    m[list(perm), range(4)] = 1.0
+    return m
+
+
+def _pair_replace(i, j):
+    m = np.zeros((4, 4))
+    m[[i, j], :] = 0.5
+    return m
+
+
 def test_catalog_shape_and_certification():
     cat = bell_extremal_catalog()
     assert len(cat) == 13
-    assert all(ch.locc_certified for ch in cat)
-    assert all(ch.bell_action is not None for ch in cat)
-    for ch in cat:
-        col_sums = ch.bell_action.sum(axis=0)
-        npt.assert_allclose(col_sums, np.ones(4), atol=1e-12)
-        assert np.all(ch.bell_action >= 0)
+    # identity; A- and B-side sigma_x, sigma_y, sigma_z; then the six pair
+    # replacements in (i, j) order
+    paulis = [_permutation(p) for p in ((2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    expected = [np.eye(4)] + [m for m in paulis for _ in "AB"]
+    expected += [_pair_replace(i, j) for i, j in pairs]
+    for ch, want in zip(cat, expected):
+        npt.assert_allclose(bell_action(ch), want, rtol=0, atol=1e-12)
+    # the replace channels are the discard-and-prepare lowerings themselves
+    for (i, j), ch in zip(pairs, cat[7:]):
+        target = DensityMatrix(0.5 * BELL_PROJECTORS[i] + 0.5 * BELL_PROJECTORS[j])
+        assert ch.kraus_pairs.tobytes() == discard_prepare_channel(target).kraus_pairs.tobytes()
 
 
 def test_catalog_pauli_permutations():
@@ -318,23 +344,7 @@ def test_catalog_closes_over_bell_diagonal_states():
         out = ch.apply(rho)
         got, residual = bell_weights_of(out)
         assert residual < 1e-10
-        npt.assert_allclose(got, ch.bell_action @ np.asarray(weights), atol=1e-10)
-
-
-def test_bell_action_validation_rejects_wrong_matrix():
-    with pytest.raises(ValueError):
-        SeparableChannel(
-            [(qmat.SIGMA_X, qmat.EYE2)], bell_action=np.eye(4)
-        )
-
-
-def test_bell_action_validation_names_the_bad_column():
-    # the identity channel, claimed to send projector 2 to projector 3 and
-    # every other projector to itself: only column 2 is wrong
-    action = np.eye(4)
-    action[:, 2] = (0.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="bell_action column 2 disagrees"):
-        SeparableChannel([(qmat.EYE2, qmat.EYE2)], bell_action=action)
+        npt.assert_allclose(got, bell_action(ch) @ np.asarray(weights), atol=1e-10)
 
 
 def test_mix_weights_validation():
@@ -343,13 +353,16 @@ def test_mix_weights_validation():
         mix([cat[0], cat[1]], [0.6, 0.6])
     with pytest.raises(BadWeightsError):
         mix([cat[0]], [0.5, 0.5])
+    with pytest.raises(BadWeightsError, match="nonnegative"):
+        mix([cat[0], cat[1]], [np.nan, 1.0])
 
 
 def test_mix_combines_actions():
     cat = bell_extremal_catalog()
     ch = mix([cat[0], cat[7]], [0.7, 0.3])
-    assert ch.locc_certified
-    npt.assert_allclose(ch.bell_action, 0.7 * cat[0].bell_action + 0.3 * cat[7].bell_action, atol=1e-14)
+    npt.assert_allclose(
+        bell_action(ch), 0.7 * bell_action(cat[0]) + 0.3 * bell_action(cat[7]), atol=1e-14
+    )
     rho = make_bell_diagonal((0.6, 0.2, 0.15, 0.05))
     expected = 0.7 * cat[0].apply(rho).matrix + 0.3 * cat[7].apply(rho).matrix
     npt.assert_allclose(ch.apply(rho).matrix, expected, atol=1e-12)
@@ -388,7 +401,6 @@ def test_compile_protocol_matches_direct_application():
         )
     )
     ch = compile_protocol(proto)
-    assert ch.locc_certified
     for seed in (2, 9):
         rho = random_density_matrix(seed)
         npt.assert_allclose(ch.apply(rho).matrix, proto.apply(rho).matrix, atol=1e-11)
@@ -421,26 +433,10 @@ def test_pool_rejects_a_bad_row_with_the_error_of_mix():
             pool.apply_mixtures(np.stack([good, bad, good]), rho)
 
 
-def test_pool_checks_the_mixed_bell_action():
-    # a channel whose declared Bell action is wrong only in column 2: a
-    # mixture that gives it weight fails, and the error names column 2
-    eye = np.eye(2, dtype=complex)
-    ident = SeparableChannel([(eye, eye)], locc_certified=True, bell_action=np.eye(4))
-    wrong = SeparableChannel([(eye, eye)], locc_certified=True, bell_action=np.eye(4))
-    action = np.eye(4)
-    action[:, 2] = (0.0, 0.0, 0.5, 0.5)
-    object.__setattr__(wrong, "bell_action", action)
-    pool = ChannelPool([ident, wrong])
-    rho = np.broadcast_to(np.eye(4) / 4, (2, 4, 4)).astype(complex)
-    pool.apply_mixtures(np.array([[1.0, 0.0], [1.0, 0.0]]), rho)
-    with pytest.raises(ValueError, match="column 2"):
-        pool.apply_mixtures(np.array([[1.0, 0.0], [0.5, 0.5]]), rho)
-
-
 def test_pool_without_bell_actions_mixes_any_channels():
     rng = np.random.default_rng(62)
     u = haar_qubit_unitary(rng)
-    pool_channels = [local_unitary_channel(u, np.eye(2)), discard_prepare_channel(make_werner(0.0))]
+    pool_channels = [LocalUnitary(u, np.eye(2)).channel(), discard_prepare_channel(make_werner(0.0))]
     pool = ChannelPool(pool_channels)
     weights = np.array([[0.3, 0.7], [1.0, 0.0]])
     rho = np.stack([random_density_matrix(1).matrix, random_density_matrix(2).matrix])

@@ -13,6 +13,7 @@ import pytest
 
 import entconv
 from entconv import channels
+from entconv.channels import DiscardPrepare, LocalUnitary, Protocol
 from entconv.cli import (
     EX_FORBIDDEN,
     EX_INCONCLUSIVE,
@@ -24,6 +25,8 @@ from entconv.cli import (
     protocol_to_spec,
     state_to_spec,
 )
+from entconv.convertibility import verify_protocol
+from entconv.errors import NotProductDiagonalError
 from entconv.states import DensityMatrix, make_bell_diagonal, make_mems, make_werner
 
 
@@ -140,6 +143,17 @@ class TestCheck:
         assert "ResidualError" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)], ids=["diagonal", "off_diagonal"])
+    def test_nan_dense_entry_is_usage_error(self, tmp_path, capsys, entry):
+        re = (np.eye(4) / 4).tolist()
+        re[entry[0]][entry[1]] = math.nan
+        a = write_spec(tmp_path, "a.json", {"kind": "dense", "re": re, "im": [[0] * 4] * 4})
+        b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.5})
+        code = main(["check", "--json", a, b])
+        err = json.loads(capsys.readouterr().err)
+        assert code == EX_USAGE
+        assert err["field"] == "source"
+
     def test_text_mode_prints_verdict(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
         b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})
@@ -253,6 +267,41 @@ class TestSynthesizeAndApply:
         err = capsys.readouterr().err
         assert code == EX_USAGE
         assert "branches[0]" in err
+
+    @staticmethod
+    def _flip_then_prepare_werner():
+        # Werner 0.2 is separable but has no product eigenbasis, so this
+        # protocol has no Kraus lowering; apply mixes its branches instead
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        return Protocol(
+            ((0.6, LocalUnitary(x, np.eye(2))), (0.4, DiscardPrepare(make_werner(0.2))))
+        )
+
+    def test_apply_needs_no_lowering(self, tmp_path, capsys):
+        protocol = self._flip_then_prepare_werner()
+        p = write_spec(tmp_path, "p.json", protocol_to_spec(protocol))
+        s = write_spec(tmp_path, "s.json", {"kind": "mems", "lambda": [0.5, 0.3, 0.1, 0.1]})
+        code, payload = run_json(capsys, ["apply", "--json", p, s])
+        assert code == EX_OK
+        rho = make_mems((0.5, 0.3, 0.1, 0.1))
+        u = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
+        expected = 0.6 * u @ rho.matrix @ u.T + 0.4 * make_werner(0.2).matrix
+        out = parse_state_spec(payload["state"], "state")
+        assert np.linalg.norm(out.matrix - expected) <= 1e-12
+        # verification still lowers the protocol, which this target refuses
+        with pytest.raises(NotProductDiagonalError):
+            verify_protocol(protocol, rho, out)
+
+    def test_apply_rejects_nan_weight(self, tmp_path, capsys):
+        spec = protocol_to_spec(self._flip_then_prepare_werner())
+        spec["branches"][0]["weight"] = math.nan
+        p = write_spec(tmp_path, "p.json", spec)
+        s = write_spec(tmp_path, "s.json", {"kind": "werner", "w": 0.5})
+        code = main(["apply", "--json", p, s])
+        err = json.loads(capsys.readouterr().err)
+        assert code == EX_USAGE
+        assert err["field"] == "protocol.branches"
+        assert "nan" in err["error"]
 
 
 class TestSearchAndAudit:

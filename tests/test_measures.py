@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from entconv.errors import OutOfRangeError
 from entconv.measures import (
-    MonotoneTriple,
     bell_monotones,
     binary_entropy,
     concurrence,
@@ -43,11 +42,19 @@ def test_monotones_reject_unsorted_weights():
         bell_monotones((0.1, 0.7, 0.1, 0.1))
 
 
-def test_dominates_handles_inf():
-    top = MonotoneTriple(1.0, math.inf, math.inf)
-    assert top.dominates(top)
-    assert top.dominates(MonotoneTriple(0.7, 4.0, 6.0))
-    assert not MonotoneTriple(0.7, 4.0, 6.0).dominates(top)
+def test_monotones_match_the_closed_form_bit_for_bit():
+    # every sorted weight vector on the denominator-40 grid, against the
+    # closed form written out here
+    for a in range(41):
+        for b in range(min(a, 40 - a) + 1):
+            for c in range(min(b, 40 - a - b) + 1):
+                d = 40 - a - b - c
+                if not 0 <= d <= c:
+                    continue
+                l1, l2, l3, l4 = (x / 40 for x in (a, b, c, d))
+                e2 = math.inf if l3 + l4 == 0.0 else (1.0 - 2.0 * l2) / (l3 + l4)
+                e3 = math.inf if l4 == 0.0 else (1.0 - 2.0 * l2 - 2.0 * l3) / l4
+                assert tuple(bell_monotones((l1, l2, l3, l4))) == (l1, e2, e3)
 
 
 def test_concurrence_of_pure_and_mixed_references():

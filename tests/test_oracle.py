@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from entconv import kernels, oracle
-from entconv.channels import DiscardPrepare, LocalUnitary, SeparableChannel, local_unitary_channel
+from entconv.channels import DiscardPrepare, LocalUnitary, SeparableChannel
 from entconv.convertibility import verify_protocol
 from entconv.errors import NotTracePreservingError, SamplingExhaustedError
 from entconv.oracle import (
@@ -187,7 +187,7 @@ RUNS = {
     ),
     "audit": lambda n: monotone_audit(n, seed=14),
     "audit_hadamard": lambda n: monotone_audit(
-        n, seed=15, channel_pool=[local_unitary_channel(H, np.eye(2, dtype=complex))]
+        n, seed=15, channel_pool=[LocalUnitary(H, np.eye(2, dtype=complex)).channel()]
     ),
 }
 
@@ -328,7 +328,7 @@ class TestMonotoneAudit:
 
     def test_non_bell_preserving_pool_is_witnessed(self):
         hadamard = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
-        pool = [local_unitary_channel(hadamard, np.eye(2, dtype=complex))]
+        pool = [LocalUnitary(hadamard, np.eye(2, dtype=complex)).channel()]
         report = monotone_audit(5, seed=0, channel_pool=pool)
         assert len(report.counterexamples) == 5
         assert all(f["kind"] == "left_bell_diagonal" for f in report.counterexamples)

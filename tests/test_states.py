@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconv import qmat, states
-from entconv.errors import NotHermitianError, OutOfRangeError
+from entconv.errors import EntconvError, NotHermitianError, OutOfRangeError
 from entconv.states import (
     BellWeights,
     DensityMatrix,
@@ -102,6 +102,17 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex))
     with pytest.raises(OutOfRangeError):
         DensityMatrix(np.eye(2, dtype=complex) / 2)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)], ids=["diagonal", "off_diagonal"])
+def test_density_matrix_refuses_nan(entry):
+    # a NaN compares false with every bound, so each check is written to fail on it
+    mat = np.eye(4, dtype=complex) / 4
+    mat[entry] = np.nan
+    with pytest.raises(EntconvError):
+        DensityMatrix(mat)
+    # a raw array is not validated, but no family fit accepts it
+    assert classify_family(mat).kind == "general"
 
 
 def test_density_matrix_array_is_readonly():

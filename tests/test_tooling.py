@@ -1,9 +1,11 @@
-"""The benchmark harness under perfbench/ reaches into the package by name.
+"""Checks on how the package's names are wired, read from source.
 
-The harness patches functions by (module, attribute) and loads a fixed list
-of modules, so renaming or deleting one of them breaks only the traced
-benchmark, which the default test run never collects. These checks read
-the harness's source without importing its runner and fail at once instead.
+The benchmark harness under perfbench/ patches functions by (module,
+attribute) and loads a fixed list of modules, so renaming or deleting one of
+them breaks only the traced benchmark, which the default test run never
+collects. These checks read the harness's source without importing its
+runner and fail at once instead. The package's own imports and exports are
+checked the same way, so a deletion cannot leave a stale import or export.
 """
 
 import ast
@@ -11,9 +13,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import entconv
 from entconv import kernels
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(entconv.__file__).resolve().parent
 
 
 def _load_tracing():
@@ -59,3 +63,41 @@ def test_every_loaded_module_exists():
 def test_run_metadata_fields_exist():
     assert isinstance(kernels.BACKEND, str)
     assert isinstance(kernels.NUMBA_AVAILABLE, bool)
+
+
+def _imported_names(tree) -> dict:
+    """Local name -> line of every name a module binds by import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                names[local] = node.lineno
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
+        assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_package_exports_are_its_reexports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    reexported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert len(set(entconv.__all__)) == len(entconv.__all__)
+    assert len(set(reexported)) == len(reexported)
+    assert set(entconv.__all__) == set(reexported)
+    for name in entconv.__all__:
+        assert getattr(entconv, name) is not None, name
