@@ -5,8 +5,9 @@ operations and classical communication, synthesizes explicit protocols for
 the families where the answer is constructive, and ships randomized
 falsifiers that hunt for counterexamples to the rules it relies on.
 
-Layering, lowest first: ``kernels`` (numpy array routines), ``qmat``
-(matrix helpers), ``states`` (validated density matrices and the named families),
+Layering, lowest first: ``kernels`` (numpy array routines, which the layers
+above call directly), ``qmat`` (the validated eigensolver, matrix checks
+and constants), ``states`` (validated density matrices and the named families),
 ``measures`` (entanglement measures and the Bell-diagonal monotone triple),
 ``channels`` (separable Kraus channels and protocol atoms),
 ``convertibility`` (decision rules and synthesis), ``oracle`` (randomized

@@ -93,7 +93,7 @@ class LocalUnitary(_Lowering):
                 raise NotUnitaryError(f"{name} is not unitary within 1e-9")
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        u = qmat.kron2(self.u_a, self.u_b)
+        u = kernels.kron2(self.u_a, self.u_b)
         return u @ mat @ u.conj().T
 
     def _lower(self) -> "SeparableChannel":

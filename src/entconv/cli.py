@@ -374,7 +374,7 @@ def cmd_apply(args) -> int:
 def cmd_search(args) -> int:
     source = _load_state(args.source, "source")
     target = _load_state(args.target, "target")
-    distance, protocol = convert_search(source, target, budget=args.budget, seed=args.seed)
+    distance, protocol = convert_search(source, target, budget=args.budget)
     found = protocol is not None
     payload = {
         "distance": distance,
@@ -425,25 +425,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser) -> None:
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="numeric tolerance for the rank readout (default 1e-9)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="seed for randomized subcommands (default 42)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="emit a JSON payload instead of plain text",
-    )
+def _positive_tol(text: str) -> float:
+    """A finite positive float, for ``--tol``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """An integer of at least 1, for ``--trials`` and ``--budget``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,43 +452,53 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entconv",
         description="Two-qubit convertibility: decisions, synthesis, search, audits.",
     )
-    parser.set_defaults(tol=1e-9, seed=42, json=False)
-    _add_common(parser)
-    common = _Parser(add_help=False)
-    _add_common(common)
+    output = _Parser(add_help=False)
+    output.add_argument(
+        "--json", action="store_true", help="emit a JSON payload instead of plain text"
+    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("check", parents=[common], help="decide source -> target convertibility")
+    p = sub.add_parser("check", parents=[output], help="decide source -> target convertibility")
     p.add_argument("source", help="path to the source state JSON")
     p.add_argument("target", help="path to the target state JSON")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("measures", parents=[common], help="entanglement measures of one state")
+    p = sub.add_parser("measures", parents=[output], help="entanglement measures of one state")
     p.add_argument("state", help="path to the state JSON")
+    p.add_argument(
+        "--tol",
+        type=_positive_tol,
+        default=1e-9,
+        help="tolerance of the rank readout (default 1e-9)",
+    )
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser(
-        "synthesize", parents=[common], help="solve for the two-branch mixture protocol"
+        "synthesize", parents=[output], help="solve for the two-branch mixture protocol"
     )
     p.add_argument("source", help="path to the source state JSON")
     p.add_argument("target", help="path to the target state JSON")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("apply", parents=[common], help="apply a protocol file to a state file")
+    p = sub.add_parser("apply", parents=[output], help="apply a protocol file to a state file")
     p.add_argument("protocol", help="path to the protocol JSON")
     p.add_argument("state", help="path to the state JSON")
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("search", parents=[common], help="numeric protocol search")
+    p = sub.add_parser("search", parents=[output], help="numeric protocol search")
     p.add_argument("source", help="path to the source state JSON")
     p.add_argument("target", help="path to the target state JSON")
     p.add_argument(
-        "--budget", type=int, default=20000, help="iteration cap of the convex least-squares solve"
+        "--budget",
+        type=_positive_int,
+        default=20000,
+        help="iteration cap of the convex least-squares solve",
     )
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("audit", parents=[common], help="run the randomized falsifiers")
-    p.add_argument("--trials", type=int, default=1000, help="trials per falsifier")
+    p = sub.add_parser("audit", parents=[output], help="run the randomized falsifiers")
+    p.add_argument("--trials", type=_positive_int, default=1000, help="trials per falsifier")
+    p.add_argument("--seed", type=int, default=42, help="seed of the falsifiers (default 42)")
     p.set_defaults(func=cmd_audit)
 
     return parser

@@ -49,6 +49,7 @@ from .states import (
     MemsWeights,
     WernerParam,
     _WEIGHT_SUM_TOL,
+    _ZERO_EIGENVALUE,
     as_density,
     classify_family,
     is_entangled,
@@ -140,13 +141,15 @@ def rank_gate(rho, rho2) -> Optional[Forbidden]:
     """Block entangled-to-entangled conversions that would lower the rank.
 
     Returns a Forbidden verdict when both states are entangled and the
-    target's numeric rank is strictly smaller; None means pass.
+    target's rank is strictly smaller; None means pass. A rank counts the
+    eigenvalues above 1e-12, not ``rank()``'s 1e-9 readout: an eigenvalue
+    between the two is populated, not rounding, so it does not lower a rank.
     """
     source = as_density(rho)
     target = as_density(rho2)
     if not (is_entangled(source) and is_entangled(target)):
         return None
-    r_in, r_out = source.rank(), target.rank()
+    r_in, r_out = source.rank(_ZERO_EIGENVALUE), target.rank(_ZERO_EIGENVALUE)
     if r_out < r_in:
         return Forbidden(
             "rank_gate",

@@ -1,14 +1,15 @@
 """Dense complex numpy kernels for 4x4 operator algebra.
 
 Everything downstream (state constructors, measures, channel application, the
-randomized oracles) funnels its numerical work through the handful of
-functions defined here: a Hermitian eigensolver, Kronecker products, partial
-transpose/trace index shuffles, Kraus-stack application, and singular values.
-The eigensolver delegates to LAPACK via np.linalg.eigh and returns
-eigenvalues descending, eigenvectors as columns. Kraus application is two
-matrix products over the whole operator stack and takes one input or a stack
-of inputs, so a caller with several states for one channel passes them in
-one call.
+randomized oracles) calls the handful of functions defined here directly: a
+Hermitian eigensolver, Kronecker products, the partial transpose, Kraus-stack
+application, and singular values. Inputs are complex128 arrays the caller
+has already coerced; a subsystem is named by its index, 0 for the first
+qubit and 1 for the second. The eigensolver delegates to LAPACK via
+np.linalg.eigh and returns eigenvalues descending, eigenvectors as columns.
+Kraus application is two matrix products over the whole operator stack and
+takes one input or a stack of inputs, so a caller with several states for
+one channel passes them in one call.
 
 The eigensolver, the partial transpose, the Kraus kernels and the singular
 values take a stack of operators, shape (..., 4, 4), and work matrix by
@@ -90,14 +91,6 @@ def partial_transpose(m, subsystem):
     # [..., a, b, a', b'] -> swap a with a' (first factor) or b with b' (second)
     t = t.swapaxes(-4, -2) if subsystem == 0 else t.swapaxes(-3, -1)
     return np.ascontiguousarray(t.reshape(m.shape))
-
-
-def partial_trace(m, keep):
-    """Trace out one tensor factor of a 4x4 operator (keep 0 = first, 1 = second)."""
-    t = m.reshape(2, 2, 2, 2)
-    if keep == 0:
-        return np.ascontiguousarray(np.trace(t, axis1=1, axis2=3))
-    return np.ascontiguousarray(np.trace(t, axis1=0, axis2=2))
 
 
 def singular_values(m):

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import kernels, qmat
 from .errors import OutOfRangeError
-from .states import BellWeights, DensityMatrix, _mat_of
+from .states import BellWeights, _mat_of, _pt_spectrum
 
-_YY = qmat.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
+_YY = kernels.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
 
 
 class MonotoneTriple(NamedTuple):
@@ -63,8 +63,7 @@ def concurrence(rho):
     One state gives a float; a (..., 4, 4) stack gives an array of shape
     (...), each entry computed as for that state alone.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else qmat.as_cmats(rho, 4)
-    root = _sqrt_psd(mat)
+    root = _sqrt_psd(_mat_of(rho))
     k = root @ _YY @ root.conj()
     s = kernels.singular_values(np.ascontiguousarray(k))
     c = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
@@ -87,8 +86,11 @@ def eof(rho) -> float:
     return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
 
 
-def negativity(rho) -> float:
-    """Sum of the absolute negative eigenvalues of the partial transpose."""
-    pt = qmat.partial_transpose(_mat_of(rho), "b")
-    values, _ = qmat.hermitian_eig(pt)
-    return float(np.sum(np.clip(values, None, 0.0)) * -1.0)
+def negativity(rho):
+    """Sum of the absolute negative eigenvalues of the partial transpose.
+
+    One state gives a float; a (..., 4, 4) stack gives an array of shape
+    (...), each entry computed as for that state alone.
+    """
+    n = -np.sum(np.clip(_pt_spectrum(rho), None, 0.0), axis=-1)
+    return float(n) if n.ndim == 0 else n

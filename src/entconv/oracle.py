@@ -48,8 +48,14 @@ from .channels import (
 )
 from .convertibility import verify_protocol
 from .errors import SamplingExhaustedError
-from .measures import bell_monotones, concurrence
-from .states import DensityMatrix, as_density, bell_diagonal_matrices, bell_weights_of
+from .measures import bell_monotones, concurrence, negativity
+from .states import (
+    DensityMatrix,
+    as_density,
+    bell_diagonal_matrices,
+    bell_weights_of,
+    min_pt_eigenvalue,
+)
 
 _BLOCK = 256  # trials per block of stacked arithmetic
 _ENTANGLEMENT_MARGIN = 1e-4
@@ -272,8 +278,7 @@ def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:
             ])
             mat = g @ qmat.dag(g)
             candidates[rows] = mat / np.trace(mat, axis1=-2, axis2=-1).real[:, None, None]
-        values, _ = kernels.hermitian_eigh(kernels.partial_transpose(candidates, 1))
-        accepted = -values[:, -1] > _ENTANGLEMENT_MARGIN
+        accepted = -min_pt_eigenvalue(candidates) > _ENTANGLEMENT_MARGIN
         mats[waiting[accepted]] = candidates[accepted]
         waiting = waiting[~accepted]
     if waiting.size:
@@ -282,11 +287,6 @@ def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:
             f"{_ENTANGLEMENT_MARGIN:g} found in {_ENTANGLED_TRIES} draws"
         )
     return mats
-
-
-def _negativity(mats: np.ndarray) -> np.ndarray:
-    values, _ = kernels.hermitian_eigh(kernels.partial_transpose(mats, 1))
-    return -np.sum(np.clip(values, None, 0.0), axis=-1)
 
 
 def falsify_rank_monotonicity(
@@ -323,7 +323,7 @@ def falsify_rank_monotonicity(
                 channel_factory(rng, n).apply_raw(mat)
                 for rng, n, mat in zip(rngs, n_kraus, mats)
             ])
-        neg = _negativity(outs)
+        neg = negativity(outs)
         live = np.flatnonzero(neg > _NEGATIVITY_MARGIN)
         report.live["rank"] += live.size
         report.skipped["output_not_entangled"] += len(block) - live.size

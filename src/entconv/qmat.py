@@ -1,8 +1,10 @@
-"""Small dense complex linear algebra over one and two qubits.
+"""The validated eigensolver, matrix checks and constants over one and two qubits.
 
 Matrices are plain numpy complex128 arrays: 2x2 for single-qubit operators,
 4x4 for two-qubit operators, indexed row-major so basis state |ab> sits at
-index 2a+b. All heavy lifting dispatches to :mod:`entconv.kernels`.
+index 2a+b. ``hermitian_eig`` checks Hermiticity before it solves with
+:mod:`entconv.kernels`; every other array routine is called from
+``kernels`` directly.
 """
 
 from __future__ import annotations
@@ -31,22 +33,6 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def as_cmat(m, dim: int) -> np.ndarray:
-    """Coerce to a contiguous complex128 square array of the given dimension."""
-    out = np.ascontiguousarray(m, dtype=np.complex128)
-    if out.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {out.shape}")
-    return out
-
-
-def as_cmats(m, dim: int) -> np.ndarray:
-    """Coerce to a contiguous complex128 stack of dim x dim matrices, (..., dim, dim)."""
-    out = np.ascontiguousarray(m, dtype=np.complex128)
-    if out.shape[-2:] != (dim, dim):
-        raise ValueError(f"expected {dim}x{dim} matrices, got shape {out.shape}")
-    return out
-
-
 def frobenius_norm(m):
     """Frobenius norm of a matrix, or an array of one norm per matrix of a stack.
 
@@ -68,11 +54,6 @@ def frobenius_distance(a, b) -> float:
 def dag(m) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return np.conj(np.asarray(m)).swapaxes(-1, -2)
-
-
-def kron2(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators (first factor acts on qubit A)."""
-    return kernels.kron2(as_cmat(a, 2), as_cmat(b, 2))
 
 
 def hermitian_eig(m, tol: float = 1e-9) -> EigenDecomposition:
@@ -97,27 +78,6 @@ def hermitian_eig(m, tol: float = 1e-9) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-def partial_transpose(m, subsystem: str = "b") -> np.ndarray:
-    """Transpose one tensor factor of a 4x4 operator ("a" or "b")."""
-    idx = _subsystem_index(subsystem)
-    return kernels.partial_transpose(as_cmat(m, 4), idx)
-
-
-def partial_trace(m, keep: str = "a") -> np.ndarray:
-    """Trace out one qubit of a 4x4 operator, keeping "a" or "b"."""
-    idx = _subsystem_index(keep)
-    return kernels.partial_trace(as_cmat(m, 4), idx)
-
-
-def _subsystem_index(name: str) -> int:
-    label = str(name).lower()
-    if label in ("a", "0"):
-        return 0
-    if label in ("b", "1"):
-        return 1
-    raise ValueError(f"subsystem must be 'a' or 'b', got {name!r}")
-
-
 def numeric_rank(values, tol: float = 1e-9) -> int:
     """Count eigenvalues strictly above tol.
 
@@ -126,11 +86,6 @@ def numeric_rank(values, tol: float = 1e-9) -> int:
     if not tol > 0:
         raise ValueError(f"rank tolerance must be positive, got {tol!r}")
     return int(np.sum(np.asarray(values, dtype=np.float64) > tol))
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of a 4x4 matrix, non-ascending."""
-    return kernels.singular_values(as_cmat(m, 4))
 
 
 def is_unitary(u, tol: float = 1e-9) -> bool:

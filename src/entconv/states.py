@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from . import qmat
+from . import kernels, qmat
 from .errors import NotHermitianError, OutOfRangeError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -55,6 +55,9 @@ _WEIGHT_SUM_TOL = 1e-12
 _ORDER_TOL = 1e-12
 # partial-transpose eigenvalues within this of zero count as separable
 _ENTANGLED_TOL = 1e-10
+# eigenvalues at or below this are rounding, not population; the rank gate
+# counts rank above it
+_ZERO_EIGENVALUE = 1e-12
 # how far a state may sit from its best-fit family reconstruction
 _FAMILY_TOL = 1e-8
 
@@ -162,7 +165,7 @@ class DensityMatrix:
         if not abs(tr - 1.0) <= 1e-9:
             raise OutOfRangeError(f"density matrix trace must be 1 within 1e-9, got {tr!r}")
         mat = 0.5 * (mat + qmat.dag(mat))
-        eig = qmat.hermitian_eig(mat, tol=1e-8)
+        eig = qmat.EigenDecomposition(*kernels.hermitian_eigh(mat))
         if not eig.values[-1] >= -1e-10:
             raise OutOfRangeError(
                 f"density matrix has eigenvalue {eig.values[-1]:.3e} below -1e-10"
@@ -192,7 +195,7 @@ class DensityMatrix:
 
     def entropy(self) -> float:
         w = self._eig.values
-        w = w[w > 1e-12]
+        w = w[w > _ZERO_EIGENVALUE]
         return float(-np.sum(w * np.log2(w)))
 
     def rank(self, tol: float = 1e-9) -> int:
@@ -204,16 +207,18 @@ class DensityMatrix:
 
 
 def _mat_of(rho) -> np.ndarray:
+    """The matrix of a state, or a raw (..., 4, 4) array as contiguous complex128."""
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    return qmat.as_cmat(rho, 4)
+    mat = np.ascontiguousarray(rho, dtype=np.complex128)
+    if mat.shape[-2:] != (4, 4):
+        raise OutOfRangeError(f"expected 4x4 matrices, got shape {mat.shape}")
+    return mat
 
 
 def as_density(rho) -> DensityMatrix:
     """The state itself, or a validated DensityMatrix built from a 4x4 array."""
-    if isinstance(rho, DensityMatrix):
-        return rho
-    return DensityMatrix(qmat.as_cmat(rho, 4))
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
 
 
 def _werner_matrix(w: float) -> np.ndarray:
@@ -262,7 +267,7 @@ def bell_diagonal_matrices(weights) -> np.ndarray:
     ok &= qmat.frobenius_norm(mats - qmat.dag(mats)) <= 1e-9
     ok &= np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0) <= 1e-9
     mats = 0.5 * (mats + qmat.dag(mats))
-    ok &= qmat.hermitian_eig(mats, tol=1e-8).values[:, -1] >= -1e-10
+    ok &= kernels.hermitian_eigh(mats)[0][:, -1] >= -1e-10
     for row in np.flatnonzero(~ok):
         make_bell_diagonal(tuple(w[row]))
     return mats
@@ -285,13 +290,21 @@ def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def min_pt_eigenvalue(rho) -> float:
-    """Smallest eigenvalue of the partial transpose; a DensityMatrix keeps it."""
+def _pt_spectrum(rho) -> np.ndarray:
+    """Partial-transpose eigenvalues, descending, of a state or of each in a stack."""
+    return qmat.hermitian_eig(kernels.partial_transpose(_mat_of(rho), 1)).values
+
+
+def min_pt_eigenvalue(rho):
+    """Smallest eigenvalue of the partial transpose; a DensityMatrix keeps it.
+
+    One state gives a float; a (..., 4, 4) stack gives an array of shape
+    (...), each entry computed as for that matrix alone.
+    """
     if isinstance(rho, DensityMatrix):
         return rho.min_pt_eigenvalue()
-    pt = qmat.partial_transpose(qmat.as_cmat(rho, 4), "b")
-    values, _ = qmat.hermitian_eig(pt)
-    return float(values[-1])
+    values = _pt_spectrum(rho)[..., -1]
+    return float(values) if values.ndim == 0 else values
 
 
 def is_entangled(rho) -> bool:
@@ -324,7 +337,7 @@ def bell_weights_of(rho) -> tuple:
     state is Bell-diagonal; the caller decides what tolerance to apply.
     A (..., 4, 4) stack of matrices gives (..., 4) weights and (...) residuals.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else qmat.as_cmats(rho, 4)
+    mat = _mat_of(rho)
     # <v|mat|v> for each Bell vector v: a matrix-vector, then a vector-vector product
     weights = (_BELL_BRAS @ (mat[..., None, :, :] @ _BELL_KETS))[..., 0, 0].real
     return weights, qmat.frobenius_norm(mat - _bell_matrix(weights))

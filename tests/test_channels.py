@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from entconv import channels, qmat
+from entconv import channels, kernels, qmat
 from entconv.channels import (
     ChannelPool,
     DiscardPrepare,
@@ -202,7 +202,7 @@ def test_unitary_channel_action():
     ua, ub = haar_qubit_unitary(rng), haar_qubit_unitary(rng)
     ch = LocalUnitary(ua, ub).channel()
     rho = random_density_matrix(8)
-    u = qmat.kron2(ua, ub)
+    u = kernels.kron2(ua, ub)
     npt.assert_allclose(ch.apply(rho).matrix, u @ rho.matrix @ u.conj().T, atol=1e-12)
 
 
@@ -244,7 +244,7 @@ def test_discard_prepare_pairs_match_loop_construction(diag, rotated):
     mat = np.diag(diag).astype(complex)
     if rotated:
         rng = np.random.default_rng(29)
-        u = qmat.kron2(haar_qubit_unitary(rng), haar_qubit_unitary(rng))
+        u = kernels.kron2(haar_qubit_unitary(rng), haar_qubit_unitary(rng))
         mat = u @ mat @ u.conj().T
     target = DensityMatrix(mat)
     pairs = discard_prepare_channel(target).kraus_pairs

@@ -308,7 +308,7 @@ class TestSearchAndAudit:
     def test_search_finds_werner_protocol(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
         b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})
-        code, payload = run_json(capsys, ["search", "--json", "--seed", "42", a, b])
+        code, payload = run_json(capsys, ["search", "--json", a, b])
         assert code == EX_OK
         assert payload["distance"] < 1e-6
         assert payload["protocol"] is not None
@@ -335,6 +335,27 @@ class TestSearchAndAudit:
         assert set(mono["skipped"]) == {"left_bell_diagonal", "output_not_entangled"}
         assert mono["skipped"]["left_bell_diagonal"] == 0
         assert mono["live"]["monotones"] + mono["skipped"]["output_not_entangled"] == 40
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["measures", "--tol", "-1", "{a}"], "--tol"),
+            (["measures", "--tol", "nan", "{a}"], "--tol"),
+            (["measures", "--tol", "inf", "{a}"], "--tol"),
+            (["audit", "--trials", "-5"], "--trials"),
+            (["audit", "--trials", "0"], "--trials"),
+            (["search", "--budget", "-3", "{a}", "{a}"], "--budget"),
+            (["check", "--tol", "0.5", "{a}", "{a}"], "--tol"),
+            (["search", "--seed", "42", "{a}", "{a}"], "--seed"),
+            (["--json", "check", "{a}", "{a}"], "--json"),
+        ],
+    )
+    def test_bad_or_unread_option_is_usage_error(self, tmp_path, capsys, argv, flag):
+        a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(a=a) for arg in argv])
+        assert err.value.code == EX_USAGE
+        assert flag in capsys.readouterr().err
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as err:

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from entconv import channels, qmat
+from entconv import channels, kernels, qmat
 from entconv.channels import compile_protocol
 from entconv.convertibility import (
     RESIDUAL_BOUND,
@@ -244,6 +244,24 @@ def test_rank_gate():
     assert rank_gate(r3, make_mems((0.9, 0.1, 0.0, 0.0)).matrix * 0 + np.eye(4) / 4) is None
 
 
+def _near_pure_singlet_mixtures(keeps):
+    # the source's three small eigenvalues are about 1.1e-9; each target keeps
+    # a share of them, so its rank is 4 even where rank()'s 1e-9 readout says 2
+    source = make_werner(1 - 4.4e-9)
+    refill = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    return source, [DensityMatrix(k * source.matrix + (1 - k) * refill) for k in keeps]
+
+
+def test_rank_gate_counts_small_populated_eigenvalues():
+    source, (target,) = _near_pure_singlet_mixtures([0.7])
+    assert target.rank() == 2 and target.rank(1e-12) == 4
+    assert rank_gate(source, target) is None
+    v = decide(source, target)
+    assert isinstance(v, Convertible) and v.residual <= 1e-12
+    _, targets = _near_pure_singlet_mixtures(np.linspace(0.05, 0.95, 91))
+    assert not any(isinstance(decide(source, t), Forbidden) for t in targets)
+
+
 def test_rank_gate_ignores_separable_states():
     entangled_r4 = make_werner(0.8)
     separable_r1 = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
@@ -341,7 +359,7 @@ def _family_matrix(family: str, rng) -> np.ndarray:
         return make_mems(tuple(w)).matrix
     if family == "separable":
         # a product eigenbasis: a diagonal state turned by a local unitary
-        u = qmat.kron2(_random_unitary(rng), _random_unitary(rng))
+        u = kernels.kron2(_random_unitary(rng), _random_unitary(rng))
         return u @ np.diag(weights()).astype(complex) @ u.conj().T
     return random_density_matrix(rng).matrix
 
@@ -400,13 +418,13 @@ def test_decide_bell_source_prepares_separable_werner_target(source, w2):
 
 def test_decide_tests_each_state_for_separability_once(monkeypatch):
     calls = []
-    original = qmat.partial_transpose
+    original = kernels.partial_transpose
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qmat, "partial_transpose", counting)
+    monkeypatch.setattr(kernels, "partial_transpose", counting)
     source = make_mems((0.5, 0.2, 0.2, 0.1))
     target = make_mems((0.44, 0.24, 0.2, 0.12))
     v = decide(source, target)

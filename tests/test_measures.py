@@ -20,6 +20,7 @@ from entconv.states import (
     make_bell_diagonal,
     make_mems,
     make_werner,
+    min_pt_eigenvalue,
     random_density_matrix,
 )
 
@@ -106,6 +107,20 @@ def test_negativity_references():
     npt.assert_allclose(negativity(make_werner(1.0)), 0.5, atol=1e-12)
     npt.assert_allclose(negativity(make_werner(0.6)), 0.2, atol=1e-12)
     assert negativity(make_werner(0.3)) == 0.0
+
+
+def test_stacked_pt_readouts_equal_the_per_state_calls():
+    rng = np.random.default_rng(41)
+    states = [random_density_matrix(rng, rank=1 + i % 4) for i in range(10)]
+    stack = np.stack([rho.matrix for rho in states]).reshape(2, 5, 4, 4)
+    neg, min_pt = negativity(stack), min_pt_eigenvalue(stack)
+    assert neg.shape == min_pt.shape == (2, 5)
+    assert np.array_equal(neg.ravel(), [negativity(rho) for rho in states])
+    assert np.array_equal(neg.ravel(), [negativity(rho.matrix) for rho in states])
+    assert np.array_equal(min_pt.ravel(), [min_pt_eigenvalue(rho) for rho in states])
+    assert np.array_equal(min_pt.ravel(), [min_pt_eigenvalue(rho.matrix) for rho in states])
+    assert isinstance(negativity(stack[0, 0]), float)
+    assert isinstance(min_pt_eigenvalue(stack[0, 0]), float)
 
 
 def test_binary_entropy():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv import kernels, qmat
-from entconv.errors import NotHermitianError
+from entconv import kernels, qmat, states
+from entconv.errors import NotHermitianError, OutOfRangeError
 
 def random_hermitian(rng, scale=1.0):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -19,7 +19,7 @@ def test_kron2_matches_numpy_reference():
     for _ in range(25):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        npt.assert_allclose(qmat.kron2(a, b), np.kron(a, b), atol=1e-14)
+        npt.assert_allclose(kernels.kron2(a, b), np.kron(a, b), atol=1e-14)
 
 
 def test_kron2_on_stacks_matches_per_slice_kron():
@@ -32,7 +32,7 @@ def test_kron2_on_stacks_matches_per_slice_kron():
 
 
 def test_kron2_pauli_yy_is_real_antidiagonal():
-    yy = qmat.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
+    yy = kernels.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
     expected = np.zeros((4, 4))
     expected[0, 3] = expected[3, 0] = -1.0
     expected[1, 2] = expected[2, 1] = 1.0
@@ -66,7 +66,7 @@ def test_hermitian_eig_tolerates_roundoff_asymmetry():
 def test_partial_transpose_singlet_spectrum():
     v = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     proj = np.outer(v, v.conj())
-    pt = qmat.partial_transpose(proj, "b")
+    pt = kernels.partial_transpose(proj, 1)
     values, _ = qmat.hermitian_eig(pt)
     npt.assert_allclose(values, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
@@ -74,8 +74,8 @@ def test_partial_transpose_singlet_spectrum():
 def test_partial_transpose_is_exact_involution():
     rng = np.random.default_rng(17)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    for sub in ("a", "b"):
-        twice = qmat.partial_transpose(qmat.partial_transpose(m, sub), sub)
+    for sub in (0, 1):
+        twice = kernels.partial_transpose(kernels.partial_transpose(m, sub), sub)
         # a partial transpose only permutes entries, so the round trip is exact
         assert np.array_equal(twice, m)
 
@@ -84,33 +84,9 @@ def test_partial_transpose_on_product_operator():
     rng = np.random.default_rng(19)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    prod = qmat.kron2(a, b)
-    npt.assert_allclose(qmat.partial_transpose(prod, "b"), qmat.kron2(a, b.T), atol=1e-14)
-    npt.assert_allclose(qmat.partial_transpose(prod, "a"), qmat.kron2(a.T, b), atol=1e-14)
-
-
-def test_partial_trace_on_product_operator():
-    rng = np.random.default_rng(23)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    prod = qmat.kron2(a, b)
-    npt.assert_allclose(qmat.partial_trace(prod, "a"), a * np.trace(b), atol=1e-13)
-    npt.assert_allclose(qmat.partial_trace(prod, "b"), b * np.trace(a), atol=1e-13)
-
-
-def test_partial_trace_of_singlet_is_maximally_mixed():
-    v = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    proj = np.outer(v, v.conj())
-    for keep in ("a", "b"):
-        npt.assert_allclose(qmat.partial_trace(proj, keep), np.eye(2) / 2, atol=1e-14)
-
-
-def test_subsystem_aliases():
-    m = np.arange(16, dtype=complex).reshape(4, 4)
-    assert np.array_equal(qmat.partial_transpose(m, "a"), qmat.partial_transpose(m, "0"))
-    assert np.array_equal(qmat.partial_transpose(m, "b"), qmat.partial_transpose(m, "1"))
-    with pytest.raises(ValueError):
-        qmat.partial_transpose(m, "c")
+    prod = kernels.kron2(a, b)
+    npt.assert_allclose(kernels.partial_transpose(prod, 1), kernels.kron2(a, b.T), atol=1e-14)
+    npt.assert_allclose(kernels.partial_transpose(prod, 0), kernels.kron2(a.T, b), atol=1e-14)
 
 
 def test_numeric_rank_cases():
@@ -247,13 +223,16 @@ def test_kraus_gram_detects_completeness():
 
 def test_is_unitary():
     assert qmat.is_unitary(np.eye(2))
-    assert qmat.is_unitary(qmat.kron2(qmat.SIGMA_X, qmat.SIGMA_Y))
+    assert qmat.is_unitary(kernels.kron2(qmat.SIGMA_X, qmat.SIGMA_Y))
     assert not qmat.is_unitary(np.eye(2) * 1.001)
 
 
 def test_as_cmat_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        qmat.as_cmat(np.eye(3), 4)
+    # the package's one raw coercion of a 4x4 matrix or stack
+    for bad in (np.eye(3), np.zeros((2, 4, 3)), np.zeros(4)):
+        with pytest.raises(OutOfRangeError):
+            states._mat_of(bad)
+    assert states._mat_of(np.zeros((2, 4, 4))).dtype == np.complex128
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -276,6 +255,6 @@ def test_eig_trace_and_norm_invariants(flat):
 def test_partial_transpose_preserves_trace_and_hermiticity(flat):
     m = np.array(flat[:16]).reshape(4, 4) + 1j * np.array(flat[16:]).reshape(4, 4)
     h = m + m.conj().T
-    pt = qmat.partial_transpose(h, "b")
+    pt = kernels.partial_transpose(h, 1)
     assert abs(np.trace(pt) - np.trace(h)) < 1e-12
     assert qmat.frobenius_distance(pt, qmat.dag(pt)) < 1e-12

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv import qmat, states
+from entconv import kernels, qmat, states
 from entconv.errors import EntconvError, NotHermitianError, OutOfRangeError
+from entconv.measures import concurrence, negativity
 from entconv.states import (
     BellWeights,
     DensityMatrix,
@@ -230,13 +231,13 @@ def test_family_tag_weights_per_kind():
 def test_density_matrix_tests_separability_once(monkeypatch):
     rho = make_werner(0.8)
     calls = []
-    original = qmat.partial_transpose
+    original = kernels.partial_transpose
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qmat, "partial_transpose", counting)
+    monkeypatch.setattr(kernels, "partial_transpose", counting)
     assert is_entangled(rho)
     npt.assert_allclose(min_pt_eigenvalue(rho), (1 - 3 * 0.8) / 4, atol=1e-12)
     assert rho.min_pt_eigenvalue() == min_pt_eigenvalue(rho)
@@ -245,6 +246,14 @@ def test_density_matrix_tests_separability_once(monkeypatch):
     min_pt_eigenvalue(rho.matrix)
     min_pt_eigenvalue(rho.matrix)
     assert len(calls) == 3
+
+
+def test_wrong_shape_is_out_of_range_on_every_path():
+    bad = np.eye(3) / 3
+    for read in (states.as_density, DensityMatrix, min_pt_eigenvalue, is_entangled, negativity,
+                 concurrence, states.bell_weights_of, classify_family):
+        with pytest.raises(OutOfRangeError):
+            read(bad)
 
 
 def test_bell_weights_of_detects_off_diagonal_mass():

@@ -5,7 +5,8 @@ attribute) and loads a fixed list of modules, so renaming or deleting one of
 them breaks only the traced benchmark, which the default test run never
 collects. These checks read the harness's source without importing its
 runner and fail at once instead. The package's own imports and exports are
-checked the same way, so a deletion cannot leave a stale import or export.
+checked the same way, so a deletion cannot leave a stale import or export,
+and an addition cannot leave a definition that nothing calls.
 """
 
 import ast
@@ -101,3 +102,40 @@ def test_package_exports_are_its_reexports():
     assert set(entconv.__all__) == set(reexported)
     for name in entconv.__all__:
         assert getattr(entconv, name) is not None, name
+
+
+def _top_level_references(path) -> list:
+    """(name of the enclosing top-level definition or None, referenced name) pairs.
+
+    A reference is a bare name, an attribute, or a string constant equal to a
+    name, the form in which the benchmark's tracer names what it patches.
+    """
+    refs = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                refs.append((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((owner, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.append((owner, node.value))
+    return refs
+
+
+def test_every_definition_is_used_or_exported():
+    modules = sorted(PACKAGE.glob("*.py"))
+    users = {}  # name -> (file, enclosing definition) of each reference
+    for path in modules + sorted(PERFBENCH.rglob("*.py")):
+        for owner, name in _top_level_references(path):
+            users.setdefault(name, set()).add((path, owner))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in entconv.__all__
+        # a definition's own body does not count as a use of it
+        and not users.get(node.name, set()) - {(path, node.name)}
+    ]
+    assert not unused, f"defined but never referenced or exported: {unused}"
