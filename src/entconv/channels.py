@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -43,10 +43,17 @@ from .errors import (
     NotTracePreservingError,
     NotUnitaryError,
 )
-from .states import BELL_PROJECTORS, DensityMatrix, _mat_of, as_density, is_entangled
+from .states import (
+    BELL_PROJECTORS,
+    DensityMatrix,
+    _ZERO_EIGENVALUE,
+    _one_mat_of,
+    as_density,
+    is_entangled,
+)
 
 _COMPLETENESS_TOL = 1e-10
-# singular-value and reconstruction tolerance of product_diagonal_decomposition
+# dephasing-distance and reconstruction tolerance of product_diagonal_decomposition
 _PRODUCT_TOL = 1e-9
 
 
@@ -124,9 +131,9 @@ class DiscardPrepare(_Lowering):
 
         The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over the
         decomposition terms i and computational indices j_a, j_b, in the order
-        (i, j_a, j_b), built in one broadcast. Trace preservation needs the
-        product vectors orthogonal only within each degenerate cluster, which
-        the decomposition guarantees.
+        (i, j_a, j_b), built in one broadcast. The pairs of term i add
+        p_i I to the completeness sum, so sum_i p_i = 1 makes the channel
+        trace preserving; the terms need not be orthogonal.
         """
         terms = product_diagonal_decomposition(self.target)
         p, a, b = (np.array(column) for column in zip(*terms))
@@ -167,7 +174,7 @@ class Protocol:
         object.__setattr__(self, "branches", branches)
 
     def apply(self, rho) -> DensityMatrix:
-        mat = _mat_of(rho)
+        mat = _one_mat_of(rho)
         out = np.zeros((4, 4), dtype=np.complex128)
         for w, atom in self.branches:
             if w > 0.0:
@@ -258,7 +265,7 @@ class SeparableChannel:
         return kernels.apply_kraus(self._estack, np.ascontiguousarray(mat, dtype=np.complex128))
 
     def apply(self, rho) -> DensityMatrix:
-        return DensityMatrix(self.apply_raw(_mat_of(rho)))
+        return DensityMatrix(self.apply_raw(_one_mat_of(rho)))
 
     def __repr__(self):
         return f"SeparableChannel(n_kraus={self.n_kraus})"
@@ -281,122 +288,58 @@ def separable_kraus_stacks(factors: np.ndarray, counts) -> np.ndarray:
     return estacks
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=np.complex128)
-
-
-def _product_split(v: np.ndarray, tol: float = _PRODUCT_TOL) -> Optional[tuple]:
-    m = v.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
-    if s[1] > tol:
-        return None
-    return np.ascontiguousarray(u[:, 0]), np.ascontiguousarray(s[0] * vh[0, :])
-
-
-def _pencil_products(v1: np.ndarray, v2: np.ndarray) -> Optional[list]:
-    # product vectors in span{v1, v2} are the roots of det(M1 + t M2) = 0,
-    # where Mi is vi reshaped to 2x2; degree drops signal roots at infinity
-    m1 = v1.reshape(2, 2)
-    m2 = v2.reshape(2, 2)
-    c2 = np.linalg.det(m2)
-    c1 = (
-        m1[0, 0] * m2[1, 1]
-        + m2[0, 0] * m1[1, 1]
-        - m1[0, 1] * m2[1, 0]
-        - m2[0, 1] * m1[1, 0]
-    )
-    c0 = np.linalg.det(m1)
-    small = 1e-12
-    if abs(c2) < small and abs(c1) < small and abs(c0) < small:
-        # the whole pencil is singular: every combination is product
-        return [v1, v2]
-    candidates = []
-    if abs(c2) < small:
-        candidates.append(v2)
-        if abs(c1) >= small:
-            t = -c0 / c1
-            candidates.append((v1 + t * v2) / np.linalg.norm(v1 + t * v2))
-    else:
-        for t in np.roots([c2, c1, c0]):
-            w = v1 + t * v2
-            candidates.append(w / np.linalg.norm(w))
-    if len(candidates) != 2:
-        return None
-    w1, w2 = candidates
-    if abs(np.vdot(w1, w2)) > 1e-8:
-        return None
-    return [w1, w2]
+# [side, i, mu] -> entries of rho: the Pauli coordinates of side A,
+# tr(rho sigma_i (x) sigma_mu), and of side B, tr(rho sigma_mu (x) sigma_i),
+# for i = x, y, z; each product P is Hermitian, so tr(rho P) = sum(conj(P) * rho)
+_SIDE_ROWS = np.stack(
+    [qmat.PAULI_PRODUCTS[1:], qmat.PAULI_PRODUCTS[:, 1:].swapaxes(0, 1)]
+).conj().reshape(24, 16)
 
 
 def product_diagonal_decomposition(mat) -> list:
-    """Decompose a state as sum_i p_i |a_i b_i><a_i b_i| with orthogonal terms.
+    """Decompose a state as sum_i p_i |a_i b_i><a_i b_i| over orthogonal product vectors.
 
-    Works cluster by cluster over the (possibly degenerate) eigenspaces,
-    searching each for an orthogonal product basis. Raises
-    NotProductDiagonalError when no such decomposition exists; that happens
-    for every entangled state and also for some separable ones, since
-    separability does not require a product eigenbasis.
+    Such a decomposition exists exactly when the state is classical on one
+    side, rho = sum_k |k><k| (x) rho_k over a basis {|k>} of that side, which
+    holds when the side's 3x4 Pauli coordinates have rank one (Dakic, Vedral
+    and Brukner, PRL 105, 190502 (2010)). Dephasing a side along the leading
+    left singular vector n of its coordinates moves rho by sqrt(s2^2 + s3^2)/2,
+    from their singular values s1 >= s2 >= s3. The side that moves least is
+    used when that is within 1e-9: the terms pair the eigenvectors |k> of
+    n . sigma with those of each rho_k, eigenvalues at or below 1e-12
+    dropped. Otherwise it raises NotProductDiagonalError, as for every
+    entangled state and for some separable ones.
 
-    ``mat`` is a state or a 4x4 array, which is validated as one; the
-    state's kept eigendecomposition is used. Nothing else is cached here: a
-    shared ``DiscardPrepare`` atom keeps the channel built from the terms.
+    ``mat`` is a state or a 4x4 array, which is validated as one. Nothing is
+    cached here: a shared ``DiscardPrepare`` atom keeps the channel built
+    from the terms.
     """
-    state = as_density(mat)
-    mat = state.matrix
-    values, vectors = state.eig
-    live = [i for i in range(4) if values[i] > 1e-12]
-    clusters: list = []
-    for i in live:
-        if clusters and values[clusters[-1][-1]] - values[i] <= 1e-8:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    terms = []
-    for cluster in clusters:
-        mean_w = float(np.mean([values[i] for i in cluster]))
-        vecs = [np.ascontiguousarray(vectors[:, i]) for i in cluster]
-        if len(cluster) == 1:
-            split = _product_split(vecs[0])
-            if split is None:
-                raise NotProductDiagonalError(
-                    "a nondegenerate eigenvector is not a product state"
-                )
-            terms.append((float(values[cluster[0]]), split[0], split[1]))
-        elif len(cluster) == 2:
-            found = _pencil_products(vecs[0], vecs[1])
-            if found is None:
-                raise NotProductDiagonalError(
-                    "a two-dimensional eigenspace has no orthogonal product basis"
-                )
-            for w in found:
-                split = _product_split(w, 1e-8)
-                if split is None:
-                    raise NotProductDiagonalError(
-                        "pencil root failed to split into a product"
-                    )
-                terms.append((mean_w, split[0], split[1]))
-        elif len(cluster) == 3:
-            # a 3-space has an orthogonal product basis exactly when its
-            # orthocomplement vector is product
-            rest = next(i for i in range(4) if i not in cluster)
-            split = _product_split(np.ascontiguousarray(vectors[:, rest]))
-            if split is None:
-                raise NotProductDiagonalError(
-                    "the complement of a three-dimensional eigenspace is not product"
-                )
-            a, b = split
-            for pa, pb in ((a, _perp(b)), (_perp(a), b), (_perp(a), _perp(b))):
-                terms.append((mean_w, pa, pb))
-        else:
-            for pa in (np.array([1, 0]), np.array([0, 1])):
-                for pb in (np.array([1, 0]), np.array([0, 1])):
-                    terms.append((mean_w, pa.astype(np.complex128), pb.astype(np.complex128)))
-    p, a, b = (np.array(column) for column in zip(*terms))
+    mat = as_density(mat).matrix
+    axes, s, _ = np.linalg.svd((_SIDE_ROWS @ mat.reshape(16)).real.reshape(2, 3, 4))
+    moved = np.hypot(s[:, 1], s[:, 2]) / 2.0
+    side = int(np.argmin(moved))
+    if not moved[side] <= _PRODUCT_TOL:
+        raise NotProductDiagonalError(
+            f"the state is classical on neither side: dephasing moves it by {moved[side]:.3e}"
+        )
+    n_sigma = (axes[side, :, 0] @ qmat.PAULIS[1:].reshape(3, 4)).reshape(2, 2)
+    _, basis = kernels.hermitian_eigh(n_sigma)
+    # [a, b, a', b'] with the classical side first, and rho_k = <k|rho|k> from it
+    t = mat.reshape(2, 2, 2, 2)
+    t = t.transpose(1, 0, 3, 2) if side else t
+    values, vectors = kernels.hermitian_eigh(np.einsum("ak,abcd,ck->kbd", basis.conj(), t, basis))
+    # term (k, j): eigenvalue j of rho_k, |k> and eigenvector j of rho_k
+    p = values.reshape(4)
+    a = np.repeat(basis.T, 2, axis=0)
+    b = vectors.swapaxes(1, 2).reshape(4, 2)
+    a, b = (b, a) if side else (a, b)
+    live = p > _ZERO_EIGENVALUE
+    p, a, b = p[live], a[live], b[live]
     ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
     recon = (ab.T * p) @ ab.conj()
     if qmat.frobenius_distance(recon, mat) > _PRODUCT_TOL:
         raise NotProductDiagonalError("product reconstruction failed verification")
-    return terms
+    return list(zip(p.tolist(), a, b))
 
 
 def discard_prepare_channel(target) -> SeparableChannel:

@@ -18,6 +18,12 @@ the Werner and rank-2 rules are constructive both ways, the Bell-diagonal
 monotone comparison is an exact iff (certificate only, no protocol), and the
 general mixture-form synthesis is sufficient only, so its infeasibility
 yields Inconclusive rather than Forbidden.
+
+What a verdict means for the floats given: a ``Forbidden`` holds exactly
+for them, while a ``Convertible`` reaches the target within
+``RESIDUAL_BOUND``. Near a tie both can hold. ``make_werner(0.6)`` to
+``make_werner(0.6 + 1e-11)`` is ``Forbidden`` (``weight_infeasible``), yet
+keeping the source lands 8.7e-12 from the target.
 """
 
 from __future__ import annotations
@@ -358,13 +364,13 @@ def decide_mems(l, l2) -> Verdict:
 def decide(rho, rho2) -> Verdict:
     """Full decision pipeline for a pair of two-qubit states.
 
-    Order: (1) a separable target is prepared directly: the shortcut's test
-    is the verified lowering of the discard-and-prepare protocol itself, and
-    a target with no orthogonal product decomposition, which that lowering
-    cannot build, falls through; (2) the rank gate blocks impossible
-    entangled pairs; (3) both states are classified and a shared family rule
-    decides, and a separable Werner target outside the Bell-diagonal rule is
-    prepared directly; (4) anything else is Inconclusive.
+    Order: (1) a separable target that is classical on one side, that is
+    diagonal in an orthogonal product basis, is prepared directly: the
+    shortcut's test is the verified lowering of the discard-and-prepare
+    protocol itself, and any other target falls through; (2) the rank gate
+    blocks impossible entangled pairs; (3) both states are classified and a
+    shared family rule decides; (4) a separable Werner target that no rule
+    settled is prepared from any source; (5) anything else is Inconclusive.
 
     Every constructive verdict's residual is checked against RESIDUAL_BOUND;
     a miss raises ResidualError.
@@ -386,6 +392,18 @@ def decide(rho, rho2) -> Verdict:
         return gate
     tag_s = classify_family(source)
     tag_t = classify_family(target)
+    verdict = _family_rule(tag_s, tag_t)
+    if isinstance(verdict, Inconclusive) and tag_t.kind == "werner":
+        # a separable Werner target is prepared from any source
+        protocol = _separable_werner_protocol(tag_t.params)
+        if protocol is not None:
+            target = make_werner(tag_t.params)
+            return _constructive(protocol, _SEPARABLE_WERNER_CERTIFICATE, source, target)
+    return verdict
+
+
+def _family_rule(tag_s, tag_t) -> Verdict:
+    """The rule of the narrowest family both states share, else Inconclusive."""
     if tag_s.kind == tag_t.kind == "werner":
         return decide_werner(tag_s.params, tag_t.params)
     bell_s, bell_t = tag_s.bell_weights(), tag_t.bell_weights()
@@ -393,13 +411,7 @@ def decide(rho, rho2) -> Verdict:
         try:
             return decide_bell(bell_s, bell_t)
         except NotEntangledError as err:
-            # a separable Werner target is prepared from any source
-            protocol = _separable_werner_protocol(tag_t.params) if tag_t.kind == "werner" else None
-            if protocol is None:
-                return Inconclusive(f"Bell-diagonal rule does not apply: {err}")
-            return _constructive(
-                protocol, _SEPARABLE_WERNER_CERTIFICATE, source, make_werner(tag_t.params)
-            )
+            return Inconclusive(f"Bell-diagonal rule does not apply: {err}")
     mems_s, mems_t = tag_s.mems_weights(), tag_t.mems_weights()
     if mems_s is not None and mems_t is not None:
         return decide_mems(mems_s, mems_t)

@@ -92,5 +92,6 @@ def negativity(rho):
     One state gives a float; a (..., 4, 4) stack gives an array of shape
     (...), each entry computed as for that state alone.
     """
-    n = -np.sum(np.clip(_pt_spectrum(rho), None, 0.0), axis=-1)
+    # 0 - sum, not -sum: a separable state's zero sum gives +0.0, not -0.0
+    n = 0.0 - np.sum(np.clip(_pt_spectrum(rho), None, 0.0), axis=-1)
     return float(n) if n.ndim == 0 else n

@@ -97,13 +97,6 @@ _COMPLETION_PROJ = np.array(
     [qmat.EYE2] + [0.5 * (qmat.EYE2 + sign * sigma) for sigma in _PAULI_AXES for sign in (1, -1)]
 )
 
-_PAULI_BASIS = (qmat.EYE2,) + _PAULI_AXES
-
-# [mu, nu] = sigma_mu (x) sigma_nu, the product Pauli basis of 4x4 operators
-_PAULI_PRODUCTS = kernels.kron2(
-    *np.broadcast_arrays(np.array(_PAULI_BASIS)[:, None], np.array(_PAULI_BASIS)[None, :])
-)
-
 
 # The completion pairs of one remainder entry (mu, nu) != (0, 0), listed
 # row-major, two slots each: (index of Pa, index of Pb) when the entry is
@@ -175,7 +168,7 @@ def _random_channel_factors(rngs: Sequence, n_kraus: Sequence[int]) -> tuple:
     a, b = free[:, :, 0], free[:, :, 1]
     gram = kernels.kron2(a.conj().swapaxes(-1, -2) @ a, b.conj().swapaxes(-1, -2) @ b).sum(axis=1)
     # <sigma_mu (x) sigma_nu, gram> / 4 for all 16 products at once
-    coeff = np.einsum("mnij,tij->tmn", _PAULI_PRODUCTS.conj(), gram).real / 4.0
+    coeff = np.einsum("mnij,tij->tmn", qmat.PAULI_PRODUCTS.conj(), gram).real / 4.0
     magnitude = np.abs(coeff).reshape(-1, 16)
     weight_sum = coeff[:, 0, 0] + np.sum(magnitude, axis=1) - magnitude[:, 0]
     c2 = u / weight_sum

@@ -20,6 +20,10 @@ EYE2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+# [mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I, the product Pauli basis
+# of 4x4 operators
+PAULIS = np.array([EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULI_PRODUCTS = kernels.kron2(*np.broadcast_arrays(PAULIS[:, None], PAULIS[None, :]))
 
 
 class EigenDecomposition(NamedTuple):

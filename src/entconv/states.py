@@ -31,8 +31,6 @@ from .errors import NotHermitianError, OutOfRangeError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
-BELL_LABELS = ("psi_minus", "phi_plus", "phi_minus", "psi_plus")
-
 BELL_VECTORS = np.array(
     [
         [0.0, _SQ2, -_SQ2, 0.0],  # (|01> - |10>)/sqrt(2), the singlet
@@ -69,6 +67,7 @@ class WernerParam:
     w: float
 
     def __post_init__(self):
+        object.__setattr__(self, "w", float(self.w))
         if not (0.0 <= self.w <= 1.0):
             raise OutOfRangeError(f"werner weight must lie in [0, 1], got {self.w!r}")
 
@@ -213,6 +212,14 @@ def _mat_of(rho) -> np.ndarray:
     mat = np.ascontiguousarray(rho, dtype=np.complex128)
     if mat.shape[-2:] != (4, 4):
         raise OutOfRangeError(f"expected 4x4 matrices, got shape {mat.shape}")
+    return mat
+
+
+def _one_mat_of(rho) -> np.ndarray:
+    """``_mat_of`` for a reader of one state, which a stack fails with OutOfRangeError."""
+    mat = _mat_of(rho)
+    if mat.ndim != 2:
+        raise OutOfRangeError(f"expected one 4x4 matrix, got shape {mat.shape}")
     return mat
 
 
@@ -409,7 +416,7 @@ def classify_family(rho) -> FamilyTag:
     overlap (every Werner state is both Bell-diagonal and of the mixture
     form), so the narrowest parameterization wins.
     """
-    mat = _mat_of(rho)
+    mat = _one_mat_of(rho)
     werner = _werner_fit(mat)
     if werner is not None:
         return FamilyTag("werner", werner)

@@ -35,6 +35,7 @@ from entconv.states import (
     BELL_PROJECTORS,
     DensityMatrix,
     bell_weights_of,
+    is_entangled,
     make_bell_diagonal,
     make_werner,
     random_density_matrix,
@@ -294,6 +295,73 @@ def test_product_decomposition_refuses_skew_separable():
     m += 0.4 * np.outer(vpp, vpp.conj())
     with pytest.raises(NotProductDiagonalError):
         product_diagonal_decomposition(m)
+
+
+def _qubit_state(rng, rank):
+    g = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _classical_state(u, side, p, conditionals):
+    # sum_k p_k |k><k| (x) rho_k over the basis {|k>} of columns of u, on one side
+    mat = np.zeros((4, 4), dtype=complex)
+    for k in range(2):
+        pair = (np.outer(u[:, k], u[:, k].conj()), conditionals[k])
+        mat += p[k] * np.kron(*(pair if side == 0 else pair[::-1]))
+    return mat
+
+
+def _classical_states(rng):
+    """States classical on side A or B in a Haar basis, degenerate ones included."""
+    out = [np.eye(4, dtype=complex) / 4]
+    for side in (0, 1):
+        def add(p, conditionals):
+            out.append(_classical_state(haar_qubit_unitary(rng), side, p, conditionals))
+
+        for ranks in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            add(rng.dirichlet([1, 1]), [_qubit_state(rng, r) for r in ranks])
+        same = _qubit_state(rng, 2)  # equal conditional states: a product state
+        add(rng.dirichlet([1, 1]), [same, same])
+        add((0.5, 0.5), [np.eye(2) / 2] * 2)  # I/4
+        add((1.0, 0.0), [_qubit_state(rng, 2), _qubit_state(rng, 1)])  # |1> unpopulated
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_decomposition_of_states_classical_on_one_side(seed):
+    rng = np.random.default_rng(seed)
+    for mat in _classical_states(rng):
+        target = DensityMatrix(mat)
+        terms = product_diagonal_decomposition(target)
+        kets = np.array([np.kron(a, b) for _, a, b in terms])
+        npt.assert_allclose(kets @ kets.conj().T, np.eye(len(terms)), rtol=0, atol=1e-12)
+        recon = (kets.T * [p for p, _, _ in terms]) @ kets.conj()
+        npt.assert_allclose(recon, mat, rtol=0, atol=1e-12)
+        channel = discard_prepare_channel(target)
+        for rank in (1, 4):
+            out = channel.apply_raw(random_density_matrix(rng, rank=rank).matrix)
+            assert qmat.frobenius_distance(out, mat) <= 1e-12
+
+
+def test_product_decomposition_refuses_states_classical_on_neither_side():
+    rng = np.random.default_rng(41)
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    vpp = np.kron(plus, plus)
+    refused = [make_werner(0.2).matrix, np.diag([0.6, 0, 0, 0]) + 0.4 * np.outer(vpp, vpp.conj())]
+    while len(refused) < 12:
+        rho = random_density_matrix(rng)
+        if not is_entangled(rho):
+            refused.append(rho.matrix)
+    # a state classical on side A, pushed about 1e-8 off by a coherence in its basis
+    u = haar_qubit_unitary(rng)
+    mat = _classical_state(u, 0, (0.6, 0.4), [_qubit_state(rng, 2) for _ in range(2)])
+    flip = u @ qmat.SIGMA_X @ u.conj().T
+    refused.append(mat + 1e-8 * np.kron(flip, qmat.SIGMA_X))
+    for mat in refused:
+        assert not is_entangled(mat)
+        with pytest.raises(NotProductDiagonalError):
+            product_diagonal_decomposition(mat)
 
 
 def _permutation(perm):

@@ -27,7 +27,13 @@ from entconv.cli import (
 )
 from entconv.convertibility import verify_protocol
 from entconv.errors import NotProductDiagonalError
-from entconv.states import DensityMatrix, make_bell_diagonal, make_mems, make_werner
+from entconv.states import (
+    DensityMatrix,
+    classify_family,
+    make_bell_diagonal,
+    make_mems,
+    make_werner,
+)
 
 
 def write_spec(tmp_path, name, obj):
@@ -197,6 +203,17 @@ class TestMeasures:
         assert code == EX_OK
         assert payload["measures"]["monotones"] is None
         assert payload["measures"]["family"]["kind"] == "general"
+
+    def test_plain_text_prints_plain_floats(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "s.json", {"kind": "werner", "w": 0.2})
+        assert main(["measures", path]) == EX_OK
+        lines = capsys.readouterr().out.splitlines()
+        w = classify_family(make_werner(0.2)).params.w
+        assert type(w) is float
+        assert f"family: werner (w={w!r})" in lines
+        assert "negativity: 0.0" in lines
+        _, payload = run_json(capsys, ["measures", "--json", path])
+        assert math.copysign(1.0, payload["measures"]["negativity"]) == 1.0
 
     def test_floats_round_trip_exactly(self, tmp_path, capsys):
         path = write_spec(tmp_path, "s.json", {"kind": "werner", "w": 0.3})

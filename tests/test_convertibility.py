@@ -1,5 +1,6 @@
 """Tests for the decision rules, protocol synthesis, and the pipeline."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -414,6 +415,39 @@ def test_decide_bell_source_prepares_separable_werner_target(source, w2):
     assert v.residual <= 1e-12
     assert v.certificate.startswith("target is separable: prepare anti-parallel")
     assert verify_protocol(v.protocol, rho, make_werner(w2)) <= 1e-12
+
+
+def test_decide_prepares_separable_werner_target_from_any_source():
+    # no shared family rule settles these pairs: the mixture-form synthesis is
+    # infeasible for 34 of the MEMS sources, and a general source has no rule
+    target = make_werner(0.2)
+    grid = [k for k in itertools.product(range(21), repeat=4)
+            if sum(k) == 20 and k[0] >= k[1] >= k[2] >= k[3]]
+    assert len(grid) == 108
+    sources = [make_mems(tuple(x / 20 for x in k)) for k in grid]
+    for source in sources + [random_density_matrix(3)]:
+        v = decide(source, target)
+        assert isinstance(v, Convertible), v
+        assert v.residual <= 1e-12
+
+
+def _haar_unitary(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-7])
+def test_decide_prepares_product_basis_target_with_close_eigenvalues(gap):
+    # the target is diagonal in a product basis, with two pairs of
+    # eigenvalues only ``gap`` apart: its lowering needs no spectral gap
+    source = make_werner(0.9)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        u = kernels.kron2(_haar_unitary(rng), _haar_unitary(rng))
+        diag = np.diag([0.3, 0.3 + gap, 0.2, 0.2 - gap]).astype(complex)
+        v = decide(source, u @ diag @ u.conj().T)
+        assert isinstance(v, Convertible), (seed, v)
+        assert v.residual <= 1e-12
 
 
 def test_decide_tests_each_state_for_separability_once(monkeypatch):

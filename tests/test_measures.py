@@ -166,3 +166,11 @@ def test_bell_diagonal_concurrence_equals_twice_negativity(raw):
     rho = make_bell_diagonal(weights)
     npt.assert_allclose(concurrence(rho), 2.0 * negativity(rho), atol=1e-10)
     npt.assert_allclose(concurrence(rho), max(0.0, 2.0 * weights[0] - 1.0), atol=1e-10)
+
+
+def test_negativity_of_a_separable_state_is_positive_zero():
+    separable = make_werner(0.2)
+    assert math.copysign(1.0, negativity(separable)) == 1.0
+    values = negativity(np.stack([separable.matrix, make_werner(0.9).matrix]))
+    assert math.copysign(1.0, values[0]) == 1.0
+    assert values[1] == negativity(make_werner(0.9))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconv import kernels, qmat, states
+from entconv.channels import LocalUnitary, Protocol
 from entconv.errors import EntconvError, NotHermitianError, OutOfRangeError
 from entconv.measures import concurrence, negativity
 from entconv.states import (
@@ -250,10 +251,16 @@ def test_density_matrix_tests_separability_once(monkeypatch):
 
 def test_wrong_shape_is_out_of_range_on_every_path():
     bad = np.eye(3) / 3
+    keep = Protocol(((1.0, LocalUnitary(np.eye(2), np.eye(2))),))
     for read in (states.as_density, DensityMatrix, min_pt_eigenvalue, is_entangled, negativity,
-                 concurrence, states.bell_weights_of, classify_family):
+                 concurrence, states.bell_weights_of, classify_family, keep.apply):
         with pytest.raises(OutOfRangeError):
             read(bad)
+    # a stack where one state is read
+    stack = np.stack([np.eye(4) / 4] * 2)
+    for read in (states.as_density, classify_family, keep.apply):
+        with pytest.raises(OutOfRangeError, match=r"\(2, 4, 4\)"):
+            read(stack)
 
 
 def test_bell_weights_of_detects_off_diagonal_mass():

@@ -105,37 +105,48 @@ def test_package_exports_are_its_reexports():
 
 
 def _top_level_references(path) -> list:
-    """(name of the enclosing top-level definition or None, referenced name) pairs.
+    """(line of the enclosing top-level statement, referenced name) pairs.
 
     A reference is a bare name, an attribute, or a string constant equal to a
     name, the form in which the benchmark's tracer names what it patches.
     """
     refs = []
     for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-        owner = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
-                refs.append((owner, node.id))
+                refs.append((stmt.lineno, node.id))
             elif isinstance(node, ast.Attribute):
-                refs.append((owner, node.attr))
+                refs.append((stmt.lineno, node.attr))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.append((owner, node.value))
+                refs.append((stmt.lineno, node.value))
     return refs
+
+
+def _defined_names(stmt) -> list:
+    """Names a top-level statement defines: a function, a class or a constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    if isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
 def test_every_definition_is_used_or_exported():
     modules = sorted(PACKAGE.glob("*.py"))
-    users = {}  # name -> (file, enclosing definition) of each reference
+    users = {}  # name -> (file, line of the top-level statement) of each reference
     for path in modules + sorted(PERFBENCH.rglob("*.py")):
-        for owner, name in _top_level_references(path):
-            users.setdefault(name, set()).add((path, owner))
+        for line, name in _top_level_references(path):
+            users.setdefault(name, set()).add((path, line))
     unused = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path in modules
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in entconv.__all__
-        # a definition's own body does not count as a use of it
-        and not users.get(node.name, set()) - {(path, node.name)}
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        for name in _defined_names(stmt)
+        if name not in entconv.__all__
+        # the defining statement itself, a function's own body included,
+        # does not count as a use
+        and not users.get(name, set()) - {(path, stmt.lineno)}
     ]
     assert not unused, f"defined but never referenced or exported: {unused}"
