@@ -131,21 +131,19 @@ class DiscardPrepare(_Lowering):
 
         The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over the
         decomposition terms i and computational indices j_a, j_b, in the order
-        (i, j_a, j_b), built in one broadcast. The pairs of term i add
-        p_i I to the completeness sum, so sum_i p_i = 1 makes the channel
-        trace preserving; the terms need not be orthogonal.
+        (i, j_a, j_b). They are written into one zeroed factor array, column
+        j of each factor taking its scaled ket by slice assignment. The pairs
+        of term i add p_i I to the completeness sum, so sum_i p_i = 1 makes
+        the channel trace preserving; the terms need not be orthogonal.
         """
-        terms = product_diagonal_decomposition(self.target)
-        p, a, b = (np.array(column) for column in zip(*terms))
+        p, a, b = product_diagonal_decomposition(self.target)
         scale = p[:, None] ** 0.25
-
-        def outers(kets):
-            # [i, j] = scale_i |v_i><j| over the computational basis j
-            return (scale * kets)[:, None, :, None] * qmat.EYE2[None, :, None, :]
-
-        left = outers(a)[:, :, None]
-        right = outers(b)[:, None, :]
-        factors = np.stack(np.broadcast_arrays(left, right), axis=3)
+        left, right = (scale * a)[:, None], (scale * b)[:, None]
+        # [i, j_a, j_b, side, row, column]
+        factors = np.zeros((len(p), 2, 2, 2, 2, 2), dtype=np.complex128)
+        for j in range(2):
+            factors[:, j, :, 0, :, j] = left
+            factors[:, :, j, 1, :, j] = right
         return SeparableChannel(factors.reshape(-1, 2, 2, 2))
 
 
@@ -296,7 +294,7 @@ _SIDE_ROWS = np.stack(
 ).conj().reshape(24, 16)
 
 
-def product_diagonal_decomposition(mat) -> list:
+def product_diagonal_decomposition(mat) -> tuple:
     """Decompose a state as sum_i p_i |a_i b_i><a_i b_i| over orthogonal product vectors.
 
     Such a decomposition exists exactly when the state is classical on one
@@ -310,8 +308,9 @@ def product_diagonal_decomposition(mat) -> list:
     dropped. Otherwise it raises NotProductDiagonalError, as for every
     entangled state and for some separable ones.
 
-    ``mat`` is a state or a 4x4 array, which is validated as one. Nothing is
-    cached here: a shared ``DiscardPrepare`` atom keeps the channel built
+    ``mat`` is a state or a 4x4 array, which is validated as one. The terms
+    come back as arrays (p, a, b) of shapes (n,), (n, 2) and (n, 2). Nothing
+    is cached here: a shared ``DiscardPrepare`` atom keeps the channel built
     from the terms.
     """
     mat = as_density(mat).matrix
@@ -339,7 +338,7 @@ def product_diagonal_decomposition(mat) -> list:
     recon = (ab.T * p) @ ab.conj()
     if qmat.frobenius_distance(recon, mat) > _PRODUCT_TOL:
         raise NotProductDiagonalError("product reconstruction failed verification")
-    return list(zip(p.tolist(), a, b))
+    return p, a, b
 
 
 def discard_prepare_channel(target) -> SeparableChannel:

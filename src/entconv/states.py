@@ -21,6 +21,7 @@ Three parameterized families get first-class support:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -86,7 +87,7 @@ def _check_weight_vector(weights, what: str) -> tuple:
     if len(vals) != 4:
         raise OutOfRangeError(f"{what} needs exactly 4 weights, got {len(vals)}")
     for i, x in enumerate(vals):
-        if x < 0.0 or not np.isfinite(x):
+        if x < 0.0 or not math.isfinite(x):
             raise OutOfRangeError(f"{what}[{i}] must be nonnegative, got {x!r}")
     for i in range(3):
         if vals[i + 1] > vals[i] + _ORDER_TOL:
@@ -335,6 +336,12 @@ def state_scalars(rho: DensityMatrix, tol: float = 1e-9) -> StateScalars:
     return StateScalars(rho.purity(), rho.entropy(), rho.rank(tol))
 
 
+def _bell_diagonal(mat: np.ndarray) -> np.ndarray:
+    """<v|mat|v> for each Bell vector v, in the fixed Bell order, over a stack too."""
+    # a matrix-vector, then a vector-vector product
+    return (_BELL_BRAS @ (mat[..., None, :, :] @ _BELL_KETS))[..., 0, 0].real
+
+
 def bell_weights_of(rho) -> tuple:
     """Bell-basis diagonal of a state and the off-diagonal residual.
 
@@ -345,8 +352,7 @@ def bell_weights_of(rho) -> tuple:
     A (..., 4, 4) stack of matrices gives (..., 4) weights and (...) residuals.
     """
     mat = _mat_of(rho)
-    # <v|mat|v> for each Bell vector v: a matrix-vector, then a vector-vector product
-    weights = (_BELL_BRAS @ (mat[..., None, :, :] @ _BELL_KETS))[..., 0, 0].real
+    weights = _bell_diagonal(mat)
     return weights, qmat.frobenius_norm(mat - _bell_matrix(weights))
 
 
@@ -366,48 +372,6 @@ def _clean_weights(raw) -> Optional[tuple]:
     return tuple(x / total for x in vals)
 
 
-def _werner_fit(mat: np.ndarray) -> Optional[WernerParam]:
-    w = (4.0 * np.vdot(SINGLET_PROJECTOR, mat).real - 1.0) / 3.0
-    if w < -_FAMILY_TOL or w > 1.0 + _FAMILY_TOL:
-        return None
-    w = min(1.0, max(0.0, w))
-    if not qmat.frobenius_distance(mat, _werner_matrix(w)) <= _FAMILY_TOL:
-        return None
-    return WernerParam(w)
-
-
-def _bell_fit(mat: np.ndarray) -> Optional[BellWeights]:
-    raw, _ = bell_weights_of(mat)
-    cleaned = _clean_weights(raw)
-    if cleaned is None:
-        return None
-    if not qmat.frobenius_distance(mat, _bell_matrix(cleaned)) <= _FAMILY_TOL:
-        return None
-    return BellWeights(cleaned)
-
-
-def _mems_fit(mat: np.ndarray) -> Optional[MemsWeights]:
-    # the form fixes every entry: corners carry l3, the central block carries
-    # the singlet weight on its off-diagonal and l2/l4 plus half the singlet
-    # weight on its diagonal
-    l3 = 0.5 * (mat[0, 0].real + mat[3, 3].real)
-    s = -2.0 * mat[1, 2]
-    if abs(s.imag) > _FAMILY_TOL:
-        return None
-    s = s.real
-    raw = (s + l3, mat[1, 1].real - 0.5 * s, l3, mat[2, 2].real - 0.5 * s)
-    cleaned = _clean_weights(raw)
-    if cleaned is None:
-        return None
-    try:
-        candidate = MemsWeights(cleaned)
-    except OutOfRangeError:
-        return None
-    if not qmat.frobenius_distance(mat, _mems_matrix(candidate.weights)) <= _FAMILY_TOL:
-        return None
-    return candidate
-
-
 def classify_family(rho) -> FamilyTag:
     """Most specific family whose best-fit reconstruction is within 1e-8.
 
@@ -415,15 +379,58 @@ def classify_family(rho) -> FamilyTag:
     maximally-entangled-mixture form, then general: the families nest and
     overlap (every Werner state is both Bell-diagonal and of the mixture
     form), so the narrowest parameterization wins.
+
+    The entries are read once, and each family is fitted from them in that
+    order: Werner w from the overlap with the singlet projector, clipped to
+    [0, 1]; the Bell weights from the Bell-ket products ``bell_weights_of``
+    takes; the mixture-form weights from the corners and the central block.
+    Bell and mixture-form weights are clipped to a non-ascending simplex
+    within 1e-8. Every family matrix is real and vanishes outside its
+    diagonal and anti-diagonal (the X pattern), so the Frobenius distance to
+    a fit, which must be at most 1e-8, is taken over the input's entries
+    outside the X pattern and its differences on it; no family matrix is
+    built. A NaN entry makes every distance NaN, which fails, so such input
+    is general.
     """
     mat = _one_mat_of(rho)
-    werner = _werner_fit(mat)
-    if werner is not None:
-        return FamilyTag("werner", werner)
-    bell = _bell_fit(mat)
-    if bell is not None:
-        return FamilyTag("bell_diagonal", bell)
-    mems = _mems_fit(mat)
-    if mems is not None:
-        return FamilyTag("mems", mems)
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = (
+        mat.tolist()
+    )
+    off_x = math.hypot(abs(m01), abs(m02), abs(m10), abs(m13),
+                       abs(m20), abs(m23), abs(m31), abs(m32))
+
+    def within(d0, d1, d2, d3, corner, centre) -> bool:
+        # distance to the real X matrix with diagonal d, (0, 3) and (3, 0)
+        # entries `corner` and (1, 2) and (2, 1) entries `centre`
+        return math.hypot(
+            off_x, abs(m00 - d0), abs(m11 - d1), abs(m22 - d2), abs(m33 - d3),
+            abs(m03 - corner), abs(m30 - corner), abs(m12 - centre), abs(m21 - centre),
+        ) <= _FAMILY_TOL
+
+    w = (4.0 * float(np.vdot(SINGLET_PROJECTOR, mat).real) - 1.0) / 3.0
+    if -_FAMILY_TOL <= w <= 1.0 + _FAMILY_TOL:
+        w = min(1.0, max(0.0, w))
+        q, h = (1.0 - w) / 4.0, w / 2.0
+        if within(q, q + h, q + h, q, 0.0, -h):
+            return FamilyTag("werner", WernerParam(w))
+
+    # Bell order (psi-, phi+, phi-, psi+): phi+/- fill the corners, psi-/+ the centre
+    c = _clean_weights(_bell_diagonal(mat).tolist())
+    if c is not None:
+        outer, inner = 0.5 * (c[1] + c[2]), 0.5 * (c[0] + c[3])
+        if within(outer, inner, inner, outer, 0.5 * (c[1] - c[2]), 0.5 * (c[3] - c[0])):
+            return FamilyTag("bell_diagonal", BellWeights(c))
+
+    # the form fixes every entry: corners carry l3, the central block carries
+    # the singlet weight on its off-diagonal and l2/l4 plus half the singlet
+    # weight on its diagonal
+    l3 = 0.5 * (m00.real + m33.real)
+    s = -2.0 * m12
+    if not abs(s.imag) > _FAMILY_TOL:
+        s = s.real
+        c = _clean_weights((s + l3, m11.real - 0.5 * s, l3, m22.real - 0.5 * s))
+        if c is not None:
+            half = 0.5 * (c[0] - c[2])
+            if within(c[2], c[1] + half, c[3] + half, c[2], 0.0, -half):
+                return FamilyTag("mems", MemsWeights(c))
     return FamilyTag("general", None)

@@ -227,7 +227,7 @@ def _loop_discard_prepare_pairs(target):
     # the per-term, per-index construction that the broadcast lowering replaced
     basis = np.eye(2, dtype=complex)
     pairs = []
-    for p, a, b in product_diagonal_decomposition(target):
+    for p, a, b in zip(*product_diagonal_decomposition(target)):
         scale = p ** 0.25
         for ja in basis:
             for jb in basis:
@@ -235,22 +235,43 @@ def _loop_discard_prepare_pairs(target):
     return np.array(pairs)
 
 
+def _lowering_target(kind):
+    """A separable target with a product eigenbasis, by name."""
+    if kind == "side_b_only":
+        # rho_0 (x) |0><0| + rho_1 (x) |1><1| with rho_0, rho_1 not commuting
+        rng = np.random.default_rng(37)
+        return _classical_state(np.eye(2), 1, (0.6, 0.4), [_qubit_state(rng, 2) for _ in range(2)])
+    spectra = {
+        "distinct": [0.4, 0.3, 0.2, 0.1],
+        "cluster2": [0.3, 0.3, 0.25, 0.15],
+        "cluster3": [0.4, 0.2, 0.2, 0.2],
+        "maximally_mixed": [0.25] * 4,
+        # an eigenvalue below 1e-12, which the decomposition drops
+        "dropped_eigenvalue": [0.5, 0.3, 0.2 - 5e-13, 5e-13],
+    }
+    return np.diag(spectra[kind]).astype(complex)
+
+
 @pytest.mark.parametrize("rotated", [False, True])
 @pytest.mark.parametrize(
-    "diag",
-    [[0.4, 0.3, 0.2, 0.1], [0.3, 0.3, 0.25, 0.15], [0.4, 0.2, 0.2, 0.2], [0.25] * 4],
-    ids=["distinct", "cluster2", "cluster3", "maximally_mixed"],
+    "kind",
+    ["distinct", "cluster2", "cluster3", "maximally_mixed", "side_b_only", "dropped_eigenvalue"],
 )
-def test_discard_prepare_pairs_match_loop_construction(diag, rotated):
-    mat = np.diag(diag).astype(complex)
+def test_discard_prepare_pairs_match_loop_construction(kind, rotated):
+    mat = _lowering_target(kind)
     if rotated:
         rng = np.random.default_rng(29)
         u = kernels.kron2(haar_qubit_unitary(rng), haar_qubit_unitary(rng))
         mat = u @ mat @ u.conj().T
+    if kind == "side_b_only":
+        # side A's Pauli coordinates tr(rho sigma_i (x) sigma_mu) have rank 2, not 1
+        coords = np.einsum("imxy,yx->im", qmat.PAULI_PRODUCTS[1:], mat).real
+        assert np.linalg.svd(coords, compute_uv=False)[1] > 1e-2
     target = DensityMatrix(mat)
     pairs = discard_prepare_channel(target).kraus_pairs
     expected = _loop_discard_prepare_pairs(target.matrix)
-    assert pairs.shape == expected.shape == (16, 2, 2, 2)
+    n_pairs = 12 if kind == "dropped_eigenvalue" else 16
+    assert pairs.shape == expected.shape == (n_pairs, 2, 2, 2)
     npt.assert_allclose(pairs, expected, rtol=0, atol=1e-15)
 
 
@@ -267,7 +288,7 @@ def test_separable_werner_target_has_no_product_lowering():
 def test_product_decomposition_shapes():
     # nondegenerate diagonal, 2-fold, 3-fold, and 4-fold degenerate cases
     for diag in ([0.4, 0.3, 0.2, 0.1], [0.3, 0.3, 0.25, 0.15], [0.4, 0.2, 0.2, 0.2], [0.25] * 4):
-        terms = product_diagonal_decomposition(np.diag(diag).astype(complex))
+        terms = zip(*product_diagonal_decomposition(np.diag(diag).astype(complex)))
         recon = sum(p * np.outer(np.kron(a, b), np.kron(a, b).conj()) for p, a, b in terms)
         npt.assert_allclose(recon, np.diag(diag), atol=1e-10)
 
@@ -275,7 +296,7 @@ def test_product_decomposition_shapes():
 def test_product_decomposition_bell_pair_mixture():
     # the psi+/psi- pair spans the computational vectors |01> and |10>
     target = 0.5 * BELL_PROJECTORS[0] + 0.5 * BELL_PROJECTORS[3]
-    terms = product_diagonal_decomposition(target)
+    terms = list(zip(*product_diagonal_decomposition(target)))
     assert len(terms) == 2
     kets = sorted(np.argmax(np.abs(np.kron(a, b))) for _, a, b in terms)
     assert kets == [1, 2]
@@ -333,7 +354,7 @@ def test_product_decomposition_of_states_classical_on_one_side(seed):
     rng = np.random.default_rng(seed)
     for mat in _classical_states(rng):
         target = DensityMatrix(mat)
-        terms = product_diagonal_decomposition(target)
+        terms = list(zip(*product_diagonal_decomposition(target)))
         kets = np.array([np.kron(a, b) for _, a, b in terms])
         npt.assert_allclose(kets @ kets.conj().T, np.eye(len(terms)), rtol=0, atol=1e-12)
         recon = (kets.T * [p for p, _, _ in terms]) @ kets.conj()

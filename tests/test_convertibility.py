@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from entconv import channels, kernels, qmat
+from entconv import channels, convertibility, kernels, qmat
 from entconv.channels import compile_protocol
 from entconv.convertibility import (
     RESIDUAL_BOUND,
@@ -20,14 +20,22 @@ from entconv.convertibility import (
     decide_bell,
     decide_mems,
     decide_werner,
+    keep_or_refill,
     rank_gate,
     synthesize_mems_protocol,
     verify_protocol,
 )
-from entconv.errors import InfeasibleError, NotEntangledError, OutOfRangeError, ResidualError
+from entconv.errors import (
+    EntconvError,
+    InfeasibleError,
+    NotEntangledError,
+    OutOfRangeError,
+    ResidualError,
+)
 from entconv.states import (
     DensityMatrix,
     WernerParam,
+    classify_family,
     make_bell_diagonal,
     make_mems,
     make_werner,
@@ -261,6 +269,97 @@ def test_rank_gate_counts_small_populated_eigenvalues():
     assert isinstance(v, Convertible) and v.residual <= 1e-12
     _, targets = _near_pure_singlet_mixtures(np.linspace(0.05, 0.95, 91))
     assert not any(isinstance(decide(source, t), Forbidden) for t in targets)
+
+
+_REACHED = 1e-12  # a route reaches a target when its verified residual is at most this
+
+
+def _routes(source, target, keep, refill):
+    """Constructive routes to the target: keep or refill, and the mixture-form rule."""
+    routes = [lambda: keep_or_refill(keep, refill)]
+    mems_s = classify_family(source).mems_weights()
+    mems_t = classify_family(target).mems_weights()
+    if mems_s is not None and mems_t is not None:
+        routes.append(lambda: getattr(decide_mems(mems_s, mems_t), "protocol", None))
+    return routes
+
+
+def _cross_examine(pairs) -> list:
+    """The pairs decide forbids although a route's verified protocol reaches them."""
+    flagged = []
+    for source, target, routes in pairs:
+        verdict = decide(source, target)
+        if not isinstance(verdict, Forbidden):
+            continue
+        for route in routes:
+            try:
+                protocol = route()
+                residual = np.inf if protocol is None else verify_protocol(protocol, source, target)
+            except EntconvError:  # a refill without a product lowering reaches nothing
+                continue
+            if residual <= _REACHED:
+                flagged.append((source, target, verdict.reason, residual))
+    return flagged
+
+
+def _near_boundary_pairs(rng) -> list:
+    """Seeded (source, target, routes): keep-or-refill targets with small
+    eigenvalues between 1e-12 and 1e-6, and Werner and Bell pairs 1e-11 apart."""
+    pairs = []
+    product = DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+    # strictly inside (1e-12, 1e-6): the smallest is 1.4e-12, far above the
+    # 1e-17 rounding of a 4x4 eigensolve
+    for small in np.logspace(-12, -6, 42)[1:-1]:
+        keep = rng.uniform(0.3, 0.95)
+        # the source's three small eigenvalues are eps/4, the target's keep * eps/4
+        eps = 4.0 * small / keep
+        werner = make_werner(1 - eps)
+        u = kernels.kron2(_haar_unitary(rng), _haar_unitary(rng))
+        turned = [DensityMatrix(u @ m @ u.conj().T) for m in (werner.matrix, product.matrix)]
+        # the unturned pair is of the mixture form
+        for source, refill in ((werner, product), turned):
+            target = DensityMatrix(keep * source.matrix + (1 - keep) * refill.matrix)
+            pairs.append((source, target, _routes(source, target, keep, refill)))
+    max_mixed = DensityMatrix(np.eye(4, dtype=complex) / 4)
+    for w in rng.uniform(0.35, 1.0, 20):
+        source = make_werner(w)
+        for w2 in (w - 1e-11, min(1.0, w + 1e-11)):
+            target = make_werner(w2)
+            pairs.append((source, target, _routes(source, target, min(1.0, w2 / w), max_mixed)))
+    for _ in range(20):
+        weights = np.sort(rng.dirichlet(np.ones(4)))[::-1]
+        weights = np.array([0.5 + weights[0] / 2, *(weights[1:] / 2)])  # top weight above 1/2
+        for i, j in ((0, 1), (1, 0), (1, 2), (2, 3)):
+            moved = weights.copy()
+            moved[i] += 1e-11
+            moved[j] -= 1e-11
+            if np.all(np.diff(moved) <= 0) and moved.min() >= 0:
+                source, target = make_bell_diagonal(weights), make_bell_diagonal(moved)
+                pairs.append((source, target, _routes(source, target, 1.0, max_mixed)))
+    return pairs
+
+
+def test_no_forbidden_verdict_on_a_pair_a_verified_route_reaches():
+    pairs = _near_boundary_pairs(np.random.default_rng(61))
+    assert _cross_examine(pairs) == []
+    # the examination is live: routes reach targets, and decide forbids pairs
+    reached = sum(
+        verify_protocol(routes[0](), source, target) <= _REACHED
+        for source, target, routes in pairs
+    )
+    forbidden = sum(isinstance(decide(s, t), Forbidden) for s, t, _ in pairs)
+    assert reached >= 80 and forbidden >= 20
+
+
+def test_cross_examination_flags_a_rank_gate_at_the_readout_tolerance(monkeypatch):
+    # planted violation: the gate counts rank above rank()'s 1e-9 readout again
+    source, (target,) = _near_pure_singlet_mixtures([0.7])
+    refill = DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+    pair = (source, target, _routes(source, target, 0.7, refill))
+    assert _cross_examine([pair]) == []
+    monkeypatch.setattr(convertibility, "_ZERO_EIGENVALUE", 1e-9)
+    flagged = _cross_examine([pair])
+    assert [reason for _, _, reason, _ in flagged] == ["rank_gate", "rank_gate"]
 
 
 def test_rank_gate_ignores_separable_states():

@@ -334,3 +334,134 @@ def test_bell_weights_of_a_stack_match_each_matrix():
         assert isinstance(r1, float)
         npt.assert_allclose(w, w1, rtol=0, atol=1e-15)
         assert abs(r - r1) <= 1e-15 * r1
+
+
+# An independent reference for classify_family. It shares nothing with
+# `states`: each family matrix is built from its own kets and measured with
+# np.linalg.norm, and the fits are written out from the definitions.
+_H = 1.0 / np.sqrt(2.0)
+_REF_KETS = np.eye(4, dtype=complex)  # |00>, |01>, |10>, |11>
+_REF_BELL = np.array(  # psi-, phi+, phi-, psi+
+    [[0, _H, -_H, 0], [_H, 0, 0, _H], [_H, 0, 0, -_H], [0, _H, _H, 0]], dtype=complex
+)
+_REF_TOL = 1e-8
+# entries off the diagonal and the anti-diagonal
+_OFF_X = np.ones((4, 4), dtype=bool)
+_OFF_X[range(4), range(4)] = False
+_OFF_X[range(4), range(3, -1, -1)] = False
+
+
+def _ref_projector(v):
+    return np.outer(v, v.conj())
+
+
+def _ref_werner(w):
+    return w * _ref_projector(_REF_BELL[0]) + (1.0 - w) * np.eye(4) / 4.0
+
+
+def _ref_bell(weights):
+    return sum(x * _ref_projector(v) for x, v in zip(weights, _REF_BELL))
+
+
+def _ref_mems(weights):
+    l1, l2, l3, l4 = weights
+    out = (l1 - l3) * _ref_projector(_REF_BELL[0])
+    for x, ket in zip((l3, l2, l4, l3), _REF_KETS):
+        out = out + x * _ref_projector(ket)
+    return out
+
+
+def _ref_simplex(raw):
+    """Non-ascending weights summing to 1, each clipped by at most 1e-8, or None."""
+    w = [float(x) for x in raw]
+    if any(x < -_REF_TOL for x in w):
+        return None
+    w = [max(x, 0.0) for x in w]
+    for i in range(3):
+        if w[i + 1] > w[i] + _REF_TOL:
+            return None
+        w[i + 1] = min(w[i + 1], w[i])
+    total = sum(w)
+    if not abs(total - 1.0) <= _REF_TOL:
+        return None
+    return tuple(x / total for x in w)
+
+
+def _reference_family(mat):
+    """(kind, parameters) of the first family within 1e-8: Werner, Bell, mixture form."""
+    singlet = _ref_projector(_REF_BELL[0])
+    w = (4.0 * np.trace(singlet @ mat).real - 1.0) / 3.0
+    if -_REF_TOL <= w <= 1.0 + _REF_TOL:
+        w = min(1.0, max(0.0, w))
+        if np.linalg.norm(mat - _ref_werner(w)) <= _REF_TOL:
+            return "werner", (w,)
+    bell = _ref_simplex([(v.conj() @ mat @ v).real for v in _REF_BELL])
+    if bell is not None and np.linalg.norm(mat - _ref_bell(bell)) <= _REF_TOL:
+        return "bell_diagonal", bell
+    l3 = 0.5 * (mat[0, 0] + mat[3, 3]).real
+    s = -2.0 * mat[1, 2]
+    if abs(s.imag) <= _REF_TOL:
+        s = s.real
+        mems = _ref_simplex((s + l3, mat[1, 1].real - s / 2, l3, mat[2, 2].real - s / 2))
+        if mems is not None and np.linalg.norm(mat - _ref_mems(mems)) <= _REF_TOL:
+            return "mems", mems
+    return "general", ()
+
+
+def _tag_params(tag):
+    if tag.kind == "werner":
+        return (tag.params.w,)
+    return () if tag.params is None else tag.params.weights
+
+
+def _family_states(rng):
+    """(kind, matrix) pairs: seeded members of each family, built from the reference kets."""
+    out = [("werner", _ref_werner(w)) for w in (0.0, 1.0, *rng.uniform(0, 1, 3))]
+    for _ in range(3):
+        out.append(("bell_diagonal", _ref_bell(np.sort(rng.dirichlet(np.ones(4)))[::-1])))
+        l1, l2 = np.sort(rng.dirichlet(np.ones(2)))[::-1]
+        out.append(("mems", _ref_mems((l1, l2, 0.0, 0.0))))  # rank 2
+        out.append(("mems", _ref_mems(np.sort(rng.dirichlet(np.ones(4)))[::-1])))
+    return out
+
+
+def _perturbation(rng, kind, size):
+    """A seeded perturbation of Frobenius norm `size`."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    if kind == "hermitian":  # off the X pattern and along m00 - m33, which no fit follows
+        e = np.where(_OFF_X, g + g.conj().T, 0.0) + rng.normal() * np.diag([1.0, 0, 0, -1.0])
+    elif kind == "anti_hermitian":
+        e = g - g.conj().T
+    else:  # one imaginary diagonal entry
+        e = np.zeros((4, 4), dtype=complex)
+        i = rng.integers(4)
+        e[i, i] = 1j
+    return size * e / np.linalg.norm(e)
+
+
+def _assert_matches_reference(mat):
+    tag = classify_family(mat)
+    kind, params = _reference_family(mat)
+    assert tag.kind == kind
+    npt.assert_allclose(_tag_params(tag), params, rtol=0, atol=1e-12)
+    return kind
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_classify_family_matches_an_independent_reference(seed):
+    rng = np.random.default_rng(500 + seed)
+    for family, mat in _family_states(rng):
+        assert _assert_matches_reference(mat) == family
+        for kind in ("hermitian", "anti_hermitian", "imaginary_diagonal"):
+            assert _assert_matches_reference(mat + _perturbation(rng, kind, 0.5e-8)) == family
+            assert _assert_matches_reference(mat + _perturbation(rng, kind, 2e-8)) != family
+    for _ in range(5):  # dense states
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert _assert_matches_reference(g @ g.conj().T / np.trace(g @ g.conj().T).real) == "general"
+    # Bell weights out of the fixed non-ascending order, then a NaN entry
+    disordered = _ref_bell(np.sort(rng.dirichlet(np.ones(4)))[[1, 0, 2, 3]])
+    assert _assert_matches_reference(disordered) == "general"
+    for family, mat in _family_states(rng)[::4]:
+        mat = mat.copy()
+        mat[rng.integers(4), rng.integers(4)] = np.nan
+        assert _assert_matches_reference(mat) == "general"
