@@ -73,7 +73,6 @@ from .states import (
     DensityMatrix,
     FamilyTag,
     MemsWeights,
-    StateScalars,
     WernerParam,
     bell_weights_of,
     classify_family,
@@ -83,7 +82,6 @@ from .states import (
     make_werner,
     min_pt_eigenvalue,
     random_density_matrix,
-    state_scalars,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +113,6 @@ __all__ = [
     "SamplingExhaustedError",
     "SearchReport",
     "SeparableChannel",
-    "StateScalars",
     "WernerParam",
     "bell_extremal_catalog",
     "bell_monotones",
@@ -145,7 +142,6 @@ __all__ = [
     "random_separable_channel",
     "rank_gate",
     "renormalize_probabilistic",
-    "state_scalars",
     "synthesize_mems_protocol",
     "verify_protocol",
 ]

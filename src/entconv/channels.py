@@ -439,11 +439,7 @@ def bell_extremal_catalog() -> tuple:
     Bell weights is read off the channel: ``bell_weights_of`` of its image
     of each Bell projector.
     """
-    eye = qmat.EYE2
-    channels = [SeparableChannel([(eye, eye)])]
-    for sigma in (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z):
-        channels.append(SeparableChannel([(sigma, eye)]))
-        channels.append(SeparableChannel([(eye, sigma)]))
+    channels = [SeparableChannel([pair]) for pair in qmat.ONE_SIDED_PAULIS]
     for i in range(4):
         for j in range(i + 1, 4):
             target = DensityMatrix(0.5 * BELL_PROJECTORS[i] + 0.5 * BELL_PROJECTORS[j])

@@ -88,13 +88,12 @@ class SearchReport:
         return not self.counterexamples
 
 
-_PAULI_AXES = (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z)
-
 # the projectors a completion pair acts on, by index: the identity at 0, then
 # the rank-1 eigenprojectors (plus, minus) of each Pauli axis at _PROJ_INDEX
 _PROJ_INDEX = ((1, 2), (3, 4), (5, 6))
 _COMPLETION_PROJ = np.array(
-    [qmat.EYE2] + [0.5 * (qmat.EYE2 + sign * sigma) for sigma in _PAULI_AXES for sign in (1, -1)]
+    [qmat.EYE2]
+    + [0.5 * (qmat.EYE2 + sign * sigma) for sigma in qmat.PAULIS[1:] for sign in (1, -1)]
 )
 
 
@@ -456,16 +455,7 @@ def monotone_audit(
 
 @functools.cache
 def _search_atoms() -> tuple:
-    eye = qmat.EYE2
-    return (
-        LocalUnitary(eye, eye),
-        LocalUnitary(qmat.SIGMA_X, eye),
-        LocalUnitary(eye, qmat.SIGMA_X),
-        LocalUnitary(qmat.SIGMA_Y, eye),
-        LocalUnitary(eye, qmat.SIGMA_Y),
-        LocalUnitary(qmat.SIGMA_Z, eye),
-        LocalUnitary(eye, qmat.SIGMA_Z),
-    )
+    return tuple(LocalUnitary(a, b) for a, b in qmat.ONE_SIDED_PAULIS)
 
 
 def minimize(*args, **kwargs):

@@ -24,6 +24,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 # of 4x4 operators
 PAULIS = np.array([EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 PAULI_PRODUCTS = kernels.kron2(*np.broadcast_arrays(PAULIS[:, None], PAULIS[None, :]))
+# the one-sided Pauli unitaries as (A, B) factor pairs: the identity, then
+# sigma (x) I and I (x) sigma for x, y, z
+ONE_SIDED_PAULIS = ((EYE2, EYE2),) + tuple(
+    pair for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z) for pair in ((sigma, EYE2), (EYE2, sigma))
+)
 
 
 class EigenDecomposition(NamedTuple):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -322,18 +322,6 @@ def is_entangled(rho) -> bool:
     states within 1e-10 of the boundary are reported separable.
     """
     return min_pt_eigenvalue(rho) < -_ENTANGLED_TOL
-
-
-class StateScalars(NamedTuple):
-    purity: float
-    entropy: float
-    rank: int
-
-
-def state_scalars(rho: DensityMatrix, tol: float = 1e-9) -> StateScalars:
-    """Purity, von Neumann entropy (bits), and numeric rank."""
-    rho = as_density(rho)
-    return StateScalars(rho.purity(), rho.entropy(), rho.rank(tol))
 
 
 def _bell_diagonal(mat: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import entconv
 from entconv import channels
@@ -25,7 +27,7 @@ from entconv.cli import (
     protocol_to_spec,
     state_to_spec,
 )
-from entconv.convertibility import verify_protocol
+from entconv.convertibility import keep_or_refill, verify_protocol
 from entconv.errors import NotProductDiagonalError
 from entconv.states import (
     DensityMatrix,
@@ -365,6 +367,7 @@ class TestSearchAndAudit:
             (["check", "--tol", "0.5", "{a}", "{a}"], "--tol"),
             (["search", "--seed", "42", "{a}", "{a}"], "--seed"),
             (["--json", "check", "{a}", "{a}"], "--json"),
+            (["audit", "--seed", "-1"], "--seed"),
         ],
     )
     def test_bad_or_unread_option_is_usage_error(self, tmp_path, capsys, argv, flag):
@@ -383,6 +386,123 @@ class TestSearchAndAudit:
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
         assert err.value.code == EX_USAGE
+
+
+# a JSON integer no double can hold
+_HUGE = 10**400
+_UNITARY_SPEC = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, spec, field",
+        [
+            ("check", {"kind": "werner", "w": _HUGE}, "source.w"),
+            ("check", {"kind": "mems", "lambda": [_HUGE, 0, 0, 0]}, "target.lambda[0]"),
+            ("check", {"kind": "dense", "re": [[_HUGE] * 4] * 4, "im": [[0] * 4] * 4},
+             "source.re[0][0]"),
+            ("apply", {"branches": [{"weight": _HUGE, "atom": {
+                "kind": "local_unitary", "u_a": _UNITARY_SPEC, "u_b": _UNITARY_SPEC}}]},
+             "protocol.branches[0].weight"),
+            ("apply", {"branches": [{"weight": 1.0, "atom": {
+                "kind": "local_unitary", "u_a": _UNITARY_SPEC,
+                "u_b": {**_UNITARY_SPEC, "im": [[0, 0], [0, _HUGE]]}}}]},
+             "protocol.branches[0].atom.u_b.im[1][1]"),
+        ],
+        ids=["werner_w", "lambda", "dense_grid", "protocol_weight", "unitary_grid"],
+    )
+    def test_number_too_large_for_a_double_is_usage_error(
+        self, tmp_path, capsys, command, spec, field
+    ):
+        bad = write_spec(tmp_path, "bad.json", spec)
+        good = write_spec(tmp_path, "good.json", {"kind": "werner", "w": 0.5})
+        files = [good, bad] if field.startswith("target") else [bad, good]
+        code = main([command, "--json", *files])
+        err = json.loads(capsys.readouterr().err)
+        assert code == EX_USAGE
+        assert err["field"] == field
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["check", "{bad}", "{good}"], "source"),
+            (["check", "{good}", "{bad}"], "target"),
+            (["measures", "{bad}"], "state"),
+            (["apply", "{bad}", "{good}"], "protocol"),
+        ],
+    )
+    def test_file_not_utf8_is_usage_error(self, tmp_path, capsys, argv, where):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"kind": "werner", "w": 0.5}')
+        good = write_spec(tmp_path, "good.json", {"kind": "werner", "w": 0.5})
+        code = main([arg.format(bad=bad, good=good) for arg in argv] + ["--json"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == EX_USAGE
+        assert err["field"] == where
+
+    _STATES = [
+        {"kind": "werner", "w": 0.9},
+        {"kind": "bell_diagonal", "lambda": [0.6, 0.2, 0.1, 0.1]},
+        {"kind": "mems", "lambda": [0.5, 0.3, 0.1, 0.1]},
+        state_to_spec(make_bell_diagonal((0.55, 0.25, 0.15, 0.05))),
+    ]
+    # a kept branch (local_unitary) and a refill branch (discard_prepare)
+    _PROTOCOL = protocol_to_spec(keep_or_refill(0.9, make_werner(0.2)))
+    _REPLACEMENTS = {"bool": True, "nan": math.nan, "infinity": math.inf, "huge": _HUGE}
+
+    @staticmethod
+    def _paths(obj, path=()):
+        """The path of every value inside a JSON document, the root's included."""
+        yield path
+        if isinstance(obj, (dict, list)):
+            for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+                yield from TestMalformedInput._paths(value, path + (key,))
+
+    @classmethod
+    def _mutate(cls, spec, data):
+        """``spec`` with one value dropped, retyped, replaced or nested one level deeper."""
+        holder = [json.loads(json.dumps(spec))]
+        path = data.draw(st.sampled_from(list(cls._paths(holder))[1:]), label="path")
+        mutations = ["wrong_type", "nest", *cls._REPLACEMENTS]
+        if isinstance(path[-1], str):
+            mutations.append("drop")  # an object's key, not a list entry
+        mutation = data.draw(st.sampled_from(mutations), label="mutation")
+        parent = holder
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        if mutation == "drop":
+            del parent[path[-1]]
+        elif mutation == "wrong_type":
+            parent[path[-1]] = 7 if isinstance(value, str) else "x"
+        elif mutation == "nest":
+            parent[path[-1]] = [value]
+        else:
+            parent[path[-1]] = cls._REPLACEMENTS[mutation]
+        return holder[0]
+
+    def _run(self, tmp_path, capsys, argv) -> None:
+        code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--json"])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE, captured
+        assert captured.out == ""
+        assert json.loads(captured.err)["field"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_mutated_state_file_is_usage_error(self, tmp_path, capsys, data):
+        spec = data.draw(st.sampled_from(self._STATES), label="state")
+        (tmp_path / "s.json").write_text(json.dumps(self._mutate(spec, data)))
+        self._run(tmp_path, capsys, ["measures", "{tmp}/s.json"])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_mutated_protocol_file_is_usage_error(self, tmp_path, capsys, data):
+        (tmp_path / "p.json").write_text(json.dumps(self._mutate(self._PROTOCOL, data)))
+        write_spec(tmp_path, "s.json", {"kind": "werner", "w": 0.5})
+        self._run(tmp_path, capsys, ["apply", "{tmp}/p.json", "{tmp}/s.json"])
 
 
 _SCIPY_PROBE = """

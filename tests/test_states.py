@@ -22,7 +22,6 @@ from entconv.states import (
     make_werner,
     min_pt_eigenvalue,
     random_density_matrix,
-    state_scalars,
 )
 
 
@@ -124,14 +123,14 @@ def test_density_matrix_array_is_readonly():
 
 
 def test_state_scalars_extremes():
-    singlet = state_scalars(make_werner(1.0))
-    npt.assert_allclose(singlet.purity, 1.0, atol=1e-12)
-    npt.assert_allclose(singlet.entropy, 0.0, atol=1e-9)
-    assert singlet.rank == 1
-    mixed = state_scalars(make_werner(0.0))
-    npt.assert_allclose(mixed.purity, 0.25, atol=1e-12)
-    npt.assert_allclose(mixed.entropy, 2.0, atol=1e-12)
-    assert mixed.rank == 4
+    singlet = make_werner(1.0)
+    npt.assert_allclose(singlet.purity(), 1.0, atol=1e-12)
+    npt.assert_allclose(singlet.entropy(), 0.0, atol=1e-9)
+    assert singlet.rank() == 1
+    mixed = make_werner(0.0)
+    npt.assert_allclose(mixed.purity(), 0.25, atol=1e-12)
+    npt.assert_allclose(mixed.entropy(), 2.0, atol=1e-12)
+    assert mixed.rank() == 4
 
 
 def test_min_pt_eigenvalue_werner_closed_form():
