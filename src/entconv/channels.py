@@ -61,8 +61,7 @@ def _as_qubit_mat(m, what: str) -> np.ndarray:
     arr = np.array(m, dtype=np.complex128)
     if arr.shape != (2, 2):
         raise ValueError(f"{what} must be 2x2, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+    return qmat.read_only(arr)
 
 
 class _Lowering:
@@ -150,6 +149,16 @@ class DiscardPrepare(_Lowering):
 Atom = Union[LocalUnitary, DiscardPrepare]
 
 
+def _checked_weights(weights, what: str) -> list:
+    """The weights as floats, each at least -1e-12 and summing to 1 within 1e-9, so not none."""
+    weights = [float(w) for w in weights]
+    if not all(w >= -1e-12 for w in weights):
+        raise BadWeightsError(f"{what} weights must be nonnegative, got {weights}")
+    if not abs(sum(weights) - 1.0) <= 1e-9:
+        raise BadWeightsError(f"{what} weights must sum to 1 within 1e-9, got {sum(weights)!r}")
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class Protocol:
     """Convex mixture of protocol atoms: branches of (weight, atom)."""
@@ -158,14 +167,7 @@ class Protocol:
 
     def __post_init__(self):
         branches = tuple((float(w), atom) for w, atom in self.branches)
-        if not branches:
-            raise BadWeightsError("a protocol needs at least one branch")
-        weights = [w for w, _ in branches]
-        if not all(w >= -1e-12 for w in weights):
-            raise BadWeightsError(f"branch weights must be nonnegative, got {weights}")
-        total = sum(weights)
-        if not abs(total - 1.0) <= 1e-9:
-            raise BadWeightsError(f"branch weights must sum to 1 within 1e-9, got {total!r}")
+        _checked_weights([w for w, _ in branches], "branch")
         for _, atom in branches:
             if not isinstance(atom, (LocalUnitary, DiscardPrepare)):
                 raise TypeError(f"unsupported protocol atom {type(atom).__name__}")
@@ -204,11 +206,7 @@ def renormalize_probabilistic(branches: Sequence[ProbabilisticBranch]) -> tuple:
     s_k, so conditioned on success it contributes weight w_k s_k / sum_j w_j s_j.
     Branches that never succeed drop out.
     """
-    if not branches:
-        raise BadWeightsError("need at least one branch")
-    total_w = sum(b.weight for b in branches)
-    if not abs(total_w - 1.0) <= 1e-9:
-        raise BadWeightsError(f"branch weights must sum to 1 within 1e-9, got {total_w!r}")
+    _checked_weights([b.weight for b in branches], "branch")
     success = sum(b.weight * b.success_prob for b in branches)
     if success <= 0.0:
         raise BadWeightsError("no branch ever succeeds; conditional protocol is undefined")
@@ -220,11 +218,25 @@ def renormalize_probabilistic(branches: Sequence[ProbabilisticBranch]) -> tuple:
     return Protocol(kept), float(success)
 
 
+def _check_completeness(gram) -> None:
+    """Raise unless each sum E^dagger E, one (4, 4) or a (t, 4, 4) stack, is within 1e-10 of I."""
+    dev = qmat.frobenius_norm(gram - np.eye(4))
+    if isinstance(dev, float) and dev <= _COMPLETENESS_TOL:
+        return  # one channel that passes, without the array steps a stack needs
+    dev = np.reshape(dev, -1)
+    bad = np.flatnonzero(~(dev <= _COMPLETENESS_TOL))
+    if bad.size:
+        raise NotTracePreservingError(
+            f"Kraus completeness fails in row {bad[0]} of {dev.size}: "
+            f"||sum E^dagger E - I|| = {dev[bad[0]]:.3e} > {_COMPLETENESS_TOL:g}"
+        )
+
+
 class SeparableChannel:
     """Trace-preserving channel given by product Kraus pairs (A_k, B_k).
 
     The pairs are held as one read-only (n, 2, 2, 2) array, row k being
-    (A_k, B_k), and lifted once to the (n, 4, 4) stack E_k = A_k (x) B_k.
+    (A_k, B_k), and lifted once to the read-only (n, 4, 4) stack E_k = A_k (x) B_k.
     """
 
     __slots__ = ("_factors", "_estack")
@@ -235,17 +247,10 @@ class SeparableChannel:
             raise ValueError(
                 f"need one or more pairs of 2x2 Kraus factors, got shape {factors.shape}"
             )
-        factors.setflags(write=False)
         estack = kernels.kron2(factors[:, 0], factors[:, 1])
-        gram = kernels.kraus_gram(estack)
-        dev = qmat.frobenius_distance(gram, np.eye(4))
-        if not dev <= _COMPLETENESS_TOL:
-            raise NotTracePreservingError(
-                f"Kraus completeness fails: ||sum E^dagger E - I|| = {dev:.3e} "
-                f"> {_COMPLETENESS_TOL:g}"
-            )
-        self._factors = factors
-        self._estack = estack
+        _check_completeness(kernels.kraus_gram(estack))
+        self._factors = qmat.read_only(factors)
+        self._estack = qmat.read_only(estack)
 
     @property
     def kraus_pairs(self) -> np.ndarray:
@@ -259,39 +264,32 @@ class SeparableChannel:
     def n_kraus(self) -> int:
         return self._estack.shape[0]
 
-    def apply_raw(self, mat: np.ndarray) -> np.ndarray:
-        return kernels.apply_kraus(self._estack, np.ascontiguousarray(mat, dtype=np.complex128))
-
     def apply(self, rho) -> DensityMatrix:
-        return DensityMatrix(self.apply_raw(_one_mat_of(rho)))
+        return DensityMatrix(kernels.apply_kraus(self._estack, _one_mat_of(rho)))
 
     def __repr__(self):
         return f"SeparableChannel(n_kraus={self.n_kraus})"
 
 
-def separable_kraus_stacks(factors: np.ndarray, counts) -> np.ndarray:
+def separable_kraus_stacks(factors: np.ndarray) -> np.ndarray:
     """Lifted Kraus stacks of many channels given as zero-padded factor rows.
 
-    Row t of ``factors``, shape (t, n, 2, 2, 2), holds one channel's pairs in
-    its first counts[t] entries and zeros after them. The result, shape
-    (t, n, 4, 4), is what ``kernels.apply_kraus`` takes for several channels
-    at once. Each channel passes the completeness check ``SeparableChannel``
-    makes, evaluated over all rows at once; a row that fails is rebuilt as a
-    ``SeparableChannel``, which raises that row's error.
+    Row t of ``factors``, shape (t, n, 2, 2, 2), holds one channel's pairs,
+    padded with zero pairs, which add nothing. The result, shape (t, n, 4, 4),
+    is what ``kernels.apply_kraus`` takes; every row passes the completeness
+    check ``SeparableChannel`` makes, evaluated over all rows at once.
     """
     estacks = kernels.kron2(factors[..., 0, :, :], factors[..., 1, :, :])
-    dev = qmat.frobenius_norm(kernels.kraus_gram(estacks) - np.eye(4))
-    for row in np.flatnonzero(~(dev <= _COMPLETENESS_TOL)):
-        SeparableChannel(factors[row, : counts[row]])
+    _check_completeness(kernels.kraus_gram(estacks))
     return estacks
 
 
 # [side, i, mu] -> entries of rho: the Pauli coordinates of side A,
 # tr(rho sigma_i (x) sigma_mu), and of side B, tr(rho sigma_mu (x) sigma_i),
 # for i = x, y, z; each product P is Hermitian, so tr(rho P) = sum(conj(P) * rho)
-_SIDE_ROWS = np.stack(
+_SIDE_ROWS = qmat.read_only(np.stack(
     [qmat.PAULI_PRODUCTS[1:], qmat.PAULI_PRODUCTS[:, 1:].swapaxes(0, 1)]
-).conj().reshape(24, 16)
+).conj().reshape(24, 16))
 
 
 def product_diagonal_decomposition(mat) -> tuple:
@@ -355,11 +353,7 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
     """
     if len(channels) != len(weights):
         raise BadWeightsError("need one weight per channel")
-    weights = [float(w) for w in weights]
-    if not all(w >= -1e-12 for w in weights):
-        raise BadWeightsError(f"mixture weights must be nonnegative, got {weights}")
-    if not abs(sum(weights) - 1.0) <= 1e-9:
-        raise BadWeightsError(f"mixture weights must sum to 1, got {sum(weights)!r}")
+    weights = _checked_weights(weights, "mixture")
     if weights == [1.0]:
         return channels[0]
     factors = [w ** 0.25 * ch.kraus_pairs for ch, w in zip(channels, weights) if w > 0.0]
@@ -369,43 +363,42 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
 class ChannelPool:
     """A fixed set of channels, prepared once so that many mixtures apply at once.
 
-    ``apply_mixtures(weights, rho)`` gives, for each row t of a (t, c) weight
-    matrix, the mixture sum_c w_tc Phi_c applied to rho[t]. No mixed channel
-    is built: every channel is applied once to all the inputs, through its
-    16x16 transfer matrix (the images of the 16 matrix units, computed with
-    ``kernels.apply_kraus`` when the pool is built), and the images are mixed
-    by linearity. Each row still passes the checks ``mix`` makes on its
-    mixture, evaluated over the rows at once: weights nonnegative and
-    summing to 1 within 1e-9, and completeness sum_c w_tc gram_c = I within
-    1e-10. A row that fails is rebuilt through ``mix``, which raises that
-    row's error.
+    The pool takes one Kraus stack (n_c, 4, 4) per channel and checks each
+    once. ``apply_mixtures(weights, rho)`` gives, for each row t of a (t, c)
+    weight matrix, the mixture sum_c w_tc Phi_c applied to rho[t]. No mixed
+    channel is built: every channel is applied once to all the inputs,
+    through its 16x16 transfer matrix (the images of the 16 matrix units,
+    computed with ``kernels.apply_kraus`` when the pool is built), and the
+    images are mixed by linearity. Each row passes the checks ``mix`` makes
+    on its mixture, over the rows at once: weights nonnegative and summing
+    to 1 within 1e-9, and sum_c w_tc gram_c = I within 1e-10.
     """
 
-    __slots__ = ("channels", "_transfer", "_grams")
+    __slots__ = ("size", "_transfer", "_grams")
 
-    def __init__(self, channels: Sequence[SeparableChannel]):
-        self.channels = tuple(channels)
-        count = len(self.channels)
+    def __init__(self, estacks: Sequence[np.ndarray]):
+        self.size = len(estacks)
         # one zero-padded Kraus stack per channel; zero operators add nothing
-        estacks = np.zeros((count, max(ch.n_kraus for ch in self.channels), 4, 4), complex)
-        for c, ch in enumerate(self.channels):
-            estacks[c, : ch.n_kraus] = ch.estack
-        units = np.broadcast_to(np.eye(16).reshape(16, 4, 4), (count, 16, 4, 4))
+        padded = np.zeros((self.size, max(len(e) for e in estacks), 4, 4), complex)
+        for c, e in enumerate(estacks):
+            padded[c, : len(e)] = e
+        grams = kernels.kraus_gram(padded)
+        _check_completeness(grams)
+        units = np.broadcast_to(np.eye(16).reshape(16, 4, 4), (self.size, 16, 4, 4))
         # [c, i, o]: entry o of the channel's image of matrix unit i
-        self._transfer = kernels.apply_kraus(estacks, units).reshape(count, 16, 16)
-        self._grams = kernels.kraus_gram(estacks).reshape(count, 16)
+        self._transfer = kernels.apply_kraus(padded, units).reshape(self.size, 16, 16)
+        self._grams = grams.reshape(self.size, 16)
 
     def apply_mixtures(self, weights, rho) -> np.ndarray:
         """sum_c w_tc Phi_c(rho[t]) for a (t, c) weight matrix and a (t, ..., 4, 4) input stack."""
         w = np.asarray(weights, dtype=np.float64)
-        ok = (w >= -1e-12).all(axis=1) & (np.abs(w.sum(axis=1) - 1.0) <= 1e-9)
-        gram = (w @ self._grams).reshape(-1, 4, 4)
-        ok &= qmat.frobenius_norm(gram - np.eye(4)) <= _COMPLETENESS_TOL
-        for row in np.flatnonzero(~ok):
-            mix(self.channels, w[row])
+        bad = np.flatnonzero(~((w >= -1e-12).all(axis=1) & (np.abs(w.sum(axis=1) - 1.0) <= 1e-9)))
+        if bad.size:
+            raise BadWeightsError(f"mixture weights must be nonnegative and sum to 1: {w[bad[0]]}")
+        _check_completeness((w @ self._grams).reshape(-1, 4, 4))
         # [c, t, x, o]: every channel's image of every input
         images = rho.reshape(-1, 16) @ self._transfer
-        images = images.reshape((len(self.channels), len(w), -1, 16))
+        images = images.reshape((self.size, len(w), -1, 16))
         # [t, x, 0, o] = sum_c w_tc images[c, t, x, o]
         return (w[:, None, None, :] @ images.transpose(1, 2, 0, 3)).reshape(rho.shape)
 
@@ -450,4 +443,4 @@ def bell_extremal_catalog() -> tuple:
 @functools.cache
 def bell_extremal_pool() -> ChannelPool:
     """``bell_extremal_catalog()`` stacked for mixing, built once."""
-    return ChannelPool(bell_extremal_catalog())
+    return ChannelPool([channel.estack for channel in bell_extremal_catalog()])

@@ -96,10 +96,13 @@ def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _InputError(field, f"must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         # a JSON integer beyond the largest double
         raise _InputError(field, "number too large for a double") from None
+    if not math.isfinite(x):
+        raise _InputError(field, f"must be finite, got {x!r}")
+    return x
 
 
 def _num(obj: dict, field: str) -> float:

@@ -55,7 +55,7 @@ from .states import (
     MemsWeights,
     WernerParam,
     _WEIGHT_SUM_TOL,
-    _ZERO_EIGENVALUE,
+    _gapped_rank,
     as_density,
     classify_family,
     is_entangled,
@@ -146,17 +146,18 @@ def _constructive(protocol: Protocol, certificate: str, rho, rho2) -> Convertibl
 def rank_gate(rho, rho2) -> Optional[Forbidden]:
     """Block entangled-to-entangled conversions that would lower the rank.
 
-    Returns a Forbidden verdict when both states are entangled and the
-    target's rank is strictly smaller; None means pass. A rank counts the
-    eigenvalues above 1e-12, not ``rank()``'s 1e-9 readout: an eigenvalue
-    between the two is populated, not rounding, so it does not lower a rank.
+    Returns a Forbidden verdict when both states are entangled, both spectra
+    have a clean gap (each eigenvalue at most 1e-12 or above 1e-6) and the
+    target has fewer eigenvalues above 1e-6; None means pass. An eigenvalue
+    in (1e-12, 1e-6] may be population or rounding, so it forbids nothing.
     """
     source = as_density(rho)
     target = as_density(rho2)
     if not (is_entangled(source) and is_entangled(target)):
         return None
-    r_in, r_out = source.rank(_ZERO_EIGENVALUE), target.rank(_ZERO_EIGENVALUE)
-    if r_out < r_in:
+    r_in, clean_in = _gapped_rank(source.eig.values)
+    r_out, clean_out = _gapped_rank(target.eig.values)
+    if clean_in and clean_out and r_out < r_in:
         return Forbidden(
             "rank_gate",
             f"no separable channel sends an entangled rank-{r_in} state to an "

@@ -18,7 +18,7 @@ from . import kernels, qmat
 from .errors import OutOfRangeError
 from .states import BellWeights, _mat_of, _pt_spectrum
 
-_YY = kernels.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y)
+_YY = qmat.read_only(kernels.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y))
 
 
 class MonotoneTriple(NamedTuple):

@@ -51,6 +51,7 @@ from .errors import SamplingExhaustedError
 from .measures import bell_monotones, concurrence, negativity
 from .states import (
     DensityMatrix,
+    _gapped_rank,
     as_density,
     bell_diagonal_matrices,
     bell_weights_of,
@@ -61,8 +62,6 @@ _BLOCK = 256  # trials per block of stacked arithmetic
 _ENTANGLEMENT_MARGIN = 1e-4
 _ENTANGLED_TRIES = 200
 _NEGATIVITY_MARGIN = 1e-6
-_RANK_ZERO_TOL = 1e-12
-_RANK_LIVE_TOL = 1e-6
 
 
 @dataclass
@@ -91,10 +90,10 @@ class SearchReport:
 # the projectors a completion pair acts on, by index: the identity at 0, then
 # the rank-1 eigenprojectors (plus, minus) of each Pauli axis at _PROJ_INDEX
 _PROJ_INDEX = ((1, 2), (3, 4), (5, 6))
-_COMPLETION_PROJ = np.array(
+_COMPLETION_PROJ = qmat.read_only(np.array(
     [qmat.EYE2]
     + [0.5 * (qmat.EYE2 + sign * sigma) for sigma in qmat.PAULIS[1:] for sign in (1, -1)]
-)
+))
 
 
 # The completion pairs of one remainder entry (mu, nu) != (0, 0), listed
@@ -119,8 +118,8 @@ def _completion_slots() -> tuple:
             else:
                 plus_a, minus_a = _PROJ_INDEX[mu - 1]
                 slots += [(plus_a, 0, minus_a, 0, 1), (0, 0, 0, 0, 0)]
-    table = np.array(slots).reshape(15, 2, 5)
-    return table[..., 0:2], table[..., 2:4], table[..., 4] == 1
+    table = qmat.read_only(np.array(slots).reshape(15, 2, 5))
+    return table[..., 0:2], table[..., 2:4], qmat.read_only(table[..., 4] == 1)
 
 
 _SLOT_POS, _SLOT_NEG, _SLOT_USED = _completion_slots()
@@ -134,16 +133,15 @@ def _front(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _random_channel_factors(rngs: Sequence, n_kraus: Sequence[int]) -> tuple:
+def _random_channel_factors(rngs: Sequence, n_kraus: Sequence[int]) -> np.ndarray:
     """Kraus factors of ``random_separable_channel`` for many generators at once.
 
-    Returns (factors, counts): factors[t, :counts[t]] are the pairs that
-    ``random_separable_channel(rngs[t], n_kraus[t])`` returns, and the rest of
-    row t is zero. Each generator is read exactly as there: every free factor
-    in one Gaussian draw, the remainder's scale, then every Haar factor in
-    one Gaussian draw. Between the draws the arithmetic runs over all rows
-    at once, the free pairs and completion terms zero-padded to a common
-    length.
+    Row t of the (t, n, 2, 2, 2) result holds the pairs of
+    ``random_separable_channel(rngs[t], n_kraus[t])``, then zero pairs. Each
+    generator is read exactly as there: every free factor in one Gaussian
+    draw, the remainder's scale, then every Haar factor in one Gaussian draw.
+    Between the draws the arithmetic runs over all rows at once, the free
+    pairs and completion terms zero-padded to a common length.
     """
     n_kraus = np.asarray(n_kraus, dtype=int)
     g = np.zeros((len(rngs), n_kraus.max(initial=1), 2, 2, 2, 2))
@@ -217,7 +215,7 @@ def _random_channel_factors(rngs: Sequence, n_kraus: Sequence[int]) -> tuple:
     factors[multi[rows], cols] = scale[rows, None, None, None] * free[rows, cols]
     rows, cols = np.nonzero(np.arange(width) < n_terms[:, None])
     factors[multi[rows], n_free[rows] + cols] = completion[rows, cols]
-    return factors, counts
+    return factors
 
 
 def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
@@ -231,16 +229,13 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     draw, since one Kraus operator can only be trace preserving when it is
     unitary.
 
-    The generator is read three times: every free factor in one Gaussian
-    draw, the remainder's scale, then every Haar factor in one Gaussian
-    draw. Each draw yields the same numbers as drawing its blocks one by one.
-    This is the one-generator case of the falsifier's block builder.
+    This is the one-generator case of the falsifier's block builder, whose
+    one row has no padding; it reads the generator as that builder does.
     """
     if n_kraus < 1:
         raise ValueError(f"n_kraus must be >= 1, got {n_kraus!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    factors, counts = _random_channel_factors([rng], [n_kraus])
-    return SeparableChannel(factors[0, : counts[0]])
+    return SeparableChannel(_random_channel_factors([rng], [n_kraus])[0])
 
 
 def _blocks(trials: int):
@@ -281,22 +276,27 @@ def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:
     return mats
 
 
+def _random_separable_stacks(rngs: Sequence, n_kraus: Sequence[int]) -> np.ndarray:
+    """Checked Kraus stacks of ``random_separable_channel`` for a block of generators."""
+    return separable_kraus_stacks(_random_channel_factors(rngs, n_kraus))
+
+
 def falsify_rank_monotonicity(
     trials: int,
     seed: int = 42,
-    channel_factory: Optional[Callable] = None,
+    channel_factory: Callable = _random_separable_stacks,
 ) -> SearchReport:
     """Hunt for a separable channel that lowers the rank of an entangled state.
 
     Each trial draws an entangled input of rank 3 or 4 (alternating) and a
-    random separable channel with 1 to 5 free Kraus pairs. A counterexample
-    must clear both margins: output negativity above 1e-6 and an output
-    spectrum that is rank-deficient with a clean gap (an eigenvalue below
-    1e-12 while every surviving one exceeds 1e-6). The expected outcome is an
-    empty report; ``channel_factory(rng, n_kraus)`` can inject other channel
-    ensembles as a control, each applied through its own ``apply_raw``.
-    ``live["rank"]`` counts the trials whose output cleared the negativity
-    margin, ``skipped["output_not_entangled"]`` the others.
+    channel with 1 to 5 free Kraus pairs: ``channel_factory(rngs, n_kraus)``
+    gives a block's channels as one (t, n, 4, 4) Kraus-stack array, random
+    separable ones by default; a planted control passes another builder. A
+    counterexample must clear both margins: output negativity above 1e-6 and
+    a clean gap (each eigenvalue at most 1e-12 or above 1e-6) with fewer
+    eigenvalues above 1e-6 than the input's rank. The expected outcome is an
+    empty report. ``live["rank"]`` counts the trials whose output cleared the
+    negativity margin, ``skipped["output_not_entangled"]`` the others.
     """
     start = time.perf_counter()
     report = SearchReport(
@@ -307,14 +307,7 @@ def falsify_rank_monotonicity(
         ranks = np.array([3 if trial % 2 else 4 for trial in block])
         mats = _random_entangled(rngs, ranks)
         n_kraus = [int(rng.integers(1, 6)) for rng in rngs]
-        if channel_factory is None:
-            factors, counts = _random_channel_factors(rngs, n_kraus)
-            outs = kernels.apply_kraus(separable_kraus_stacks(factors, counts), mats)
-        else:
-            outs = np.stack([
-                channel_factory(rng, n).apply_raw(mat)
-                for rng, n, mat in zip(rngs, n_kraus, mats)
-            ])
+        outs = kernels.apply_kraus(channel_factory(rngs, n_kraus), mats)
         neg = negativity(outs)
         live = np.flatnonzero(neg > _NEGATIVITY_MARGIN)
         report.live["rank"] += live.size
@@ -322,10 +315,8 @@ def falsify_rank_monotonicity(
         if not live.size:
             continue
         spectra, _ = kernels.hermitian_eigh(outs[live])
-        rank_out = np.sum(spectra > _RANK_LIVE_TOL, axis=1)
-        dead = np.sum(spectra < _RANK_ZERO_TOL, axis=1)
-        clean_gap = rank_out + dead == 4
-        dropped = clean_gap & (dead >= 1) & (rank_out < ranks[live])
+        rank_out, clean = _gapped_rank(spectra)
+        dropped = clean & (rank_out < ranks[live])
         for i, values, r_out in zip(live[dropped], spectra[dropped], rank_out[dropped]):
             report.counterexamples.append(
                 {
@@ -342,7 +333,7 @@ def falsify_rank_monotonicity(
     return report
 
 
-_FLAT4 = np.ones(4)
+_FLAT4 = qmat.read_only(np.ones(4))
 
 
 def _entangled_bell_weights(rng) -> np.ndarray:
@@ -357,7 +348,7 @@ def _entangled_bell_weights(rng) -> np.ndarray:
 def monotone_audit(
     trials: int,
     seed: int = 42,
-    channel_pool: Optional[Sequence[SeparableChannel]] = None,
+    channel_pool: Optional[Sequence[np.ndarray]] = None,
 ) -> SearchReport:
     """Check the three Bell-diagonal monotones and concurrence under mixtures.
 
@@ -366,7 +357,8 @@ def monotone_audit(
     output weights numerically. For outputs that remain entangled, any
     monotone that grew by more than 1e-9 is recorded. The same mixture is
     also applied to a random rank-4 state to audit concurrence non-increase,
-    which holds for every certified channel on every state. The mixture is
+    which holds for every certified channel on every state. A planted control
+    passes other channels as Kraus stacks in ``channel_pool``. The mixture is
     never built: each pool channel is applied once to a block's inputs and
     its images are mixed by linearity (``ChannelPool``), under the checks
     ``mix`` makes. ``live["monotones"]`` counts the outputs that stayed
@@ -383,11 +375,10 @@ def monotone_audit(
         skipped=Counter(left_bell_diagonal=0, output_not_entangled=0),
     )
     pool = bell_extremal_pool() if channel_pool is None else ChannelPool(channel_pool)
-    size = len(pool.channels)
-    flat = np.ones(size)
+    flat = np.ones(pool.size)
     for block in _blocks(trials):
         weights = np.empty((len(block), 4))
-        mixture = np.empty((len(block), size))
+        mixture = np.empty((len(block), pool.size))
         g = np.empty((len(block), 2, 4, 4))
         for i, trial in enumerate(block):
             rng = np.random.default_rng((seed, trial))

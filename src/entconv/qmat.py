@@ -16,14 +16,21 @@ import numpy as np
 from . import kernels
 from .errors import NotHermitianError
 
-EYE2 = np.eye(2, dtype=np.complex128)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only, so that an array the package shares cannot be edited."""
+    a.setflags(write=False)
+    return a
+
+
+EYE2 = read_only(np.eye(2, dtype=np.complex128))
+SIGMA_X = read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+SIGMA_Y = read_only(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
+SIGMA_Z = read_only(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 # [mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I, the product Pauli basis
 # of 4x4 operators
-PAULIS = np.array([EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z])
-PAULI_PRODUCTS = kernels.kron2(*np.broadcast_arrays(PAULIS[:, None], PAULIS[None, :]))
+PAULIS = read_only(np.array([EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z]))
+PAULI_PRODUCTS = read_only(kernels.kron2(*np.broadcast_arrays(PAULIS[:, None], PAULIS[None, :])))
 # the one-sided Pauli unitaries as (A, B) factor pairs: the identity, then
 # sigma (x) I and I (x) sigma for x, y, z
 ONE_SIDED_PAULIS = ((EYE2, EYE2),) + tuple(

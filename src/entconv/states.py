@@ -32,7 +32,7 @@ from .errors import NotHermitianError, OutOfRangeError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
-BELL_VECTORS = np.array(
+BELL_VECTORS = qmat.read_only(np.array(
     [
         [0.0, _SQ2, -_SQ2, 0.0],  # (|01> - |10>)/sqrt(2), the singlet
         [_SQ2, 0.0, 0.0, _SQ2],   # (|00> + |11>)/sqrt(2)
@@ -40,23 +40,25 @@ BELL_VECTORS = np.array(
         [0.0, _SQ2, _SQ2, 0.0],   # (|01> + |10>)/sqrt(2)
     ],
     dtype=np.complex128,
-)
+))
 
-BELL_PROJECTORS = tuple(np.outer(v, v.conj()) for v in BELL_VECTORS)
+BELL_PROJECTORS = tuple(qmat.read_only(np.outer(v, v.conj())) for v in BELL_VECTORS)
 SINGLET_PROJECTOR = BELL_PROJECTORS[0]
-_BELL_STACK = np.stack(BELL_PROJECTORS)
+_BELL_STACK = qmat.read_only(np.stack(BELL_PROJECTORS))
 _BELL_KETS = BELL_VECTORS[:, :, None]
-_BELL_BRAS = BELL_VECTORS.conj()[:, None, :]
+_BELL_BRAS = qmat.read_only(BELL_VECTORS.conj())[:, None, :]
 
-MAX_MIXED = np.eye(4, dtype=np.complex128) / 4.0
+MAX_MIXED = qmat.read_only(np.eye(4, dtype=np.complex128) / 4.0)
 
 _WEIGHT_SUM_TOL = 1e-12
 _ORDER_TOL = 1e-12
 # partial-transpose eigenvalues within this of zero count as separable
 _ENTANGLED_TOL = 1e-10
-# eigenvalues at or below this are rounding, not population; the rank gate
-# counts rank above it
+# eigenvalues at or below this are rounding, not population
 _ZERO_EIGENVALUE = 1e-12
+# eigenvalues above this are population, whatever the rounding; a spectrum
+# with none in (_ZERO_EIGENVALUE, _LIVE_EIGENVALUE] has a clean gap
+_LIVE_EIGENVALUE = 1e-6
 # how far a state may sit from its best-fit family reconstruction
 _FAMILY_TOL = 1e-8
 
@@ -147,7 +149,7 @@ class DensityMatrix:
     Construction checks Hermiticity (1e-9), unit trace (1e-9) and positive
     semidefiniteness (eigenvalues >= -1e-10); each check is written so that
     a NaN entry fails it. The eigendecomposition is kept, and the
-    separability test's value on first use. The array is read-only.
+    separability test's value on first use. Its arrays are read-only.
     """
 
     __slots__ = ("_mat", "_eig", "_min_pt")
@@ -165,13 +167,12 @@ class DensityMatrix:
         if not abs(tr - 1.0) <= 1e-9:
             raise OutOfRangeError(f"density matrix trace must be 1 within 1e-9, got {tr!r}")
         mat = 0.5 * (mat + qmat.dag(mat))
-        eig = qmat.EigenDecomposition(*kernels.hermitian_eigh(mat))
+        eig = qmat.EigenDecomposition(*map(qmat.read_only, kernels.hermitian_eigh(mat)))
         if not eig.values[-1] >= -1e-10:
             raise OutOfRangeError(
                 f"density matrix has eigenvalue {eig.values[-1]:.3e} below -1e-10"
             )
-        mat.setflags(write=False)
-        self._mat = mat
+        self._mat = qmat.read_only(mat)
         self._eig = eig
         self._min_pt = None
 
@@ -204,6 +205,12 @@ class DensityMatrix:
     def __repr__(self):
         lam = ", ".join(f"{x:.6g}" for x in self._eig.values)
         return f"DensityMatrix(spectrum=[{lam}])"
+
+
+def _gapped_rank(values) -> tuple:
+    """(eigenvalues above 1e-6, none in (1e-12, 1e-6]) of a spectrum or of each in a stack."""
+    live = values > _LIVE_EIGENVALUE
+    return live.sum(axis=-1), (live | (values <= _ZERO_EIGENVALUE)).all(axis=-1)
 
 
 def _mat_of(rho) -> np.ndarray:
@@ -258,27 +265,22 @@ def make_bell_diagonal(weights) -> DensityMatrix:
 def bell_diagonal_matrices(weights) -> np.ndarray:
     """The matrices ``make_bell_diagonal`` builds, one per row of an (m, 4) weight stack.
 
-    Every row passes the checks ``make_bell_diagonal`` makes, evaluated over
-    the stack at once: the ``BellWeights`` checks (finite, nonnegative,
-    non-ascending within 1e-12, summing to 1 within 1e-12) and the
-    ``DensityMatrix`` checks of its matrix (Hermitian and unit trace within
-    1e-9, eigenvalues of the symmetrized matrix >= -1e-10). A row that fails
-    is rebuilt through ``make_bell_diagonal``, which raises that row's error.
-    The matrices come back symmetrized, as ``DensityMatrix.matrix`` holds them.
+    Every row passes the ``BellWeights`` checks, evaluated over the stack at
+    once, and the first row that fails raises. A row that passes gives an
+    exactly Hermitian matrix whose spectrum is its weights to rounding, so
+    the ``DensityMatrix`` checks hold and symmetrizing changes no entry.
     """
     w = np.asarray(weights, dtype=np.float64)
     total = w[:, 0] + w[:, 1] + w[:, 2] + w[:, 3]
-    ok = np.isfinite(w).all(axis=1) & (w >= 0.0).all(axis=1)
-    ok &= (w[:, 1:] <= w[:, :-1] + _ORDER_TOL).all(axis=1)
-    ok &= np.abs(total - 1.0) <= _WEIGHT_SUM_TOL
-    mats = _bell_matrix(w)
-    ok &= qmat.frobenius_norm(mats - qmat.dag(mats)) <= 1e-9
-    ok &= np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0) <= 1e-9
-    mats = 0.5 * (mats + qmat.dag(mats))
-    ok &= kernels.hermitian_eigh(mats)[0][:, -1] >= -1e-10
-    for row in np.flatnonzero(~ok):
-        make_bell_diagonal(tuple(w[row]))
-    return mats
+    # a NaN fails the first test and an infinity the sum, so both are caught
+    ok = (w >= 0.0).all(axis=1) & (w[:, 1:] <= w[:, :-1] + _ORDER_TOL).all(axis=1)
+    bad = np.flatnonzero(~(ok & (np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)))
+    if bad.size:
+        raise OutOfRangeError(
+            f"lambda must be nonnegative, non-ascending and sum to 1 within "
+            f"{_WEIGHT_SUM_TOL:g}, got {w[bad[0]].tolist()}"
+        )
+    return _bell_matrix(w)
 
 
 def make_mems(weights) -> DensityMatrix:

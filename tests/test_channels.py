@@ -51,7 +51,7 @@ def haar_qubit_unitary(rng):
 def bell_action(ch):
     """4x4 action on Bell weights read off the channel: column j holds the
     Bell weights of its image of projector j, which must be Bell-diagonal."""
-    weights, residual = bell_weights_of(np.stack([ch.apply_raw(p) for p in BELL_PROJECTORS]))
+    weights, residual = bell_weights_of(kernels.apply_kraus(ch.estack, np.stack(BELL_PROJECTORS)))
     assert np.all(residual < 1e-12)
     return weights.T
 
@@ -194,6 +194,8 @@ def test_kraus_pairs_are_read_only_factors():
     assert ch.kraus_pairs.shape == (ch.n_kraus, 2, 2, 2)
     with pytest.raises(ValueError):
         ch.kraus_pairs[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ch.estack[0] *= 2
     for (a, b), e in zip(ch.kraus_pairs, ch.estack):
         assert np.array_equal(e, np.kron(a, b))
 
@@ -361,7 +363,7 @@ def test_product_decomposition_of_states_classical_on_one_side(seed):
         npt.assert_allclose(recon, mat, rtol=0, atol=1e-12)
         channel = discard_prepare_channel(target)
         for rank in (1, 4):
-            out = channel.apply_raw(random_density_matrix(rng, rank=rank).matrix)
+            out = kernels.apply_kraus(channel.estack, random_density_matrix(rng, rank=rank).matrix)
             assert qmat.frobenius_distance(out, mat) <= 1e-12
 
 
@@ -505,11 +507,12 @@ def test_pool_mixtures_match_mixed_channels():
     out = pool.apply_mixtures(weights, g)
     assert out.shape == g.shape
     for w, rho, got in zip(weights, g, out):
-        npt.assert_allclose(got, mix(bell_extremal_catalog(), w).apply_raw(rho), rtol=0, atol=1e-14)
+        expected = kernels.apply_kraus(mix(bell_extremal_catalog(), w).estack, rho)
+        npt.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 def test_pool_rejects_a_bad_row_with_the_error_of_mix():
-    pool = ChannelPool(bell_extremal_catalog())
+    pool = ChannelPool([ch.estack for ch in bell_extremal_catalog()])
     rho = np.broadcast_to(np.eye(4) / 4, (3, 4, 4)).astype(complex)
     good = np.full(13, 1 / 13)
     for bad, error, match in (
@@ -522,15 +525,36 @@ def test_pool_rejects_a_bad_row_with_the_error_of_mix():
             pool.apply_mixtures(np.stack([good, bad, good]), rho)
 
 
+def test_pool_raises_from_its_own_completeness_check():
+    # the stacked check reads this row's deviation as 1.00000008e-10, above
+    # 1e-10, while the concatenated channel that mix builds reads 9.99996e-11;
+    # the pool must refuse the row it found, not defer to mix
+    row = [0.10380911846171291, 0.1563326299145126, 0.20496869734449263,
+           0.06060754045790123, 0.08433642779822272, 0.07510288982463982,
+           0.04181723251936235, 0.07136379625826506, 0.08574316307947291,
+           0.0022884698612320154, 0.01592743067970774, 0.09207248967254654,
+           0.0056301141779316]
+    rho = np.broadcast_to(np.eye(4) / 4, (1, 4, 4)).astype(complex)
+    with pytest.raises(NotTracePreservingError, match="row 0"):
+        bell_extremal_pool().apply_mixtures(np.array([row]), rho)
+
+
+def test_pool_checks_each_channel_when_built():
+    good = bell_extremal_catalog()[0].estack
+    with pytest.raises(NotTracePreservingError, match="row 1"):
+        ChannelPool([good, 1.001 * good])
+
+
 def test_pool_without_bell_actions_mixes_any_channels():
     rng = np.random.default_rng(62)
     u = haar_qubit_unitary(rng)
     pool_channels = [LocalUnitary(u, np.eye(2)).channel(), discard_prepare_channel(make_werner(0.0))]
-    pool = ChannelPool(pool_channels)
+    pool = ChannelPool([ch.estack for ch in pool_channels])
     weights = np.array([[0.3, 0.7], [1.0, 0.0]])
     rho = np.stack([random_density_matrix(1).matrix, random_density_matrix(2).matrix])
     for w, r, got in zip(weights, rho, pool.apply_mixtures(weights, rho)):
-        npt.assert_allclose(got, mix(pool_channels, w).apply_raw(r), rtol=0, atol=1e-14)
+        expected = kernels.apply_kraus(mix(pool_channels, w).estack, r)
+        npt.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 def test_separable_kraus_stacks_check_every_row():
@@ -538,9 +562,9 @@ def test_separable_kraus_stacks_check_every_row():
     factors = np.zeros((3, 2, 2, 2, 2), dtype=complex)
     factors[:, 0] = (u, u)
     factors[1, :2] = (np.sqrt(0.5) * u, u), (np.sqrt(0.5) * u, u)
-    estacks = separable_kraus_stacks(factors, [1, 2, 1])
+    estacks = separable_kraus_stacks(factors)
     assert estacks.shape == (3, 2, 4, 4)
     npt.assert_allclose(estacks[1, 1], np.sqrt(0.5) * np.eye(4))
     factors[2, 0, 0] *= 1.001
-    with pytest.raises(NotTracePreservingError):
-        separable_kraus_stacks(factors, [1, 2, 1])
+    with pytest.raises(NotTracePreservingError, match="row 2"):
+        separable_kraus_stacks(factors)

@@ -160,7 +160,7 @@ class TestCheck:
         code = main(["check", "--json", a, b])
         err = json.loads(capsys.readouterr().err)
         assert code == EX_USAGE
-        assert err["field"] == "source"
+        assert err["field"] == f"source.re[{entry[0]}][{entry[1]}]"
 
     def test_text_mode_prints_verdict(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
@@ -319,7 +319,7 @@ class TestSynthesizeAndApply:
         code = main(["apply", "--json", p, s])
         err = json.loads(capsys.readouterr().err)
         assert code == EX_USAGE
-        assert err["field"] == "protocol.branches"
+        assert err["field"] == "protocol.branches[0].weight"
         assert "nan" in err["error"]
 
 

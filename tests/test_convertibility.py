@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from entconv import channels, convertibility, kernels, qmat
+from entconv import channels, kernels, qmat, states
 from entconv.channels import compile_protocol
 from entconv.convertibility import (
     RESIDUAL_BOUND,
@@ -307,9 +307,11 @@ def _near_boundary_pairs(rng) -> list:
     eigenvalues between 1e-12 and 1e-6, and Werner and Bell pairs 1e-11 apart."""
     pairs = []
     product = DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-    # strictly inside (1e-12, 1e-6): the smallest is 1.4e-12, far above the
+    # strictly inside (1e-13, 1e-6), so down into the rank gate's band, where
+    # a target's small eigenvalues can sit at or below 1e-12 while the
+    # source's sit above it; the smallest, 1.4e-13, is still far above the
     # 1e-17 rounding of a 4x4 eigensolve
-    for small in np.logspace(-12, -6, 42)[1:-1]:
+    for small in np.logspace(-13, -6, 50)[1:-1]:
         keep = rng.uniform(0.3, 0.95)
         # the source's three small eigenvalues are eps/4, the target's keep * eps/4
         eps = 4.0 * small / keep
@@ -352,14 +354,20 @@ def test_no_forbidden_verdict_on_a_pair_a_verified_route_reaches():
 
 
 def test_cross_examination_flags_a_rank_gate_at_the_readout_tolerance(monkeypatch):
-    # planted violation: the gate counts rank above rank()'s 1e-9 readout again
-    source, (target,) = _near_pure_singlet_mixtures([0.7])
+    # a pair in the gate's band: the source's small eigenvalues are 2.0e-12,
+    # the target's 9.0e-13, and keeping or refilling reaches the target
+    source = make_werner(1 - 8e-12)
     refill = DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-    pair = (source, target, _routes(source, target, 0.7, refill))
+    target = DensityMatrix(0.45 * source.matrix + 0.55 * refill.matrix)
+    pair = (source, target, _routes(source, target, 0.45, refill))
+    assert isinstance(decide(source, target), Inconclusive)
     assert _cross_examine([pair]) == []
-    monkeypatch.setattr(convertibility, "_ZERO_EIGENVALUE", 1e-9)
+    # planted violation: with no band, the gate counts rank above 1e-12 again
+    monkeypatch.setattr(states, "_LIVE_EIGENVALUE", 1e-12)
     flagged = _cross_examine([pair])
-    assert [reason for _, _, reason, _ in flagged] == ["rank_gate", "rank_gate"]
+    assert flagged and {reason for _, _, reason, _ in flagged} == {"rank_gate"}
+    # the seeded draws reach down into the band too
+    assert _cross_examine(_near_boundary_pairs(np.random.default_rng(61)))
 
 
 def test_rank_gate_ignores_separable_states():

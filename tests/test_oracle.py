@@ -1,5 +1,7 @@
 """Tests for the randomized falsifiers and the protocol search."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -130,18 +132,17 @@ class TestRandomSeparableChannel:
         ket00[0, 0] = 1.0
         for seed in range(10):
             channel = random_separable_channel(seed, 3)
-            out = channel.apply_raw(ket00)
+            out = kernels.apply_kraus(channel.estack, ket00)
             assert min_pt_eigenvalue(out) >= -1e-10
 
     def test_block_builder_rows_are_single_channels(self):
         n_kraus = [1, 2, 3, 4, 5, 5, 1, 3]
         rngs = [np.random.default_rng(seed) for seed in range(len(n_kraus))]
-        factors, counts = oracle._random_channel_factors(rngs, n_kraus)
-        for seed, (row, count) in enumerate(zip(factors, counts)):
+        factors = oracle._random_channel_factors(rngs, n_kraus)
+        for seed, row in enumerate(factors):
             single = random_separable_channel(seed, n_kraus[seed]).kraus_pairs
-            assert count == len(single), seed
-            npt.assert_allclose(row[:count], single, rtol=0, atol=1e-15)
-            assert not row[count:].any()
+            npt.assert_allclose(row[: len(single)], single, rtol=0, atol=1e-15)
+            assert not row[len(single):].any()
 
     def test_completeness_violation_rejected(self):
         good = random_separable_channel(5, 3)
@@ -150,28 +151,28 @@ class TestRandomSeparableChannel:
             SeparableChannel(scaled)
 
 
-class _GlobalUnitaryShim:
-    """Non-separable control channel: a single Haar 4x4 unitary."""
-
-    def __init__(self, rng):
+def _haar_unitaries(rngs, n_kraus):
+    """Non-separable control channels: a Haar 4x4 unitary per trial, as one-operator stacks."""
+    stacks = np.empty((len(rngs), 1, 4, 4), dtype=complex)
+    for t, rng in enumerate(rngs):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q, r = np.linalg.qr(g)
-        self.u = q * (np.diag(r) / np.abs(np.diag(r)))
-
-    def apply_raw(self, mat):
-        return self.u @ mat @ self.u.conj().T
+        stacks[t, 0] = q * (np.diag(r) / np.abs(np.diag(r)))
+    return stacks
 
 
-class _EntangledPrepareShim:
-    """Non-separable control channel: replace the input with a Bell state."""
+def _refill(ket):
+    """Kraus stack |ket><j|, j = 0..3: replace any input by |ket><ket|."""
+    return ket[None, :, None] * np.eye(4)[:, None, :]
 
-    def __init__(self):
-        phi = np.zeros(4, dtype=complex)
-        phi[0] = phi[3] = np.sqrt(0.5)
-        self.proj = np.outer(phi, phi.conj())
 
-    def apply_raw(self, mat):
-        return np.trace(mat) * self.proj
+_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+_SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+
+
+def _bell_refills(rngs, n_kraus):
+    """Non-separable control channels: every trial replaces its input by |phi+><phi+|."""
+    return np.broadcast_to(_refill(_PHI_PLUS), (len(rngs), 4, 4, 4))
 
 
 H = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
@@ -180,14 +181,17 @@ H = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
 RUNS = {
     "rank": lambda n: falsify_rank_monotonicity(n, seed=11),
     "rank_global_unitary": lambda n: falsify_rank_monotonicity(
-        n, seed=12, channel_factory=lambda rng, k: _GlobalUnitaryShim(rng)
+        n, seed=12, channel_factory=_haar_unitaries
     ),
     "rank_entangled_prepare": lambda n: falsify_rank_monotonicity(
-        n, seed=13, channel_factory=lambda rng, k: _EntangledPrepareShim()
+        n, seed=13, channel_factory=_bell_refills
     ),
     "audit": lambda n: monotone_audit(n, seed=14),
     "audit_hadamard": lambda n: monotone_audit(
-        n, seed=15, channel_pool=[LocalUnitary(H, np.eye(2, dtype=complex)).channel()]
+        n, seed=15, channel_pool=[LocalUnitary(H, np.eye(2, dtype=complex)).channel().estack]
+    ),
+    "audit_singlet_refill": lambda n: monotone_audit(
+        n, seed=16, channel_pool=[_refill(_SINGLET)]
     ),
 }
 
@@ -233,6 +237,8 @@ class TestBlocks:
         flagged = {f["trial"] for f in long_runs["rank_entangled_prepare"].counterexamples}
         assert flagged == set(range(self.TRIALS))
         flagged = {f["trial"] for f in long_runs["audit_hadamard"].counterexamples}
+        assert flagged == set(range(self.TRIALS))
+        flagged = {f["trial"] for f in long_runs["audit_singlet_refill"].counterexamples}
         assert flagged == set(range(self.TRIALS))
         assert long_runs["rank_global_unitary"].clean
 
@@ -287,17 +293,13 @@ class TestRankFalsifier:
 
     def test_global_unitary_control_flags_nothing(self):
         # unitaries never change the spectrum, so no rank drop exists to find
-        report = falsify_rank_monotonicity(
-            60, seed=1, channel_factory=lambda rng, n: _GlobalUnitaryShim(rng)
-        )
+        report = falsify_rank_monotonicity(60, seed=1, channel_factory=_haar_unitaries)
         assert report.clean
 
     def test_entangled_prepare_control_is_caught(self):
         # replacing the input with a Bell state drops rank while staying
         # entangled, so every trial must be flagged
-        report = falsify_rank_monotonicity(
-            20, seed=2, channel_factory=lambda rng, n: _EntangledPrepareShim()
-        )
+        report = falsify_rank_monotonicity(20, seed=2, channel_factory=_bell_refills)
         assert len(report.counterexamples) == 20
         for finding in report.counterexamples:
             assert finding["rank_out"] == 1
@@ -328,12 +330,25 @@ class TestMonotoneAudit:
 
     def test_non_bell_preserving_pool_is_witnessed(self):
         hadamard = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
-        pool = [LocalUnitary(hadamard, np.eye(2, dtype=complex)).channel()]
+        pool = [LocalUnitary(hadamard, np.eye(2, dtype=complex)).channel().estack]
         report = monotone_audit(5, seed=0, channel_pool=pool)
         assert len(report.counterexamples) == 5
         assert all(f["kind"] == "left_bell_diagonal" for f in report.counterexamples)
         # an output that left the Bell-diagonal family tests neither claim
         assert report.live == {"monotones": 0, "concurrence": 0}
+
+    def test_singlet_refill_control_is_caught(self):
+        # replacing the input with the singlet raises every Bell-diagonal
+        # monotone and the concurrence, so every trial must be flagged for each
+        report = monotone_audit(200, seed=3, channel_pool=[_refill(_SINGLET)])
+        assert report.live == {"monotones": 200, "concurrence": 200}
+        kinds = Counter(f["kind"] for f in report.counterexamples)
+        assert kinds == {
+            "monotone_e1_increase": 200,
+            "monotone_e2_increase": 200,
+            "monotone_e3_increase": 200,
+            "concurrence_increase": 200,
+        }
 
 
 def _one_sided_rotations() -> list:

@@ -14,8 +14,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import entconv
 from entconv import kernels
+from entconv.channels import bell_extremal_catalog
+from entconv.states import make_werner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(entconv.__file__).resolve().parent
@@ -150,3 +155,36 @@ def test_every_definition_is_used_or_exported():
         and not users.get(name, set()) - {(path, stmt.lineno)}
     ]
     assert not unused, f"defined but never referenced or exported: {unused}"
+
+
+def _arrays(value):
+    """The arrays a module attribute holds: itself, or the entries of nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_shared_arrays_are_read_only():
+    # a module constant, a cached catalog channel or a state's spectrum is
+    # shared by every caller, so an in-place edit would change them all
+    shared = []
+    names = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+    for module in [entconv] + [importlib.import_module(f"entconv.{n}") for n in names]:
+        shared += [
+            (f"{module.__name__}.{name}", arr)
+            for name, value in vars(module).items()
+            for arr in _arrays(value)
+        ]
+    assert len(shared) > 20
+    rho, channel = make_werner(0.5), bell_extremal_catalog()[0]
+    shared += [("matrix", rho.matrix), ("eig.values", rho.eig.values),
+               ("eig.vectors", rho.eig.vectors), ("kraus_pairs", channel.kraus_pairs),
+               ("estack", channel.estack)]
+    for name, arr in shared:
+        assert not arr.flags.writeable, name
+    with pytest.raises(ValueError):
+        channel.estack[0] *= 2
+    with pytest.raises(ValueError):
+        rho.eig.values[:] = 0
