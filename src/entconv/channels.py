@@ -14,13 +14,13 @@ Protocols are finite mixtures of two atom kinds:
 
 * ``LocalUnitary(u_a, u_b)``: apply u_a (x) u_b;
 * ``DiscardPrepare(target)``: discard the input and prepare a fixed
-  separable state.
+  separable state, one classical on one side or a Werner state.
 
 Each atom owns its action, ``atom.apply(mat)``, which ``Protocol.apply``
 mixes, and its lowering, ``atom.channel()``, which ``compile_protocol`` mixes.
 An atom made with ``shared=True`` keeps its channel, so the atoms that
-decisions share (the identity, the refills and the anti-parallel
-preparations, cached in ``convertibility``) are lowered once per process.
+decisions share (the identity and the refills, cached in
+``convertibility``) are lowered once per process.
 
 ``renormalize_probabilistic`` turns branches that only succeed with some
 probability into the conditional protocol given success, rescaling branch
@@ -45,6 +45,7 @@ from .errors import (
 )
 from .states import (
     BELL_PROJECTORS,
+    SINGLET_PROJECTOR,
     DensityMatrix,
     _ZERO_EIGENVALUE,
     _one_mat_of,
@@ -70,9 +71,8 @@ class _Lowering:
     An atom lowers itself with ``_lower()`` on every call, and keeps nothing,
     so a verdict that holds a protocol does not hold its channels. An atom
     made with ``shared=True``, one built once and used by many protocols (the
-    identity, the refills and the anti-parallel preparations that
-    ``convertibility`` caches), builds and checks its channel on the first
-    call and keeps it.
+    identity and the refills that ``convertibility`` caches), builds and
+    checks its channel on the first call and keeps it.
     """
 
     def channel(self) -> "SeparableChannel":
@@ -126,7 +126,7 @@ class DiscardPrepare(_Lowering):
         return self.target.matrix * np.trace(mat).real
 
     def _lower(self) -> "SeparableChannel":
-        """Trace out the input and prepare the target; needs a product eigenbasis.
+        """Trace out the input and prepare the target; needs a product decomposition.
 
         The Kraus pairs are (p^(1/4) |a_i><j_a|, p^(1/4) |b_i><j_b|) over the
         decomposition terms i and computational indices j_a, j_b, in the order
@@ -292,19 +292,30 @@ _SIDE_ROWS = qmat.read_only(np.stack(
 ).conj().reshape(24, 16))
 
 
-def product_diagonal_decomposition(mat) -> tuple:
-    """Decompose a state as sum_i p_i |a_i b_i><a_i b_i| over orthogonal product vectors.
+# [side, term]: the kets of the ten product terms of every separable Werner
+# state, |n>|-n> for n = +x, +y, +z, -x, -y, -z, then |00>, |01>, |10>, |11>
+_WERNER_KETS = qmat.read_only(np.array([
+    [[1, 1], [1, 1j], [1, 0], [1, -1], [1, -1j], [0, 1], [1, 0], [1, 0], [0, 1], [0, 1]],
+    [[1, -1], [1, -1j], [0, 1], [1, 1], [1, 1j], [1, 0], [1, 0], [0, 1], [1, 0], [0, 1]],
+]) / np.sqrt([2, 2, 1, 2, 2, 1, 1, 1, 1, 1])[:, None])
 
-    Such a decomposition exists exactly when the state is classical on one
-    side, rho = sum_k |k><k| (x) rho_k over a basis {|k>} of that side, which
-    holds when the side's 3x4 Pauli coordinates have rank one (Dakic, Vedral
-    and Brukner, PRL 105, 190502 (2010)). Dephasing a side along the leading
-    left singular vector n of its coordinates moves rho by sqrt(s2^2 + s3^2)/2,
-    from their singular values s1 >= s2 >= s3. The side that moves least is
-    used when that is within 1e-9: the terms pair the eigenvectors |k> of
-    n . sigma with those of each rho_k, eigenvalues at or below 1e-12
-    dropped. Otherwise it raises NotProductDiagonalError, as for every
-    entangled state and for some separable ones.
+
+def product_diagonal_decomposition(mat) -> tuple:
+    """Decompose a separable state as sum_i p_i |a_i b_i><a_i b_i| over product vectors.
+
+    A state classical on one side, rho = sum_k |k><k| (x) rho_k over a basis
+    {|k>} of that side, is one whose side has rank-one 3x4 Pauli coordinates
+    (Dakic, Vedral and Brukner, PRL 105, 190502 (2010)). Dephasing a side
+    along the leading left singular vector n of its coordinates moves rho by
+    sqrt(s2^2 + s3^2)/2, from their singular values s1 >= s2 >= s3. The side
+    that moves least is used when that is within 1e-9: the orthogonal terms
+    pair the eigenvectors |k> of n . sigma with those of each rho_k. Any
+    other state is read as a Werner state, w from its singlet overlap, which
+    for w <= 1/3 is separable (Werner, PRA 40, 4277 (1989)): the six products
+    |n>|-n>, n = +-x, +-y, +-z, get w/2 each and the four computational
+    products (1 - 3w)/4 each. Terms at or below 1e-12 are dropped, and the
+    rest must rebuild the state within 1e-9, else NotProductDiagonalError is
+    raised, as for every entangled state and some separable ones.
 
     ``mat`` is a state or a 4x4 array, which is validated as one. The terms
     come back as arrays (p, a, b) of shapes (n,), (n, 2) and (n, 2). Nothing
@@ -315,27 +326,30 @@ def product_diagonal_decomposition(mat) -> tuple:
     axes, s, _ = np.linalg.svd((_SIDE_ROWS @ mat.reshape(16)).real.reshape(2, 3, 4))
     moved = np.hypot(s[:, 1], s[:, 2]) / 2.0
     side = int(np.argmin(moved))
-    if not moved[side] <= _PRODUCT_TOL:
-        raise NotProductDiagonalError(
-            f"the state is classical on neither side: dephasing moves it by {moved[side]:.3e}"
-        )
-    n_sigma = (axes[side, :, 0] @ qmat.PAULIS[1:].reshape(3, 4)).reshape(2, 2)
-    _, basis = kernels.hermitian_eigh(n_sigma)
-    # [a, b, a', b'] with the classical side first, and rho_k = <k|rho|k> from it
-    t = mat.reshape(2, 2, 2, 2)
-    t = t.transpose(1, 0, 3, 2) if side else t
-    values, vectors = kernels.hermitian_eigh(np.einsum("ak,abcd,ck->kbd", basis.conj(), t, basis))
-    # term (k, j): eigenvalue j of rho_k, |k> and eigenvector j of rho_k
-    p = values.reshape(4)
-    a = np.repeat(basis.T, 2, axis=0)
-    b = vectors.swapaxes(1, 2).reshape(4, 2)
-    a, b = (b, a) if side else (a, b)
+    if moved[side] <= _PRODUCT_TOL:
+        n_sigma = (axes[side, :, 0] @ qmat.PAULIS[1:].reshape(3, 4)).reshape(2, 2)
+        _, basis = kernels.hermitian_eigh(n_sigma)
+        # [a, b, a', b'] with the classical side first, and rho_k = <k|rho|k> from it
+        t = mat.reshape(2, 2, 2, 2)
+        t = t.transpose(1, 0, 3, 2) if side else t
+        t = np.einsum("ak,abcd,ck->kbd", basis.conj(), t, basis)
+        values, vectors = kernels.hermitian_eigh(t)
+        # term (k, j): eigenvalue j of rho_k, |k> and eigenvector j of rho_k
+        p = values.reshape(4)
+        a = np.repeat(basis.T, 2, axis=0)
+        b = vectors.swapaxes(1, 2).reshape(4, 2)
+        a, b = (b, a) if side else (a, b)
+    else:
+        # capped at 1/3, so the weights sum to 1 just past it, still separable to 1e-10
+        w = min((4.0 * float(np.vdot(SINGLET_PROJECTOR, mat).real) - 1.0) / 3.0, 1.0 / 3.0)
+        p = np.repeat([w / 2.0, (1.0 - 3.0 * w) / 4.0], [6, 4])
+        a, b = _WERNER_KETS
     live = p > _ZERO_EIGENVALUE
     p, a, b = p[live], a[live], b[live]
     ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
-    recon = (ab.T * p) @ ab.conj()
-    if qmat.frobenius_distance(recon, mat) > _PRODUCT_TOL:
-        raise NotProductDiagonalError("product reconstruction failed verification")
+    miss = qmat.frobenius_distance((ab.T * p) @ ab.conj(), mat)
+    if not miss <= _PRODUCT_TOL:
+        raise NotProductDiagonalError(f"no product decomposition within 1e-9: off by {miss:.3e}")
     return p, a, b
 
 

@@ -6,7 +6,8 @@ Three verdict types cover every outcome:
   constructive the verdict carries an explicit protocol together with the
   Frobenius residual of re-applying that protocol to the source. That
   residual is checked at run time: above ``RESIDUAL_BOUND`` the decision
-  raises ResidualError instead of returning a verdict.
+  raises ResidualError instead of returning a verdict. ``decide`` reads it
+  on the states it was given, not on their family fits.
 * ``Forbidden``: conversion is impossible, with a machine-readable reason
   (``rank_gate``, ``monotone_e1``/``e2``/``e3``, ``eof_decrease``,
   ``weight_infeasible``) and a human-readable detail line.
@@ -194,37 +195,29 @@ def _refill_01_atom() -> DiscardPrepare:
     )
 
 
-@functools.cache
-def _antiparallel_atoms() -> tuple:
-    """Discard and prepare |n><n| (x) |-n><-n| for n = +-x, +-y, +-z.
+def _prepare(target) -> tuple:
+    """The (protocol, certificate) plan that discards the input and prepares ``target``."""
+    protocol = Protocol(((1.0, DiscardPrepare(target)),))
+    return protocol, "target is separable: discard the input and prepare it"
 
-    Their equal mixture is the Werner state at w = 1/3.
-    """
-    eye = qmat.EYE2
-    return tuple(
-        DiscardPrepare(DensityMatrix(np.kron(eye + s * p, eye - s * p) / 4.0), shared=True)
-        for p in (qmat.SIGMA_X, qmat.SIGMA_Y, qmat.SIGMA_Z)
-        for s in (1.0, -1.0)
+
+def _verified(rule, rho, rho2) -> Verdict:
+    """A rule's verdict, or its (protocol, certificate) plan checked on rho -> rho2."""
+    return _constructive(*rule, rho, rho2) if isinstance(rule, tuple) else rule
+
+
+def _werner_rule(source: WernerParam, target: WernerParam):
+    """(protocol, certificate) from the Werner source to the target, or Forbidden."""
+    if target.w <= source.w:
+        p = 1.0 if source.w == 0.0 else target.w / source.w
+        certificate = f"keep with probability {p:.12g}, refill with the maximally mixed state"
+        return _keep_or(p, _max_mixed_atom()), certificate
+    if 3.0 * target.w <= 1.0 + _WEIGHT_SUM_TOL:
+        return _prepare(make_werner(target))
+    return Forbidden(
+        "weight_infeasible",
+        f"identity weight w'/w = {target.w}/{source.w} exceeds 1 and the target is entangled",
     )
-
-
-_SEPARABLE_WERNER_CERTIFICATE = (
-    "target is separable: prepare anti-parallel Pauli eigenstates, "
-    "refill with the maximally mixed state"
-)
-
-
-def _separable_werner_protocol(target: WernerParam) -> Optional[Protocol]:
-    """Prepare a Werner state with w' <= 1/3 (within 1e-12) from any input, else None.
-
-    Each of the six anti-parallel Pauli eigenstate pairs gets weight w'/2 and
-    the maximally mixed state the remaining 1 - 3w'.
-    """
-    if 3.0 * target.w > 1.0 + _WEIGHT_SUM_TOL:
-        return None
-    branches = [(target.w / 2.0, atom) for atom in _antiparallel_atoms()]
-    branches.append((max(0.0, 1.0 - 3.0 * target.w), _max_mixed_atom()))
-    return Protocol(tuple(branches))
 
 
 def decide_werner(w, w2) -> Verdict:
@@ -232,24 +225,12 @@ def decide_werner(w, w2) -> Verdict:
 
     When w' <= w the protocol keeps the state with probability p = w'/w and
     otherwise replaces it with the maximally mixed state. A separable target
-    (w' <= 1/3) is prepared directly by ``_separable_werner_protocol``.
+    (w' <= 1/3) is discarded-and-prepared directly. The protocol is verified
+    on the Werner states of the two weights.
     """
     source = w if isinstance(w, WernerParam) else WernerParam(float(w))
     target = w2 if isinstance(w2, WernerParam) else WernerParam(float(w2))
-    if target.w <= source.w:
-        p = 1.0 if source.w == 0.0 else target.w / source.w
-        protocol = _keep_or(p, _max_mixed_atom())
-        certificate = f"keep with probability {p:.12g}, refill with the maximally mixed state"
-    else:
-        protocol = _separable_werner_protocol(target)
-        if protocol is None:
-            return Forbidden(
-                "weight_infeasible",
-                f"identity weight w'/w = {target.w}/{source.w} exceeds 1 "
-                "and the target is entangled",
-            )
-        certificate = _SEPARABLE_WERNER_CERTIFICATE
-    return _constructive(protocol, certificate, make_werner(source), make_werner(target))
+    return _verified(_werner_rule(source, target), make_werner(source), make_werner(target))
 
 
 def decide_bell(l, l2) -> Verdict:
@@ -324,22 +305,13 @@ def synthesize_mems_protocol(l, l2) -> MemsProtocolParams:
     return MemsProtocolParams(w, (p01, p00_11, p10))
 
 
-def decide_mems(l, l2) -> Verdict:
-    """Decision within the maximally-entangled-mixture form.
-
-    Rank-2 members (both corner weights zero on both sides) are decided both
-    ways: the top weight is the entanglement of formation's argument there,
-    so it cannot grow. General members go through protocol synthesis, which
-    is sufficient only: infeasibility yields Inconclusive.
-    """
-    source = l if isinstance(l, MemsWeights) else MemsWeights(tuple(l))
-    target = l2 if isinstance(l2, MemsWeights) else MemsWeights(tuple(l2))
+def _mems_rule(source: MemsWeights, target: MemsWeights):
+    """(protocol, certificate) within the mixture form, or a Forbidden or Inconclusive."""
     s = source.weights
     t = target.weights
     if max(abs(a - b) for a, b in zip(s, t)) <= 1e-12:
-        protocol = Protocol(((1.0, _identity_atom()),))
-        certificate = "identical weights: identity protocol"
-    elif all(x <= 1e-10 for x in (s[2], s[3], t[2], t[3])):
+        return Protocol(((1.0, _identity_atom()),)), "identical weights: identity protocol"
+    if all(x <= 1e-10 for x in (s[2], s[3], t[2], t[3])):
         if t[0] > s[0]:
             return Forbidden(
                 "eof_decrease",
@@ -347,45 +319,54 @@ def decide_mems(l, l2) -> Verdict:
                 "entanglement of formation",
             )
         wid = t[0] / s[0]
-        protocol = _keep_or(wid, _refill_01_atom())
-        certificate = f"keep with probability {wid:.12g}, refill with |01><01|"
-    else:
-        try:
-            params = synthesize_mems_protocol(source, target)
-        except InfeasibleError as err:
-            return Inconclusive(f"mixture-form synthesis infeasible: {err.detail}")
-        protocol = keep_or_refill(params.W, params.prepared_state())
-        certificate = (
-            f"keep with probability {params.W:.12g}, refill with diagonal weights "
-            f"{params.prep_weights}"
+        return _keep_or(wid, _refill_01_atom()), (
+            f"keep with probability {wid:.12g}, refill with |01><01|"
         )
-    return _constructive(protocol, certificate, make_mems(source), make_mems(target))
+    try:
+        params = synthesize_mems_protocol(source, target)
+    except InfeasibleError as err:
+        return Inconclusive(f"mixture-form synthesis infeasible: {err.detail}")
+    return keep_or_refill(params.W, params.prepared_state()), (
+        f"keep with probability {params.W:.12g}, refill with diagonal weights "
+        f"{params.prep_weights}"
+    )
+
+
+def decide_mems(l, l2) -> Verdict:
+    """Decision within the maximally-entangled-mixture form.
+
+    Rank-2 members (both corner weights zero on both sides) are decided both
+    ways: the top weight is the entanglement of formation's argument there,
+    so it cannot grow. General members go through protocol synthesis, which
+    is sufficient only: infeasibility yields Inconclusive. The protocol is
+    verified on the mixture-form states of the two weight vectors.
+    """
+    source = l if isinstance(l, MemsWeights) else MemsWeights(tuple(l))
+    target = l2 if isinstance(l2, MemsWeights) else MemsWeights(tuple(l2))
+    return _verified(_mems_rule(source, target), make_mems(source), make_mems(target))
 
 
 def decide(rho, rho2) -> Verdict:
     """Full decision pipeline for a pair of two-qubit states.
 
-    Order: (1) a separable target that is classical on one side, that is
-    diagonal in an orthogonal product basis, is prepared directly: the
-    shortcut's test is the verified lowering of the discard-and-prepare
-    protocol itself, and any other target falls through; (2) the rank gate
-    blocks impossible entangled pairs; (3) both states are classified and a
-    shared family rule decides; (4) a separable Werner target that no rule
-    settled is prepared from any source; (5) anything else is Inconclusive.
+    Four steps: (1) a separable target is discarded-and-prepared when
+    ``channels.product_diagonal_decomposition`` lowers it, that is when it
+    is classical on one side or a separable Werner state: the shortcut's test
+    is the verified lowering of the protocol itself, and any other target
+    falls through; (2) the rank gate blocks impossible entangled pairs;
+    (3) both states are classified and the rule of a family they share
+    decides; (4) anything else is Inconclusive.
 
-    Every constructive verdict's residual is checked against RESIDUAL_BOUND;
-    a miss raises ResidualError.
+    Every protocol is verified on the states given, not on their family
+    fits, and a residual above RESIDUAL_BOUND raises ResidualError. A family
+    fit may sit up to 1e-8 from the state it fits, so a family protocol that
+    meets the fits but misses the given states is Inconclusive instead.
     """
     source = as_density(rho)
     target = as_density(rho2)
     if not is_entangled(target):
         try:
-            return _constructive(
-                Protocol(((1.0, DiscardPrepare(target)),)),
-                "target is separable: discard the input and prepare it",
-                source,
-                target,
-            )
+            return _constructive(*_prepare(target), source, target)
         except NotProductDiagonalError:
             pass
     gate = rank_gate(source, target)
@@ -393,20 +374,18 @@ def decide(rho, rho2) -> Verdict:
         return gate
     tag_s = classify_family(source)
     tag_t = classify_family(target)
-    verdict = _family_rule(tag_s, tag_t)
-    if isinstance(verdict, Inconclusive) and tag_t.kind == "werner":
-        # a separable Werner target is prepared from any source
-        protocol = _separable_werner_protocol(tag_t.params)
-        if protocol is not None:
-            target = make_werner(tag_t.params)
-            return _constructive(protocol, _SEPARABLE_WERNER_CERTIFICATE, source, target)
-    return verdict
+    rule = _family_rule(tag_s, tag_t)
+    try:
+        return _verified(rule, source, target)
+    except ResidualError as err:
+        _verified(rule, tag_s.state(), tag_t.state())  # a miss on the fits raises
+        return Inconclusive(f"the family protocol meets the fits, not the given states: {err}")
 
 
-def _family_rule(tag_s, tag_t) -> Verdict:
-    """The rule of the narrowest family both states share, else Inconclusive."""
+def _family_rule(tag_s, tag_t):
+    """The verdict or (protocol, certificate) plan of the narrowest shared family."""
     if tag_s.kind == tag_t.kind == "werner":
-        return decide_werner(tag_s.params, tag_t.params)
+        return _werner_rule(tag_s.params, tag_t.params)
     bell_s, bell_t = tag_s.bell_weights(), tag_t.bell_weights()
     if bell_s is not None and bell_t is not None:
         try:
@@ -415,7 +394,7 @@ def _family_rule(tag_s, tag_t) -> Verdict:
             return Inconclusive(f"Bell-diagonal rule does not apply: {err}")
     mems_s, mems_t = tag_s.mems_weights(), tag_t.mems_weights()
     if mems_s is not None and mems_t is not None:
-        return decide_mems(mems_s, mems_t)
+        return _mems_rule(mems_s, mems_t)
     if "general" in (tag_s.kind, tag_t.kind):
         return Inconclusive("at least one state fits no decided family")
     return Inconclusive("states fit different decided families with no shared rule")

@@ -142,6 +142,11 @@ class FamilyTag:
             return MemsWeights(self.params.mixture_weights())
         return self.params if self.kind == "mems" else None
 
+    def state(self) -> "DensityMatrix":
+        """The fitted family state; a general tag has none."""
+        make = {"werner": make_werner, "bell_diagonal": make_bell_diagonal, "mems": make_mems}
+        return make[self.kind](self.params)
+
 
 class DensityMatrix:
     """A validated 4x4 density matrix with its spectral facts cached.

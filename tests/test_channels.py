@@ -66,6 +66,9 @@ def test_discard_prepare_rejects_entangled_target():
         DiscardPrepare(make_werner(0.9))
     with pytest.raises(NotSeparableError):
         discard_prepare_channel(make_werner(0.9))
+    # just above w = 1/3, past the partial-transpose test's 1e-10
+    with pytest.raises(NotSeparableError):
+        DiscardPrepare(make_werner(1 / 3 + 1e-9))
 
 
 def test_protocol_weight_validation():
@@ -277,14 +280,28 @@ def test_discard_prepare_pairs_match_loop_construction(kind, rotated):
     npt.assert_allclose(pairs, expected, rtol=0, atol=1e-15)
 
 
-def test_separable_werner_target_has_no_product_lowering():
-    # w = 0.2 is separable, but its three-fold eigenspace is the triplet, whose
-    # complement (the singlet) is not product
-    target = make_werner(0.2)
-    with pytest.raises(NotProductDiagonalError):
-        discard_prepare_channel(target)
-    with pytest.raises(NotProductDiagonalError):
-        compile_protocol(Protocol(((1.0, DiscardPrepare(target)),)))
+def test_separable_werner_target_has_a_product_lowering():
+    # Werner states with w <= 1/3 are classical on neither side (w > 0), yet
+    # separable: anti-parallel Pauli eigenstates and computational products
+    rng = np.random.default_rng(43)
+    for w in [k / 40 for k in range(14)] + [1 / 3]:
+        target = make_werner(w)
+        p, a, b = product_diagonal_decomposition(target)
+        kets = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
+        assert qmat.frobenius_distance((kets.T * p) @ kets.conj(), target.matrix) <= 1e-12
+        channel = discard_prepare_channel(target)
+        for rank in (1, 4):
+            out = channel.apply(random_density_matrix(rng, rank=rank))
+            assert qmat.frobenius_distance(out.matrix, target.matrix) <= 1e-12, (w, rank)
+    protocol = Protocol(((1.0, DiscardPrepare(make_werner(0.2))),))
+    out = compile_protocol(protocol).apply(make_werner(0.9))
+    assert qmat.frobenius_distance(out.matrix, make_werner(0.2).matrix) <= 1e-12
+    # just past 1/3, yet separable to the partial-transpose test's 1e-10: the
+    # terms of w = 1/3 prepare it, and their weights still sum to 1
+    edge = make_werner(1 / 3 + 1e-10)
+    assert not is_entangled(edge)
+    out = discard_prepare_channel(edge).apply(make_werner(0.9))
+    assert qmat.frobenius_distance(out.matrix, edge.matrix) <= 1e-10
 
 
 def test_product_decomposition_shapes():
@@ -371,7 +388,12 @@ def test_product_decomposition_refuses_states_classical_on_neither_side():
     rng = np.random.default_rng(41)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vpp = np.kron(plus, plus)
-    refused = [make_werner(0.2).matrix, np.diag([0.6, 0, 0, 0]) + 0.4 * np.outer(vpp, vpp.conj())]
+    # Werner 0.2 pushed 1e-8 off by entries outside the X pattern, where
+    # every Werner state vanishes
+    off_x = np.zeros((4, 4), dtype=complex)
+    off_x[0, 1] = off_x[1, 0] = 1e-8
+    refused = [make_werner(0.2).matrix + off_x,
+               np.diag([0.6, 0, 0, 0]) + 0.4 * np.outer(vpp, vpp.conj())]
     while len(refused) < 12:
         rho = random_density_matrix(rng)
         if not is_entangled(rho):

@@ -288,31 +288,36 @@ class TestSynthesizeAndApply:
         assert "branches[0]" in err
 
     @staticmethod
-    def _flip_then_prepare_werner():
-        # Werner 0.2 is separable but has no product eigenbasis, so this
-        # protocol has no Kraus lowering; apply mixes its branches instead
+    def _flip_then_prepare(target):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        return Protocol(
-            ((0.6, LocalUnitary(x, np.eye(2))), (0.4, DiscardPrepare(make_werner(0.2))))
-        )
+        return Protocol(((0.6, LocalUnitary(x, np.eye(2))), (0.4, DiscardPrepare(target))))
 
     def test_apply_needs_no_lowering(self, tmp_path, capsys):
-        protocol = self._flip_then_prepare_werner()
-        p = write_spec(tmp_path, "p.json", protocol_to_spec(protocol))
-        s = write_spec(tmp_path, "s.json", {"kind": "mems", "lambda": [0.5, 0.3, 0.1, 0.1]})
-        code, payload = run_json(capsys, ["apply", "--json", p, s])
-        assert code == EX_OK
+        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+        vpp = np.kron(plus, plus)
+        # separable, but neither classical on one side nor Werner: this
+        # protocol has no Kraus lowering, and apply mixes its branches instead
+        skew = DensityMatrix(np.diag([0.6, 0, 0, 0]) + 0.4 * np.outer(vpp, vpp.conj()))
         rho = make_mems((0.5, 0.3, 0.1, 0.1))
         u = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
-        expected = 0.6 * u @ rho.matrix @ u.T + 0.4 * make_werner(0.2).matrix
-        out = parse_state_spec(payload["state"], "state")
-        assert np.linalg.norm(out.matrix - expected) <= 1e-12
-        # verification still lowers the protocol, which this target refuses
-        with pytest.raises(NotProductDiagonalError):
-            verify_protocol(protocol, rho, out)
+        s = write_spec(tmp_path, "s.json", {"kind": "mems", "lambda": [0.5, 0.3, 0.1, 0.1]})
+        for prepared, lowers in ((make_werner(0.2), True), (skew, False)):
+            protocol = self._flip_then_prepare(prepared)
+            p = write_spec(tmp_path, "p.json", protocol_to_spec(protocol))
+            code, payload = run_json(capsys, ["apply", "--json", p, s])
+            assert code == EX_OK
+            expected = 0.6 * u @ rho.matrix @ u.T + 0.4 * prepared.matrix
+            out = parse_state_spec(payload["state"], "state")
+            assert np.linalg.norm(out.matrix - expected) <= 1e-12
+            # verification lowers the protocol, which only the Werner target allows
+            if lowers:
+                assert verify_protocol(protocol, rho, out) <= 1e-12
+            else:
+                with pytest.raises(NotProductDiagonalError):
+                    verify_protocol(protocol, rho, out)
 
     def test_apply_rejects_nan_weight(self, tmp_path, capsys):
-        spec = protocol_to_spec(self._flip_then_prepare_werner())
+        spec = protocol_to_spec(self._flip_then_prepare(make_werner(0.2)))
         spec["branches"][0]["weight"] = math.nan
         p = write_spec(tmp_path, "p.json", spec)
         s = write_spec(tmp_path, "s.json", {"kind": "werner", "w": 0.5})

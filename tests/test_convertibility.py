@@ -7,15 +7,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from entconv import channels, kernels, qmat, states
-from entconv.channels import compile_protocol
+from entconv import channels, convertibility, kernels, qmat, states
 from entconv.convertibility import (
     RESIDUAL_BOUND,
     Convertible,
     Forbidden,
     Inconclusive,
     MemsProtocolParams,
-    _separable_werner_protocol,
     decide,
     decide_bell,
     decide_mems,
@@ -29,12 +27,12 @@ from entconv.errors import (
     EntconvError,
     InfeasibleError,
     NotEntangledError,
+    NotProductDiagonalError,
     OutOfRangeError,
     ResidualError,
 )
 from entconv.states import (
     DensityMatrix,
-    WernerParam,
     classify_family,
     make_bell_diagonal,
     make_mems,
@@ -415,13 +413,6 @@ def test_decide_separable_target_decomposes_once(decompositions):
     assert len(decompositions) == 1
 
 
-def test_separable_werner_protocol_is_lowered_once(decompositions):
-    compile_protocol(_separable_werner_protocol(WernerParam(0.2)))
-    before = len(decompositions)
-    compile_protocol(_separable_werner_protocol(WernerParam(0.2)))
-    assert len(decompositions) == before
-
-
 @pytest.mark.parametrize(
     "decide_family, source, target",
     [
@@ -504,38 +495,160 @@ def test_cached_lowerings_never_change_a_verdict():
 
 
 def test_decide_separable_target_without_lowering_falls_through():
-    # the separable Werner target has no product eigenbasis, so the family
-    # rule decides: keep or refill with the maximally mixed state
-    v = decide(make_werner(0.5), make_werner(0.2))
+    # the separable mixture-form target is neither classical on one side nor
+    # Werner, so it has no product decomposition and the family rule decides
+    target = make_mems((0.4, 0.3, 0.2, 0.1))
+    assert not states.is_entangled(target)
+    with pytest.raises(NotProductDiagonalError):
+        channels.product_diagonal_decomposition(target)
+    v = decide(make_mems((0.5, 0.3, 0.1, 0.1)), target)
     assert isinstance(v, Convertible)
-    assert v.certificate.endswith("refill with the maximally mixed state")
+    assert v.certificate.startswith("keep with probability 0.5, refill with diagonal weights")
 
 
 @pytest.mark.parametrize("source", [(0.7, 0.2, 0.05, 0.05), (0.55, 0.25, 0.15, 0.05)])
 @pytest.mark.parametrize("w2", [0.2, 1 / 3])
 def test_decide_bell_source_prepares_separable_werner_target(source, w2):
-    # the Bell-diagonal rule only covers entangled pairs; a separable Werner
-    # target is prepared from the Bell-diagonal source instead
+    # the Bell-diagonal rule only covers entangled pairs; the shortcut
+    # prepares the separable Werner target from the Bell-diagonal source
     rho = make_bell_diagonal(source)
     v = decide(rho, make_werner(w2))
     assert isinstance(v, Convertible)
     assert v.residual <= 1e-12
-    assert v.certificate.startswith("target is separable: prepare anti-parallel")
+    assert v.certificate == "target is separable: discard the input and prepare it"
     assert verify_protocol(v.protocol, rho, make_werner(w2)) <= 1e-12
 
 
 def test_decide_prepares_separable_werner_target_from_any_source():
-    # no shared family rule settles these pairs: the mixture-form synthesis is
-    # infeasible for 34 of the MEMS sources, and a general source has no rule
-    target = make_werner(0.2)
+    # the shortcut prepares every separable Werner target, whatever the
+    # source: for these no family rule applies, bar the Werner sources
     grid = [k for k in itertools.product(range(21), repeat=4)
             if sum(k) == 20 and k[0] >= k[1] >= k[2] >= k[3]]
     assert len(grid) == 108
-    sources = [make_mems(tuple(x / 20 for x in k)) for k in grid]
-    for source in sources + [random_density_matrix(3)]:
+    rng = np.random.default_rng(67)
+    sources = [make_mems(tuple(x / 20 for x in k)) for k in grid] + [
+        make_werner(0.9),
+        make_werner(0.1),
+        make_bell_diagonal((0.7, 0.2, 0.05, 0.05)),
+        random_density_matrix(3),
+        random_density_matrix(rng, rank=1),
+    ]
+    for w in [k / 40 for k in range(14)] + [1 / 3, 1 / 3 + 1e-10]:
+        target = make_werner(w)
+        for source in sources:
+            v = decide(source, target)
+            assert isinstance(v, Convertible), (w, v)
+            assert v.certificate == "target is separable: discard the input and prepare it"
+            assert v.residual <= (1e-12 if w <= 1 / 3 else 1e-10)
+
+
+def test_decide_leaves_other_separable_targets_inconclusive():
+    # separable dense states are neither classical on one side nor Werner:
+    # the shortcut falls through and no family rule covers them
+    rng = np.random.default_rng(71)
+    targets = []
+    while len(targets) < 20:
+        rho = random_density_matrix(rng)
+        if not states.is_entangled(rho):
+            targets.append(rho)
+    for target in targets:
+        with pytest.raises(NotProductDiagonalError):
+            channels.product_diagonal_decomposition(target)
+        sources = (make_werner(0.9), make_mems((0.5, 0.3, 0.1, 0.1)), random_density_matrix(rng))
+        for source in sources:
+            assert isinstance(decide(source, target), Inconclusive)
+
+
+# source make_werner(0.9) + d and target make_werner(0.45) - d are each
+# 9.9e-9 from their Werner fit; keeping half and refilling with I/4 meets
+# the fits, but lands 1.5 * ||d|| = 1.48e-8 from the given target
+_FIT_GAP = np.diag([7e-9, 0.0, 0.0, -7e-9])
+
+
+def _off_family_pairs(rng) -> list:
+    """Seeded Werner and mixture-form pairs, each state moved up to 1e-8 off
+    its family along the diagonal, the pair above first."""
+
+    def moved(mat):
+        # trace kept; only entries above 1e-3 move, so the state stays positive
+        i, j = rng.choice(np.flatnonzero(np.diag(mat).real > 1e-3), 2, replace=False)
+        x = rng.uniform(-7e-9, 7e-9)
+        out = mat.copy()
+        out[i, i] += x
+        out[j, j] -= x
+        return DensityMatrix(out)
+
+    pairs = [(DensityMatrix(make_werner(0.9).matrix + _FIT_GAP),
+              DensityMatrix(make_werner(0.45).matrix - _FIT_GAP))]
+    for _ in range(40):
+        w = rng.uniform(0.35, 0.99)
+        for w2 in (w * rng.uniform(0.3, 1.0), rng.uniform(0.0, 1 / 3)):
+            pairs.append((moved(make_werner(w).matrix), moved(make_werner(w2).matrix)))
+        # a separable target above the source's weight, which the Werner rule prepares
+        w2 = rng.uniform(0.17, 1 / 3)
+        pairs.append((moved(make_werner(w2 / 2).matrix), moved(make_werner(w2).matrix)))
+        top = rng.uniform(0.5, 1.0)
+        source = make_mems((top, 1 - top, 0.0, 0.0)).matrix
+        top2 = rng.uniform(0.5, top)
+        pairs.append((moved(source), moved(make_mems((top2, 1 - top2, 0.0, 0.0)).matrix)))
+        weights = np.sort(rng.dirichlet(np.ones(4)))[::-1]
+        source = make_mems(tuple(weights)).matrix
+        keep = rng.uniform(0.5, 1.0)
+        target = keep * source + (1 - keep) * np.diag([0.1, 0.5, 0.3, 0.1])
+        pairs.append((moved(source), moved(target)))
+    return pairs
+
+
+def _misreported(pairs) -> list:
+    """The Convertible verdicts whose residual is not that of their protocol
+    on the given states, or is above RESIDUAL_BOUND."""
+    flagged = []
+    for source, target in pairs:
         v = decide(source, target)
-        assert isinstance(v, Convertible), v
-        assert v.residual <= 1e-12
+        if isinstance(v, Convertible):
+            residual = verify_protocol(v.protocol, source, target)
+            if not v.residual == residual <= RESIDUAL_BOUND:
+                flagged.append((source, target, v.residual, residual))
+    return flagged
+
+
+def test_family_protocol_missing_the_given_target_is_inconclusive():
+    source, target = _off_family_pairs(np.random.default_rng(0))[0]
+    assert classify_family(source).kind == classify_family(target).kind == "werner"
+    v = decide(source, target)
+    assert isinstance(v, Inconclusive)
+    assert "protocol residual 1.485e-08 exceeds 1e-08" in v.detail
+
+
+def test_every_convertible_residual_is_read_on_the_given_states():
+    pairs = _off_family_pairs(np.random.default_rng(73))
+    assert _misreported(pairs) == []
+    # the sweep is live: most pairs convert, through the family rules
+    verdicts = [decide(s, t) for s, t in pairs]
+    convertible = [v for v in verdicts if isinstance(v, Convertible)]
+    assert len(convertible) >= 150
+    assert sum(v.certificate.startswith("keep") for v in convertible) >= 100
+    assert sum(v.certificate.startswith("target is separable") for v in convertible) >= 30
+
+
+def test_residual_sweep_flags_verification_against_the_fits(monkeypatch):
+    # planted violation: decide verifies on the family fits again, so the
+    # pair above reports the fits' residual, 2.9e-16, and is Convertible
+    original = convertibility.verify_protocol
+
+    def fit(rho):
+        tag = classify_family(rho)
+        return rho if tag.kind == "general" else tag.state()
+
+    monkeypatch.setattr(
+        convertibility,
+        "verify_protocol",
+        lambda protocol, rho, rho2: original(protocol, fit(rho), fit(rho2)),
+    )
+    pairs = _off_family_pairs(np.random.default_rng(73))
+    flagged = _misreported(pairs)
+    assert any(s is pairs[0][0] for s, _, _, _ in flagged)
+    assert all(reported < 1e-12 < given for _, _, reported, given in flagged)
 
 
 def _haar_unitary(rng) -> np.ndarray:

@@ -6,12 +6,16 @@ them breaks only the traced benchmark, which the default test run never
 collects. These checks read the harness's source without importing its
 runner and fail at once instead. The package's own imports and exports are
 checked the same way, so a deletion cannot leave a stale import or export,
-and an addition cannot leave a definition that nothing calls.
+and an addition cannot leave a definition that nothing calls. The README's
+``>>>`` quick start runs here as a doctest, so its printed values cannot go
+stale.
 """
 
 import ast
+import doctest
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -188,3 +192,15 @@ def test_shared_arrays_are_read_only():
         channel.estack[0] *= 2
     with pytest.raises(ValueError):
         rho.eig.values[:] = 0
+
+
+def test_readme_quick_start_runs_as_a_doctest():
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    examples = [b for b in blocks if ">>>" in b]
+    assert examples, "README has no >>> quick start"
+    runner = doctest.DocTestRunner()
+    for i, block in enumerate(examples):
+        runner.run(doctest.DocTestParser().get_doctest(block, {}, f"README[{i}]", "README.md", 0))
+    assert runner.failures == 0
+    assert runner.tries >= 6
