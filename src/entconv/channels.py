@@ -18,6 +18,12 @@ Protocols are finite mixtures of two atom kinds:
 
 Each atom owns its action, ``atom.apply(mat)``, which ``Protocol.apply``
 mixes, and its lowering, ``atom.channel()``, which ``compile_protocol`` mixes.
+A discard-and-prepare lowers through ``product_diagonal_decomposition``:
+one SVD decides whether a side is classical, and the eigenvectors of that
+side's basis and of its conditional states come from a closed-form 2x2
+eigensolver, so the lowering makes one LAPACK call. Its checks stay: the
+1e-9 one-sided tolerance, the 1e-12 cut for live terms, the 1e-9
+reconstruction of the given matrix and the channel's 1e-10 completeness.
 An atom made with ``shared=True`` keeps its channel, so the atoms that
 decisions share (the identity and the refills, cached in
 ``convertibility``) are lowered once per process.
@@ -30,6 +36,7 @@ weights by their success probabilities.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -56,6 +63,7 @@ from .states import (
 _COMPLETENESS_TOL = 1e-10
 # dephasing-distance and reconstruction tolerance of product_diagonal_decomposition
 _PRODUCT_TOL = 1e-9
+_EYE4 = qmat.read_only(np.eye(4))
 
 
 def _as_qubit_mat(m, what: str) -> np.ndarray:
@@ -133,16 +141,24 @@ class DiscardPrepare(_Lowering):
         (i, j_a, j_b). They are written into one zeroed factor array, column
         j of each factor taking its scaled ket by slice assignment. The pairs
         of term i add p_i I to the completeness sum, so sum_i p_i = 1 makes
-        the channel trace preserving; the terms need not be orthogonal.
+        the channel trace preserving; the terms need not be orthogonal. A
+        target's trace may miss 1 by up to 1e-9, and dropped eigenvalues down
+        to -1e-10 add to the sum, so weights that miss 1 by more than
+        rounding (1e-12) are rescaled to sum to 1: the channel then prepares
+        the target normalised, within the target's own trace error.
         """
         p, a, b = product_diagonal_decomposition(self.target)
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-12:
+            p = p / total
         scale = p[:, None] ** 0.25
         left, right = (scale * a)[:, None], (scale * b)[:, None]
         # [i, j_a, j_b, side, row, column]
         factors = np.zeros((len(p), 2, 2, 2, 2, 2), dtype=np.complex128)
-        for j in range(2):
-            factors[:, j, :, 0, :, j] = left
-            factors[:, :, j, 1, :, j] = right
+        factors[:, 0, :, 0, :, 0] = left
+        factors[:, 1, :, 0, :, 1] = left
+        factors[:, :, 0, 1, :, 0] = right
+        factors[:, :, 1, 1, :, 1] = right
         return SeparableChannel(factors.reshape(-1, 2, 2, 2))
 
 
@@ -220,10 +236,13 @@ def renormalize_probabilistic(branches: Sequence[ProbabilisticBranch]) -> tuple:
 
 def _check_completeness(gram) -> None:
     """Raise unless each sum E^dagger E, one (4, 4) or a (t, 4, 4) stack, is within 1e-10 of I."""
-    dev = qmat.frobenius_norm(gram - np.eye(4))
-    if isinstance(dev, float) and dev <= _COMPLETENESS_TOL:
-        return  # one channel that passes, without the array steps a stack needs
-    dev = np.reshape(dev, -1)
+    off = gram - _EYE4
+    if off.ndim == 2:
+        # one channel: its squared deviation is one dot product, and a pass returns here
+        off = off.reshape(16)
+        if math.sqrt(np.vdot(off, off).real) <= _COMPLETENESS_TOL:
+            return
+    dev = np.reshape(qmat.frobenius_norm(off), -1)
     bad = np.flatnonzero(~(dev <= _COMPLETENESS_TOL))
     if bad.size:
         raise NotTracePreservingError(
@@ -309,35 +328,53 @@ def product_diagonal_decomposition(mat) -> tuple:
     along the leading left singular vector n of its coordinates moves rho by
     sqrt(s2^2 + s3^2)/2, from their singular values s1 >= s2 >= s3. The side
     that moves least is used when that is within 1e-9: the orthogonal terms
-    pair the eigenvectors |k> of n . sigma with those of each rho_k. Any
-    other state is read as a Werner state, w from its singlet overlap, which
-    for w <= 1/3 is separable (Werner, PRA 40, 4277 (1989)): the six products
+    pair the eigenvectors |k> of n . sigma with those of each rho_k. That
+    SVD is the only LAPACK call. The rest is 2x2 Hermitian algebra, done in
+    closed form on Python scalars by ``kernels.qubit_eigh``: once for n . sigma,
+    and once for each rho_k, whose entries come from one 4x2 matrix product
+    of rho's entries with the projectors |k><k|. Any other state is read as
+    a Werner state, w from its singlet overlap, which for w <= 1/3 is
+    separable (Werner, PRA 40, 4277 (1989)): the six products
     |n>|-n>, n = +-x, +-y, +-z, get w/2 each and the four computational
     products (1 - 3w)/4 each. Terms at or below 1e-12 are dropped, and the
-    rest must rebuild the state within 1e-9, else NotProductDiagonalError is
-    raised, as for every entangled state and some separable ones.
+    rest must rebuild the given matrix within 1e-9 (one dot product of the
+    difference with itself), else NotProductDiagonalError is raised, as for
+    every entangled state and some separable ones. The weights sum to the
+    trace, up to dropped eigenvalues; ``DiscardPrepare`` rescales them.
 
     ``mat`` is a state or a 4x4 array, which is validated as one. The terms
-    come back as arrays (p, a, b) of shapes (n,), (n, 2) and (n, 2). Nothing
-    is cached here: a shared ``DiscardPrepare`` atom keeps the channel built
-    from the terms.
+    come back as arrays (p, a, b) of shapes (n,), (n, 2) and (n, 2); the
+    Werner kets, when no term is dropped, are read-only views of the
+    package's own table. Nothing is cached here: a shared ``DiscardPrepare``
+    atom keeps the channel built from the terms.
     """
     mat = as_density(mat).matrix
     axes, s, _ = np.linalg.svd((_SIDE_ROWS @ mat.reshape(16)).real.reshape(2, 3, 4))
-    moved = np.hypot(s[:, 1], s[:, 2]) / 2.0
-    side = int(np.argmin(moved))
+    moved = [math.hypot(s2, s3) / 2.0 for _, s2, s3 in s.tolist()]
+    side = int(moved[1] < moved[0])
     if moved[side] <= _PRODUCT_TOL:
-        n_sigma = (axes[side, :, 0] @ qmat.PAULIS[1:].reshape(3, 4)).reshape(2, 2)
-        _, basis = kernels.hermitian_eigh(n_sigma)
-        # [a, b, a', b'] with the classical side first, and rho_k = <k|rho|k> from it
-        t = mat.reshape(2, 2, 2, 2)
-        t = t.transpose(1, 0, 3, 2) if side else t
-        t = np.einsum("ak,abcd,ck->kbd", basis.conj(), t, basis)
-        values, vectors = kernels.hermitian_eigh(t)
+        # the eigenvectors u_k of n . sigma = [[z, x - iy], [x + iy, -z]]
+        x, y, z = axes[side, :, 0].tolist()
+        _, basis = kernels.qubit_eigh(z, complex(x, -y), -z)
+        # rho_k = <k|rho|k>: weights[(c, c'), k] = conj(u_k[c]) u_k[c'] contracts the
+        # classical side's index pair of pairs[(a, a'), (b, b')] = rho[ab, a'b']
+        (x0, y0), (x1, y1) = basis
+        weights = np.array([
+            [x0.conjugate() * x0, x1.conjugate() * x1],
+            [x0.conjugate() * y0, x1.conjugate() * y1],
+            [y0.conjugate() * x0, y1.conjugate() * x1],
+            [y0.conjugate() * y0, y1.conjugate() * y1],
+        ])
+        pairs = mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        rho_k = ((pairs.T if side == 0 else pairs) @ weights).tolist()
         # term (k, j): eigenvalue j of rho_k, |k> and eigenvector j of rho_k
-        p = values.reshape(4)
-        a = np.repeat(basis.T, 2, axis=0)
-        b = vectors.swapaxes(1, 2).reshape(4, 2)
+        p, a, b = [], [], []
+        for k, u in enumerate(basis):
+            values, vectors = kernels.qubit_eigh(rho_k[0][k].real, rho_k[1][k], rho_k[3][k].real)
+            p += values
+            a += (u, u)
+            b += vectors
+        p, a, b = np.array(p), np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128)
         a, b = (b, a) if side else (a, b)
     else:
         # capped at 1/3, so the weights sum to 1 just past it, still separable to 1e-10
@@ -345,9 +382,11 @@ def product_diagonal_decomposition(mat) -> tuple:
         p = np.repeat([w / 2.0, (1.0 - 3.0 * w) / 4.0], [6, 4])
         a, b = _WERNER_KETS
     live = p > _ZERO_EIGENVALUE
-    p, a, b = p[live], a[live], b[live]
+    if not live.all():
+        p, a, b = p[live], a[live], b[live]
     ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
-    miss = qmat.frobenius_distance((ab.T * p) @ ab.conj(), mat)
+    off = (ab.T * p) @ ab.conj() - mat
+    miss = math.sqrt(np.vdot(off, off).real)
     if not miss <= _PRODUCT_TOL:
         raise NotProductDiagonalError(f"no product decomposition within 1e-9: off by {miss:.3e}")
     return p, a, b

@@ -7,6 +7,8 @@ application, and singular values. Inputs are complex128 arrays the caller
 has already coerced; a subsystem is named by its index, 0 for the first
 qubit and 1 for the second. The eigensolver delegates to LAPACK via
 np.linalg.eigh and returns eigenvalues descending, eigenvectors as columns.
+One 2x2 Hermitian matrix, given as Python scalars, has a closed-form
+eigensolver, ``qubit_eigh``, which skips numpy's per-call overhead.
 Kraus application is two matrix products over the whole operator stack and
 takes one input or a stack of inputs, so a caller with several states for
 one channel passes them in one call.
@@ -32,6 +34,27 @@ def hermitian_eigh(h):
     """Eigendecomposition of each Hermitian matrix in a stack, eigenvalues descending."""
     w, v = np.linalg.eigh(h)
     return w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1])
+
+
+def qubit_eigh(a, b, d):
+    """Eigendecomposition of the Hermitian [[a, b], [conj(b), d]], a and d real, in closed form.
+
+    Returns the eigenvalues descending, (m + r, m - r) with m = (a + d)/2,
+    h = (a - d)/2 and r = hypot(h, |b|), and the matching unit eigenvectors
+    as two pairs (x, y). The first is (h + r, conj(b)) for h >= 0 and
+    (b, r - h) otherwise, the form without cancellation, normalised with
+    hypot, so an off-diagonal entry as small as 1e-300 still gives a unit
+    vector; the second is (-conj(y), conj(x)), orthogonal to it. A diagonal
+    matrix (b == 0) gives its own entries and the computational basis.
+    """
+    if b == 0:
+        return ((a, d), ((1.0, 0.0), (0.0, 1.0))) if a >= d else ((d, a), ((0.0, 1.0), (1.0, 0.0)))
+    m, h = 0.5 * (a + d), 0.5 * (a - d)
+    r = math.hypot(h, abs(b))
+    x, y = (h + r, b.conjugate()) if h >= 0.0 else (b, r - h)
+    norm = math.hypot(abs(x), abs(y))
+    x, y = x / norm, y / norm
+    return (m + r, m - r), ((x, y), (-y.conjugate(), x.conjugate()))
 
 
 def kron2(a, b):

@@ -257,7 +257,8 @@ def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:
         if not waiting.size:
             break
         candidates = np.empty((waiting.size, 4, 4), dtype=np.complex128)
-        for rank in np.unique(ranks[waiting]):
+        # not np.unique, whose first call imports numpy.ma
+        for rank in sorted(set(ranks[waiting].tolist())):
             rows = ranks[waiting] == rank
             g = np.stack([
                 rngs[t].normal(size=(4, rank)) + 1j * rngs[t].normal(size=(4, rank))
@@ -446,7 +447,7 @@ def monotone_audit(
 
 @functools.cache
 def _search_atoms() -> tuple:
-    return tuple(LocalUnitary(a, b) for a, b in qmat.ONE_SIDED_PAULIS)
+    return tuple(LocalUnitary(a, b, shared=True) for a, b in qmat.ONE_SIDED_PAULIS)
 
 
 def minimize(*args, **kwargs):

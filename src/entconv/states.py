@@ -163,15 +163,19 @@ class DensityMatrix:
         mat = np.array(matrix, dtype=np.complex128)
         if mat.shape != (4, 4):
             raise OutOfRangeError(f"expected a 4x4 matrix, got shape {mat.shape}")
-        dev = qmat.frobenius_distance(mat, qmat.dag(mat))
+        adj = qmat.dag(mat)
+        off = mat - adj
+        dev = math.sqrt(np.vdot(off, off).real)
         if not dev <= 1e-9:
             raise NotHermitianError(
                 f"density matrix is not Hermitian within 1e-9 (deviation {dev:.3e})"
             )
-        tr = complex(np.trace(mat))
+        tr = complex(mat.trace())
         if not abs(tr - 1.0) <= 1e-9:
             raise OutOfRangeError(f"density matrix trace must be 1 within 1e-9, got {tr!r}")
-        mat = 0.5 * (mat + qmat.dag(mat))
+        # mat is this object's own copy, so it is symmetrized in place
+        mat += adj
+        mat *= 0.5
         eig = qmat.EigenDecomposition(*map(qmat.read_only, kernels.hermitian_eigh(mat)))
         if not eig.values[-1] >= -1e-10:
             raise OutOfRangeError(

@@ -23,6 +23,7 @@ from entconv.channels import (
     renormalize_probabilistic,
     separable_kraus_stacks,
 )
+from entconv.convertibility import Convertible, decide
 from entconv.errors import (
     BadWeightsError,
     NotProductDiagonalError,
@@ -407,6 +408,75 @@ def test_product_decomposition_refuses_states_classical_on_neither_side():
         assert not is_entangled(mat)
         with pytest.raises(NotProductDiagonalError):
             product_diagonal_decomposition(mat)
+
+
+def _one_sided_by_svd(mat):
+    """Whether a side's 3x4 Pauli coordinates are rank one within 1e-9, by numpy's SVD."""
+    coords = np.einsum("imxy,yx->im", qmat.PAULI_PRODUCTS[1:], mat).real
+    sides = (coords, np.einsum("mixy,yx->im", qmat.PAULI_PRODUCTS[:, 1:], mat).real)
+    return any(np.hypot(*np.linalg.svd(c, compute_uv=False)[1:]) / 2.0 <= 1e-9 for c in sides)
+
+
+def _lowering_sweep(rng):
+    """(target, kind): one-sided states and diagonals ("exact"), separable Werner states
+    ("werner"), and one-sided states pushed 1e-10 to 5e-9 off by a coherence in their
+    basis ("perturbed")."""
+    for _ in range(40):
+        for mat in _classical_states(rng):
+            yield mat, "exact"
+    for _ in range(600):
+        yield np.diag(rng.dirichlet(np.ones(4))).astype(complex), "exact"
+    for k in range(14):
+        yield make_werner(k / 40).matrix, "werner"
+    for eps in np.geomspace(1e-10, 5e-9, 300):
+        side = int(rng.integers(2))
+        u = haar_qubit_unitary(rng)
+        weights = rng.dirichlet([1, 1])
+        mat = _classical_state(u, side, weights, [_qubit_state(rng, 2) for _ in range(2)])
+        flip = np.kron(*((u @ qmat.SIGMA_X @ u.conj().T, qmat.SIGMA_X)[:: 1 - 2 * side]))
+        yield mat + eps * flip / np.linalg.norm(flip), "perturbed"
+
+
+def test_lowering_sweep_prepares_every_accepted_target():
+    rng = np.random.default_rng(59)
+    verdicts = {True: 0, False: 0}
+    for mat, kind in _lowering_sweep(rng):
+        expected = kind == "werner" or _one_sided_by_svd(mat)
+        assert expected or kind == "perturbed"
+        try:
+            p, a, b = product_diagonal_decomposition(mat)
+        except NotProductDiagonalError:
+            assert not expected
+            verdicts[False] += 1
+            continue
+        assert expected
+        verdicts[True] += 1
+        kets = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
+        rebuilt = (kets.T * p) @ kets.conj()
+        channel = discard_prepare_channel(mat)
+        for rank in (1, 4):
+            out = channel.apply(random_density_matrix(rng, rank=rank)).matrix
+            assert qmat.frobenius_distance(out, rebuilt) <= 1e-12
+            if kind != "perturbed":
+                assert qmat.frobenius_distance(out, mat) <= 1e-12
+    # perturbed states reach both sides of the 1e-9 tolerance
+    assert verdicts[False] > 50 and verdicts[True] > 1300
+
+
+def test_rotated_qubit_eigenvectors_fail_the_reconstruction(monkeypatch):
+    original = kernels.qubit_eigh
+    c, s = np.cos(1e-6), np.sin(1e-6)
+
+    def rotated(a, b, d):
+        values, (v1, v2) = original(a, b, d)
+        v1, v2 = np.array(v1), np.array(v2)
+        return values, (tuple(c * v1 + s * v2), tuple(c * v2 - s * v1))
+
+    monkeypatch.setattr(kernels, "qubit_eigh", rotated)
+    target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    with pytest.raises(NotProductDiagonalError):
+        product_diagonal_decomposition(target)
+    assert not isinstance(decide(make_werner(0.9), target), Convertible)
 
 
 def _permutation(perm):

@@ -27,7 +27,7 @@ from entconv.cli import (
     protocol_to_spec,
     state_to_spec,
 )
-from entconv.convertibility import keep_or_refill, verify_protocol
+from entconv.convertibility import RESIDUAL_BOUND, keep_or_refill, verify_protocol
 from entconv.errors import NotProductDiagonalError
 from entconv.states import (
     DensityMatrix,
@@ -123,6 +123,16 @@ class TestCheck:
         code, payload = run_json(capsys, ["check", "--json", a, b])
         assert code == EX_INCONCLUSIVE
         assert payload["verdict"] == "Inconclusive"
+
+    def test_target_with_trace_off_by_5e_10_is_convertible(self, tmp_path, capsys):
+        # within DensityMatrix's 1e-9 trace tolerance; the prepared state is normalised
+        a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
+        re = np.diag([0.4, 0.3, 0.2, 0.1 + 5e-10]).tolist()
+        b = write_spec(tmp_path, "b.json", {"kind": "dense", "re": re, "im": [[0] * 4] * 4})
+        code, payload = run_json(capsys, ["check", "--json", a, b])
+        assert code == EX_OK
+        assert payload["verdict"] == "Convertible"
+        assert payload["residual"] <= RESIDUAL_BOUND
 
     def test_missing_file_exit_usage(self, tmp_path, capsys):
         b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.5})
@@ -520,8 +530,12 @@ def scipy_modules():
 after_import = scipy_modules()
 code = entconv.cli.main(["check", sys.argv[1], sys.argv[2]])
 after_check = scipy_modules()
+audit_code = entconv.cli.main(["audit", "--trials", "4"])
+# np.unique imports numpy.ma on first use, a cost the audit does not need
+audit_ma = "numpy.ma" in sys.modules
 result = entconv.oracle.minimize(lambda x: float(x @ x), [1.0, 2.0], method="SLSQP")
 print(json.dumps({"import": after_import, "check": after_check, "code": code,
+                  "audit_code": audit_code, "audit_ma": audit_ma,
                   "nfev": operator.index(result.nfev),
                   "search": bool(scipy_modules())}))
 """
@@ -538,6 +552,8 @@ def test_scipy_loads_only_when_a_search_runs(tmp_path):
     assert probe["import"] == []
     assert probe["code"] == EX_OK
     assert probe["check"] == []
+    assert probe["audit_code"] == EX_OK
+    assert not probe["audit_ma"]
     # perfbench's tracer wraps oracle.minimize and reads an integer nfev
     assert probe["nfev"] > 0
     assert probe["search"]

@@ -691,6 +691,49 @@ def test_decide_tests_each_state_for_separability_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_decide_lowers_without_per_term_eigensolves(monkeypatch):
+    calls = []
+    original = kernels.hermitian_eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    pairs = [
+        # the output state's eigensolve only
+        (make_werner(0.9), DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)), 1),
+        # keep-or-refill: the refill state, its partial transpose and the output state
+        (make_mems((0.5, 0.3, 0.15, 0.05)), make_mems((0.45, 0.3, 0.17, 0.08)), 3),
+    ]
+    for source, target, budget in pairs:
+        decide(source, target)  # tests both states for separability, once
+        monkeypatch.setattr(kernels, "hermitian_eigh", counting)
+        calls.clear()
+        v = decide(source, target)
+        monkeypatch.setattr(kernels, "hermitian_eigh", original)
+        assert isinstance(v, Convertible) and v.protocol is not None
+        assert len(calls) == budget
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        [0.4, 0.3, 0.2, 0.1 + 6e-11],
+        [0.4, 0.3, 0.2, 0.1 + 9.9e-10],
+        [0.4, 0.3, 0.2, 0.1 - 9.9e-10],
+        # trace 1, but the dropped eigenvalue lifts the kept weights' sum
+        [0.4, 0.3, 0.3 + 9e-11, -9e-11],
+    ],
+    ids=["trace+6e-11", "trace+9.9e-10", "trace-9.9e-10", "dropped_negative"],
+)
+def test_decide_prepares_a_target_whose_weights_miss_one(diag):
+    target = DensityMatrix(np.diag(diag).astype(complex))
+    v = decide(make_werner(0.9), target)
+    assert isinstance(v, Convertible)
+    assert v.residual <= RESIDUAL_BOUND
+    assert verify_protocol(v.protocol, make_werner(0.9), target) == v.residual
+
+
 def _break_refill_lowering(monkeypatch):
     # a lowering that still builds a complete channel, but prepares a state
     # 1% off the one it was asked for

@@ -369,6 +369,21 @@ class TestConvertSearch:
         for _, atom in protocol.branches:
             assert isinstance(atom, (LocalUnitary, DiscardPrepare))
 
+    def test_searches_lower_each_rotation_once(self, monkeypatch):
+        rho = make_werner(0.7)
+        convert_search(rho, rho, budget=5000, seed=0)
+        lowered = []
+        original = LocalUnitary._lower
+
+        def counting(atom):
+            lowered.append(atom)
+            return original(atom)
+
+        monkeypatch.setattr(LocalUnitary, "_lower", counting)
+        distance, protocol = convert_search(rho, rho, budget=5000, seed=0)
+        assert any(isinstance(atom, LocalUnitary) for _, atom in protocol.branches)
+        assert distance < 1e-6 and lowered == []
+
     def test_identity_conversion_trivial(self):
         rho = make_werner(0.7)
         distance, protocol = convert_search(rho, rho, budget=5000, seed=0)

@@ -49,6 +49,36 @@ def test_eig_reconstructs_and_is_orthonormal():
         assert np.all(np.diff(w) <= 1e-12), "eigenvalues not descending"
 
 
+def _qubit_eigh_cases():
+    rng = np.random.default_rng(53)
+    cases = [
+        (0.4, 0j, 0.1),  # diagonal
+        (0.1, 0j, 0.4),  # diagonal, ascending
+        (0.5, 0j, 0.5),  # exactly degenerate, I/2
+        (0.5, 1e-300 + 0j, 0.5),  # off-diagonal 1e-300
+        (0.3, 1e-300j, 0.7),
+        (0.5, 1e-15 - 2e-15j, 0.5 + 1e-14),  # near-degenerate
+        (0.0, 0j, 0.0),
+    ]
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        a, d = scale * rng.normal(size=2)
+        cases.append((a, scale * complex(*rng.normal(size=2)), d))
+    return cases
+
+
+def test_qubit_eigh_matches_lapack():
+    for a, b, d in _qubit_eigh_cases():
+        h = np.array([[a, b], [np.conj(b), d]])
+        scale = max(np.linalg.norm(h), 1e-300)
+        (l1, l2), (v1, v2) = kernels.qubit_eigh(a, b, d)
+        v = np.array([v1, v2], dtype=complex).T
+        assert l1 >= l2
+        npt.assert_allclose([l1, l2], np.linalg.eigh(h)[0][::-1], rtol=0, atol=1e-15 * scale)
+        npt.assert_allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-15)
+        npt.assert_allclose(v @ np.diag([l1, l2]) @ v.conj().T, h, rtol=0, atol=1e-15 * scale)
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-6
