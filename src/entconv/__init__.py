@@ -11,8 +11,11 @@ and constants), ``states`` (validated density matrices and the named families),
 ``measures`` (entanglement measures and the Bell-diagonal monotone triple),
 ``channels`` (separable Kraus channels and protocol atoms),
 ``convertibility`` (decision rules and synthesis), ``oracle`` (randomized
-falsifiers and numeric protocol search), ``cli`` (the ``entconv`` command).
+falsifiers and numeric protocol search, imported on first use), ``cli`` (the
+``entconv`` command).
 """
+
+import importlib
 
 from .channels import (
     DiscardPrepare,
@@ -61,13 +64,6 @@ from .measures import (
     eof,
     negativity,
 )
-from .oracle import (
-    SearchReport,
-    convert_search,
-    falsify_rank_monotonicity,
-    monotone_audit,
-    random_separable_channel,
-)
 from .states import (
     BellWeights,
     DensityMatrix,
@@ -85,6 +81,24 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+# ``oracle`` is the largest module and only the falsifiers and the search need
+# it (and scipy), so it and its exports are imported on first use
+_FROM_ORACLE = (
+    "SearchReport",
+    "convert_search",
+    "falsify_rank_monotonicity",
+    "monotone_audit",
+    "random_separable_channel",
+)
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _FROM_ORACLE:
+        # not ``from . import oracle``: its hasattr check would call this hook again
+        oracle = importlib.import_module(f"{__name__}.oracle")
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BadWeightsError",

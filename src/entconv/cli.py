@@ -38,7 +38,6 @@ from .convertibility import (
 )
 from .errors import EntconvError, InfeasibleError
 from .measures import bell_monotones, concurrence, eof, negativity
-from .oracle import convert_search, falsify_rank_monotonicity, monotone_audit
 from .states import (
     DensityMatrix,
     MemsWeights,
@@ -361,7 +360,9 @@ def cmd_apply(args) -> int:
 def cmd_search(args) -> int:
     source = _load_state(args.source, "source")
     target = _load_state(args.target, "target")
-    distance, protocol = convert_search(source, target, budget=args.budget)
+    from . import oracle  # imported on use, so the other subcommands skip it
+
+    distance, protocol = oracle.convert_search(source, target, budget=args.budget)
     found = protocol is not None
     payload = {
         "distance": distance,
@@ -377,10 +378,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    # the falsifiers are looked up per call, so a tracer's patch of this module applies
+    from . import oracle  # imported on use, so the other subcommands skip it
+
+    # the falsifiers are looked up per call, so a tracer's patch of oracle applies
     audits = (
-        ("rank_monotonicity", falsify_rank_monotonicity, "counterexamples"),
-        ("monotones", monotone_audit, "violations"),
+        ("rank_monotonicity", oracle.falsify_rank_monotonicity, "counterexamples"),
+        ("monotones", oracle.monotone_audit, "violations"),
     )
     payload = {"trials": args.trials}
     lines = []

@@ -151,13 +151,15 @@ def rank_gate(rho, rho2) -> Optional[Forbidden]:
     have a clean gap (each eigenvalue at most 1e-12 or above 1e-6) and the
     target has fewer eigenvalues above 1e-6; None means pass. An eigenvalue
     in (1e-12, 1e-6] may be population or rounding, so it forbids nothing.
+    Each spectrum is read as Python floats by ``states._gapped_rank``, the
+    one place that writes the gap rule.
     """
     source = as_density(rho)
     target = as_density(rho2)
     if not (is_entangled(source) and is_entangled(target)):
         return None
-    r_in, clean_in = _gapped_rank(source.eig.values)
-    r_out, clean_out = _gapped_rank(target.eig.values)
+    r_in, clean_in = _gapped_rank(source.eig.values.tolist())
+    r_out, clean_out = _gapped_rank(target.eig.values.tolist())
     if clean_in and clean_out and r_out < r_in:
         return Forbidden(
             "rank_gate",

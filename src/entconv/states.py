@@ -85,9 +85,21 @@ class WernerParam:
 
 
 def _check_weight_vector(weights, what: str) -> tuple:
-    vals = tuple(float(x) for x in weights)
+    """The four weights as floats, nonnegative, non-ascending and summing to 1.
+
+    After the length, one combined test passes valid weights; it rejects NaN
+    by its comparisons and an infinity by the sum. Only a vector that fails it
+    goes through the per-entry checks, which name the first entry that fails,
+    in this order: sign or finiteness, order (1e-12), sum (1e-12).
+    """
+    vals = tuple(map(float, weights))
     if len(vals) != 4:
         raise OutOfRangeError(f"{what} needs exactly 4 weights, got {len(vals)}")
+    a, b, c, d = vals
+    if (0.0 <= a and 0.0 <= b and 0.0 <= c and 0.0 <= d
+            and b <= a + _ORDER_TOL and c <= b + _ORDER_TOL and d <= c + _ORDER_TOL
+            and abs(a + b + c + d - 1.0) <= _WEIGHT_SUM_TOL):
+        return vals
     for i, x in enumerate(vals):
         if x < 0.0 or not math.isfinite(x):
             raise OutOfRangeError(f"{what}[{i}] must be nonnegative, got {x!r}")
@@ -97,10 +109,9 @@ def _check_weight_vector(weights, what: str) -> tuple:
                 f"{what} must be non-ascending ({what}[{i + 1}]={vals[i + 1]!r} "
                 f"exceeds {what}[{i}]={vals[i]!r})"
             )
-    total = vals[0] + vals[1] + vals[2] + vals[3]
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise OutOfRangeError(f"{what} must sum to 1 within {_WEIGHT_SUM_TOL:g}, got {total!r}")
-    return vals
+    raise OutOfRangeError(
+        f"{what} must sum to 1 within {_WEIGHT_SUM_TOL:g}, got {a + b + c + d!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -217,9 +228,22 @@ class DensityMatrix:
 
 
 def _gapped_rank(values) -> tuple:
-    """(eigenvalues above 1e-6, none in (1e-12, 1e-6]) of a spectrum or of each in a stack."""
-    live = values > _LIVE_EIGENVALUE
-    return live.sum(axis=-1), (live | (values <= _ZERO_EIGENVALUE)).all(axis=-1)
+    """(eigenvalues above 1e-6, whether none lies in (1e-12, 1e-6]) of a spectrum.
+
+    A spectrum given as Python floats gives an int and a bool, read in one
+    loop; a numpy array gives them for each spectrum along its last axis. A
+    NaN counts as neither live nor clean in both forms.
+    """
+    if isinstance(values, np.ndarray):
+        live = values > _LIVE_EIGENVALUE
+        return live.sum(axis=-1), (live | (values <= _ZERO_EIGENVALUE)).all(axis=-1)
+    rank, clean = 0, True
+    for x in values:
+        if x > _LIVE_EIGENVALUE:
+            rank += 1
+        elif not x <= _ZERO_EIGENVALUE:
+            clean = False
+    return rank, clean
 
 
 def _mat_of(rho) -> np.ndarray:
@@ -356,19 +380,35 @@ def bell_weights_of(rho) -> tuple:
 
 
 def _clean_weights(raw) -> Optional[tuple]:
-    vals = [float(x) for x in raw]
-    for i, x in enumerate(vals):
-        if x < -_FAMILY_TOL:
-            return None
-        vals[i] = max(x, 0.0)
-    for i in range(3):
-        if vals[i + 1] > vals[i] + _FAMILY_TOL:
-            return None
-        vals[i + 1] = min(vals[i + 1], vals[i])
-    total = sum(vals)
+    """Four fitted weights, as floats, clipped to a non-ascending simplex, or None past 1e-8.
+
+    A negative weight or an ascent beyond 1e-8 fails; smaller ones are
+    clipped (to 0, then each weight to the one before it) and the result is
+    divided by its sum, which must lie within 1e-8 of 1. A NaN fails none of
+    these comparisons, so it comes back as a NaN fit, which the caller's
+    distance check then rejects.
+    """
+    a, b, c, d = raw
+    if a < -_FAMILY_TOL or b < -_FAMILY_TOL or c < -_FAMILY_TOL or d < -_FAMILY_TOL:
+        return None
+    # max(x, 0.0) and min(x, y), spelled out: the first unless the second is past it
+    a = 0.0 if 0.0 > a else a
+    b = 0.0 if 0.0 > b else b
+    c = 0.0 if 0.0 > c else c
+    d = 0.0 if 0.0 > d else d
+    if b > a + _FAMILY_TOL:
+        return None
+    b = a if a < b else b
+    if c > b + _FAMILY_TOL:
+        return None
+    c = b if b < c else c
+    if d > c + _FAMILY_TOL:
+        return None
+    d = c if c < d else d
+    total = sum((a, b, c, d))
     if abs(total - 1.0) > _FAMILY_TOL or total <= 0.0:
         return None
-    return tuple(x / total for x in vals)
+    return (a / total, b / total, c / total, d / total)
 
 
 def classify_family(rho) -> FamilyTag:

@@ -530,30 +530,54 @@ def scipy_modules():
 after_import = scipy_modules()
 code = entconv.cli.main(["check", sys.argv[1], sys.argv[2]])
 after_check = scipy_modules()
+check_oracle = "entconv.oracle" in sys.modules
 audit_code = entconv.cli.main(["audit", "--trials", "4"])
 # np.unique imports numpy.ma on first use, a cost the audit does not need
 audit_ma = "numpy.ma" in sys.modules
+audit_oracle = "entconv.oracle" in sys.modules
 result = entconv.oracle.minimize(lambda x: float(x @ x), [1.0, 2.0], method="SLSQP")
 print(json.dumps({"import": after_import, "check": after_check, "code": code,
+                  "check_oracle": check_oracle, "audit_oracle": audit_oracle,
                   "audit_code": audit_code, "audit_ma": audit_ma,
                   "nfev": operator.index(result.nfev),
                   "search": bool(scipy_modules())}))
 """
 
+# what the benchmark's load_package does: import entconv.cli, then read each
+# module off the package, oracle included although nothing has imported it yet
+_LOAD_PROBE = """
+import json, sys
+import entconv, entconv.cli
 
-def test_scipy_loads_only_when_a_search_runs(tmp_path):
-    # a fresh interpreter, since this one has long imported scipy
+before = "entconv.oracle" in sys.modules
+found = {name: getattr(entconv, name).__name__ for name in sys.argv[1:]}
+print(json.dumps({"before": before, "found": found}))
+"""
+
+
+def _fresh_probe(script, *args) -> dict:
+    # a fresh interpreter, since this one has long imported scipy and oracle
+    env = {**os.environ, "PYTHONPATH": str(Path(entconv.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_loads_only_when_a_search_runs(tmp_path, load_package_names):
     a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
     b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})
-    env = {**os.environ, "PYTHONPATH": str(Path(entconv.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, a, b], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    probe = json.loads(proc.stdout.splitlines()[-1])
+    probe = _fresh_probe(_SCIPY_PROBE, a, b)
     assert probe["import"] == []
     assert probe["code"] == EX_OK
     assert probe["check"] == []
+    # check needs no falsifier, so the oracle module is not even compiled
+    assert not probe["check_oracle"]
     assert probe["audit_code"] == EX_OK
+    assert probe["audit_oracle"]
     assert not probe["audit_ma"]
     # perfbench's tracer wraps oracle.minimize and reads an integer nfev
     assert probe["nfev"] > 0
     assert probe["search"]
+    loaded = _fresh_probe(_LOAD_PROBE, *load_package_names)
+    assert not loaded["before"]
+    assert loaded["found"] == {name: f"entconv.{name}" for name in load_package_names}

@@ -269,6 +269,37 @@ def test_rank_gate_counts_small_populated_eigenvalues():
     assert not any(isinstance(decide(source, t), Forbidden) for t in targets)
 
 
+
+def _entangled_states(rng, count) -> list:
+    """Entangled states of every rank; some mixed with I/4 at 1e-9 (a spectrum
+    inside the gap) or at 1e-5 (full rank)."""
+    out = []
+    while len(out) < count:
+        rho = random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+        eps = rng.choice([0.0, 0.0, 1e-9, 1e-5])
+        if eps:
+            rho = DensityMatrix((1.0 - eps) * rho.matrix + eps * np.eye(4) / 4.0)
+        if states.is_entangled(rho):
+            out.append(rho)
+    return out
+
+
+def test_rank_gate_matches_the_stacked_gap_rule():
+    found = _entangled_states(np.random.default_rng(1805), 1000)
+    sources, targets = found[:500], found[500:]
+    r_in, clean_in = states._gapped_rank(np.stack([s.eig.values for s in sources]))
+    r_out, clean_out = states._gapped_rank(np.stack([t.eig.values for t in targets]))
+    blocked = clean_in & clean_out & (r_out < r_in)
+    for source, target, block, rank_in, rank_out in zip(sources, targets, blocked, r_in, r_out):
+        gate = rank_gate(source, target)
+        if block:
+            assert isinstance(gate, Forbidden)
+            assert f"entangled rank-{rank_in} state to an entangled rank-{rank_out}" in gate.detail
+        else:
+            assert gate is None
+    assert 50 < blocked.sum() < 450
+    assert (~clean_in).sum() > 20 and (r_in == 4).sum() > 20
+
 _REACHED = 1e-12  # a route reaches a target when its verified residual is at most this
 
 

@@ -1,5 +1,7 @@
 """Tests for state constructors, validation, and family classification."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -74,6 +76,164 @@ def test_bell_weights_validation():
     with pytest.raises(OutOfRangeError):
         BellWeights((0.7, 0.2, 0.1))
 
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((0.5, 0.5, 0.0), "lambda needs exactly 4 weights, got 3"),
+    ((0.2, 0.2, 0.2, 0.2, 0.2), "lambda needs exactly 4 weights, got 5"),
+    # the sign is checked entry by entry before the order
+    ((0.2, 0.5, 0.4, -0.1), "lambda[3] must be nonnegative, got -0.1"),
+    ((-1e-300, 0.5, 0.3, 0.2), "lambda[0] must be nonnegative, got -1e-300"),
+    ((0.5, float("nan"), 0.3, 0.2), "lambda[1] must be nonnegative, got nan"),
+    ((float("inf"), 0.5, 0.3, 0.2), "lambda[0] must be nonnegative, got inf"),
+    ((0.5, 0.3, 0.2, float("inf")), "lambda[3] must be nonnegative, got inf"),
+    # the order before the sum
+    ((0.3, 0.4, 0.2, 0.1), "lambda must be non-ascending (lambda[1]=0.4 exceeds lambda[0]=0.3)"),
+    ((0.4, 0.3, 0.1, 0.2), "lambda must be non-ascending (lambda[3]=0.2 exceeds lambda[2]=0.1)"),
+    ((-0.0, 0.0, 0.0, 1.0), "lambda must be non-ascending (lambda[3]=1.0 exceeds lambda[2]=0.0)"),
+    ((0.5, 0.3, 0.1, 0.05), "lambda must sum to 1 within 1e-12, got 0.9500000000000001"),
+    ((0.5, 0.3, 0.2, 0.2), "lambda must sum to 1 within 1e-12, got 1.2"),
+])
+def test_weight_vector_messages_name_the_first_failure(weights, message):
+    for make in (BellWeights, MemsWeights):
+        with pytest.raises(OutOfRangeError) as err:
+            make(weights)
+        assert str(err.value) == message
+
+
+def _checked_by_entry(weights):
+    """The weight checks one entry at a time: the floats, or the first failure's message."""
+    vals = [float(x) for x in weights]
+    if len(vals) != 4:
+        return f"w needs exactly 4 weights, got {len(vals)}"
+    for i, x in enumerate(vals):
+        if x < 0.0 or not math.isfinite(x):
+            return f"w[{i}] must be nonnegative, got {x!r}"
+    for i in range(3):
+        if vals[i + 1] > vals[i] + 1e-12:
+            return f"w must be non-ascending (w[{i + 1}]={vals[i + 1]!r} exceeds w[{i}]={vals[i]!r})"
+    total = vals[0] + vals[1] + vals[2] + vals[3]
+    if abs(total - 1.0) > 1e-12:
+        return f"w must sum to 1 within 1e-12, got {total!r}"
+    return tuple(vals)
+
+
+def _cleaned_by_loop(raw):
+    """The family fit's weight clipping as plain loops over the entries."""
+    vals = [float(x) for x in raw]
+    for i, x in enumerate(vals):
+        if x < -1e-8:
+            return None
+        vals[i] = max(x, 0.0)
+    for i in range(3):
+        if vals[i + 1] > vals[i] + 1e-8:
+            return None
+        vals[i + 1] = min(vals[i + 1], vals[i])
+    total = sum(vals)
+    if abs(total - 1.0) > 1e-8 or total <= 0.0:
+        return None
+    return tuple(x / total for x in vals)
+
+
+def _near_bound_vectors(rng, tol, count) -> list:
+    """Sorted simplex vectors pushed to about ``tol`` on one side of one bound each.
+
+    The step is ``tol``, one of its float neighbours, half or twice it, times
+    1 or 1 +- 1e-9. A vector gets its last entry below or above zero (the
+    first entry takes up the difference), two neighbouring entries that
+    differ by the step around their mean, or its sum moved off 1 by the step,
+    the other bounds kept. Some also get a NaN, an infinity or a negative
+    zero in one entry.
+    """
+    steps = [tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 0.5 * tol, 2.0 * tol]
+    out = []
+    for _ in range(count):
+        w = np.sort(rng.dirichlet(np.ones(4)))[::-1].copy()
+        step = steps[rng.integers(len(steps))] * rng.choice([1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+        step *= rng.choice([1.0, -1.0])
+        bound = rng.integers(3)
+        if bound == 0:
+            w[0] += w[3] + step
+            w[3] = -step
+        elif bound == 1:
+            i = int(rng.integers(1, 4))
+            mean = 0.5 * (w[i - 1] + w[i])
+            w[i - 1], w[i] = mean - 0.5 * step, mean + 0.5 * step
+        else:
+            w *= 1.0 + step
+        odd = rng.integers(8)
+        if odd < 3:
+            w[rng.integers(4)] = (np.nan, np.inf, -0.0)[odd]
+        out.append(tuple(w.tolist()))
+    return out
+
+
+def test_weight_vector_checks_match_one_entry_at_a_time():
+    vectors = _near_bound_vectors(np.random.default_rng(1803), 1e-12, 3000)
+    outcomes = {}
+    for w in vectors:
+        want = _checked_by_entry(w)
+        try:
+            got = states._check_weight_vector(w, "w")
+        except OutOfRangeError as err:
+            got = str(err)
+        assert repr(got) == repr(want), w
+        kind = "accepted" if isinstance(want, tuple) else want.split(" must ")[1][:8]
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every check is met and failed
+    assert set(outcomes) == {"accepted", "be nonne", "be non-a", "sum to 1"}
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_clean_weights_matches_plain_loops():
+    vectors = _near_bound_vectors(np.random.default_rng(1804), 1e-8, 3000)
+    results = [_cleaned_by_loop(w) for w in vectors]
+    for w, want in zip(vectors, results):
+        assert repr(states._clean_weights(w)) == repr(want), w
+    # each outcome is reached: refused, clipped to a fit, and a NaN fit
+    assert sum(r is None for r in results) > 300
+    assert sum(r is not None and not math.isnan(r[0]) for r in results) > 300
+    assert any(r is not None and math.isnan(r[0]) for r in results)
+
+
+_GAP_EDGES = [
+    # (eigenvalue, counts as live, leaves the gap clean)
+    (1e-6, False, False),
+    (float(np.nextafter(1e-6, 0.0)), False, False),
+    (float(np.nextafter(1e-6, 1.0)), True, True),
+    (1e-12, False, True),
+    (float(np.nextafter(1e-12, 0.0)), False, True),
+    (float(np.nextafter(1e-12, 1.0)), False, False),
+    (0.0, False, True),
+    (-1e-10, False, True),
+    (float("nan"), False, False),
+    (0.5, True, True),
+]
+
+
+@pytest.mark.parametrize("value, live, clean", _GAP_EDGES)
+def test_gapped_rank_edges(value, live, clean):
+    spectrum = [0.25, value, 0.0]
+    assert states._gapped_rank(spectrum) == (1 + live, clean)
+    rank, gapped = states._gapped_rank(np.array(spectrum))
+    assert (int(rank), bool(gapped)) == (1 + live, clean)
+
+
+def test_gapped_rank_reads_floats_as_it_reads_a_stack():
+    rng = np.random.default_rng(1802)
+    edges = [v for v, _, _ in _GAP_EDGES] + [1e-9, 3e-3]
+    spectra = np.concatenate([
+        rng.choice(edges, size=(3000, 4)),
+        np.sort(rng.dirichlet(np.ones(4), size=500), axis=1)[:, ::-1],
+        random_density_matrix(1802).eig.values[None, :],
+    ])
+    ranks, cleans = states._gapped_rank(spectra)
+    assert ranks.shape == cleans.shape == (len(spectra),)
+    for values, rank, clean in zip(spectra, ranks, cleans):
+        got = states._gapped_rank(values.tolist())
+        assert type(got[0]) is int and type(got[1]) is bool
+        assert got == (int(rank), bool(clean)), values
+    assert 0 < cleans.sum() < len(spectra)
 
 def test_mems_matrix_shape():
     m = make_mems((0.5, 0.2, 0.2, 0.1)).matrix

@@ -37,20 +37,6 @@ def _load_tracing():
     return module
 
 
-def _load_package_names() -> tuple:
-    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
-    func = next(
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "load_package"
-    )
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "names" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError("load_package names no modules")
-
-
 def test_every_traced_name_resolves():
     traced = _load_tracing().TRACED
     assert traced
@@ -63,10 +49,9 @@ def test_every_traced_name_resolves():
             assert "__init__" in target.__dict__, f"{module_name}.{attr} has no own __init__"
 
 
-def test_every_loaded_module_exists():
-    names = _load_package_names()
-    assert "convertibility" in names
-    for name in names:
+def test_every_loaded_module_exists(load_package_names):
+    assert "convertibility" in load_package_names
+    for name in load_package_names:
         importlib.import_module(f"entconv.{name}")
 
 
@@ -98,14 +83,25 @@ def test_no_module_imports_a_name_it_never_uses():
         assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _lazy_exports(tree) -> list:
+    """The names the package's ``__getattr__`` resolves from ``oracle`` on first use."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_FROM_ORACLE" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("the package names no lazy exports")
+
+
 def test_package_exports_are_its_reexports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    # a name resolved on first use counts as a re-export, like an import
     reexported = [
         alias.asname or alias.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
-    ]
+    ] + _lazy_exports(tree)
     assert len(set(entconv.__all__)) == len(entconv.__all__)
     assert len(set(reexported)) == len(reexported)
     assert set(entconv.__all__) == set(reexported)
@@ -132,13 +128,18 @@ def _top_level_references(path) -> list:
 
 
 def _defined_names(stmt) -> list:
-    """Names a top-level statement defines: a function, a class or a constant."""
+    """Names a top-level statement defines: a function, a class or a constant.
+
+    Dunder names, such as a module's ``__getattr__`` hook or its
+    ``__version__``, are read from outside the package and are left out.
+    """
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [stmt.name]
-    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
-    if isinstance(stmt, ast.AnnAssign):
-        targets = [stmt.target]
-    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        names = [stmt.name]
+    else:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+        if isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
