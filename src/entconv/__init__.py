@@ -83,7 +83,7 @@ from .states import (
 __version__ = "0.1.0"
 
 # ``oracle`` is the largest module and only the falsifiers and the search need
-# it (and scipy), so it and its exports are imported on first use
+# it, so it and its exports are imported on first use
 _FROM_ORACLE = (
     "SearchReport",
     "convert_search",

@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_positive_int,
         default=20000,
-        help="iteration cap of the convex least-squares solve",
+        help="iteration cap (support solves) of the exact least-squares search",
     )
     p.set_defaults(func=cmd_search)
 

@@ -532,15 +532,27 @@ code = entconv.cli.main(["check", sys.argv[1], sys.argv[2]])
 after_check = scipy_modules()
 check_oracle = "entconv.oracle" in sys.modules
 audit_code = entconv.cli.main(["audit", "--trials", "4"])
+after_audit = scipy_modules()
 # np.unique imports numpy.ma on first use, a cost the audit does not need
 audit_ma = "numpy.ma" in sys.modules
 audit_oracle = "entconv.oracle" in sys.modules
-result = entconv.oracle.minimize(lambda x: float(x @ x), [1.0, 2.0], method="SLSQP")
+
+# as perfbench's tracer does: wrap oracle.minimize and read each result's nfev
+solves = []
+solve = entconv.oracle.minimize
+
+def counting(*args, **kwargs):
+    result = solve(*args, **kwargs)
+    solves.append(operator.index(result.nfev))
+    return result
+
+entconv.oracle.minimize = counting
+search_code = entconv.cli.main(["search", sys.argv[1], sys.argv[2]])
 print(json.dumps({"import": after_import, "check": after_check, "code": code,
                   "check_oracle": check_oracle, "audit_oracle": audit_oracle,
-                  "audit_code": audit_code, "audit_ma": audit_ma,
-                  "nfev": operator.index(result.nfev),
-                  "search": bool(scipy_modules())}))
+                  "audit_code": audit_code, "audit_ma": audit_ma, "audit": after_audit,
+                  "search_code": search_code, "solves": solves,
+                  "search": scipy_modules()}))
 """
 
 # what the benchmark's load_package does: import entconv.cli, then read each
@@ -556,14 +568,15 @@ print(json.dumps({"before": before, "found": found}))
 
 
 def _fresh_probe(script, *args) -> dict:
-    # a fresh interpreter, since this one has long imported scipy and oracle
+    # a fresh interpreter, since this one has long imported oracle (and the
+    # solver tests import scipy as their reference)
     env = {**os.environ, "PYTHONPATH": str(Path(entconv.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_scipy_loads_only_when_a_search_runs(tmp_path, load_package_names):
+def test_the_package_never_imports_scipy(tmp_path, load_package_names):
     a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
     b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})
     probe = _fresh_probe(_SCIPY_PROBE, a, b)
@@ -575,9 +588,11 @@ def test_scipy_loads_only_when_a_search_runs(tmp_path, load_package_names):
     assert probe["audit_code"] == EX_OK
     assert probe["audit_oracle"]
     assert not probe["audit_ma"]
-    # perfbench's tracer wraps oracle.minimize and reads an integer nfev
-    assert probe["nfev"] > 0
-    assert probe["search"]
+    assert probe["audit"] == []
+    # the search solves in numpy, and the tracer's wrapper reads an integer nfev
+    assert probe["search_code"] == EX_OK
+    assert len(probe["solves"]) == 1 and probe["solves"][0] > 0
+    assert probe["search"] == []
     loaded = _fresh_probe(_LOAD_PROBE, *load_package_names)
     assert not loaded["before"]
     assert loaded["found"] == {name: f"entconv.{name}" for name in load_package_names}

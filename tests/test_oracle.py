@@ -456,3 +456,118 @@ class TestConvertSearch:
         assert np.isfinite(distance)
         if protocol is not None:
             assert distance < 1e-6
+
+
+def _simplex_problem(source: np.ndarray, target: np.ndarray) -> tuple:
+    """The search's least squares, built here: one column per atom's output.
+
+    The columns are the source under the seven one-sided rotations and the
+    four diagonal product states, real parts stacked over imaginary parts.
+    """
+    outputs = [u @ source @ u.conj().T for u in _one_sided_rotations()]
+    outputs += [np.diag(row).astype(complex) for row in np.eye(4)]
+    columns = np.stack([m.ravel() for m in outputs])
+    a = np.concatenate([columns.real, columns.imag], axis=1).T
+    t = np.concatenate([target.real.ravel(), target.imag.ravel()])
+    return a, t
+
+
+def _solver_problems(n: int, seed: int = 19) -> list:
+    """(a, t) pairs: Gaussian sources of rank 1 to 4, Werner and Bell sources,
+    each with a target inside the searched family or a random state."""
+    rng = np.random.default_rng(seed)
+    unitaries = _one_sided_rotations()
+    problems = []
+    for trial in range(n):
+        kind = trial % 3
+        if kind == 0:
+            rank = int(rng.integers(1, 5))
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            source = g @ g.conj().T
+            source /= np.trace(source).real
+        elif kind == 1:
+            source = make_werner(rng.uniform(0.0, 1.0)).matrix
+        else:
+            source = make_bell_diagonal(tuple(np.sort(rng.dirichlet(np.ones(4)))[::-1])).matrix
+        if trial % 2:
+            support = rng.choice(11, size=int(rng.integers(1, 7)), replace=False)
+            v = np.zeros(11)
+            v[support] = rng.dirichlet(np.ones(len(support)))
+            target = sum(vi * u @ source @ u.conj().T for vi, u in zip(v, unitaries))
+            target = target + np.diag(v[7:])
+        else:
+            rank = int(rng.integers(1, 5))
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            target = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        problems.append(_simplex_problem(source, target))
+    return problems
+
+
+def _is_simplex_optimum(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> bool:
+    """KKT certificate: v on the simplex, and no index with a lower gradient
+    than the common gradient mu = v . g of the support."""
+    g = a.T @ (a @ v - t)
+    mu = v @ g
+    on_simplex = abs(v.sum() - 1.0) <= 1e-12 and v.min() >= -1e-12
+    return bool(
+        on_simplex
+        and np.all(g >= mu - 1e-10)
+        and np.all(np.abs(g[v > 0] - mu) <= 1e-10)
+    )
+
+
+def _slsqp_distance(a: np.ndarray, t: np.ndarray) -> float:
+    """The same least squares solved by scipy's SLSQP, an independent reference."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    n = a.shape[1]
+
+    def objective(v):
+        r = a @ v - t
+        return 0.5 * float(r @ r), a.T @ r
+
+    res = scipy_minimize(
+        objective,
+        np.full(n, 1.0 / n),
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, None)] * n,
+        constraints=({"type": "eq", "fun": lambda v: v.sum() - 1.0,
+                      "jac": lambda v: np.ones(n)},),
+        options={"maxiter": 20000, "ftol": 1e-30},
+    )
+    v = np.clip(res.x, 0.0, None)
+    return float(np.linalg.norm(a @ (v / v.sum()) - t))
+
+
+class TestSimplexSolver:
+    def test_every_solve_is_certified_optimal(self):
+        singular = 0
+        for k, (a, t) in enumerate(_solver_problems(200)):
+            fit = oracle.minimize(a, t)
+            assert isinstance(fit.nfev, int) and 0 <= fit.nfev <= 20000, k
+            assert _is_simplex_optimum(a, t, fit.x), k
+            distance = np.linalg.norm(a @ fit.x - t)
+            assert distance <= _slsqp_distance(a, t) + 1e-12, k
+            if k % 2:  # a target inside the searched family is reached
+                assert distance < 1e-12, k
+            singular += np.linalg.matrix_rank(a.T @ a) < a.shape[1]
+        # the Werner and Bell sources repeat columns
+        assert singular >= 100
+
+    def test_cut_short_solve_fails_the_certificate(self):
+        # planted control: an interior target of a rank-4 source needs one
+        # step per support index, so a single solve stops short of it
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        source = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        rotations = _one_sided_rotations()
+        target = sum(u @ source @ u.conj().T for u in rotations[:4]) / 8 + np.eye(4) / 8
+        a, t = _simplex_problem(source, target)
+        full = oracle.minimize(a, t)
+        assert full.nfev >= 3
+        assert _is_simplex_optimum(a, t, full.x)
+        cut = oracle.minimize(a, t, budget=1)
+        assert cut.nfev == 1
+        assert abs(cut.x.sum() - 1.0) <= 1e-12 and cut.x.min() >= 0.0
+        assert not _is_simplex_optimum(a, t, cut.x)
