@@ -34,7 +34,6 @@ from .convertibility import (
     Convertible,
     Forbidden,
     Inconclusive,
-    MemsProtocolParams,
     decide,
     decide_bell,
     decide_mems,
@@ -112,7 +111,6 @@ __all__ = [
     "Inconclusive",
     "InfeasibleError",
     "LocalUnitary",
-    "MemsProtocolParams",
     "MemsWeights",
     "MonotoneTriple",
     "NotEntangledError",

@@ -33,8 +33,9 @@ from .convertibility import (
     Inconclusive,
     decide,
     keep_or_refill,
+    mixture_refill,
     synthesize_mems_protocol,
-    verify_protocol,
+    verify_family_plan,
 )
 from .errors import EntconvError, InfeasibleError
 from .measures import bell_monotones, concurrence, eof, negativity
@@ -316,30 +317,38 @@ def _mixture_weights_of(rho: DensityMatrix, where: str) -> MemsWeights:
     return weights
 
 
+def _infeasible(args, detail: str) -> int:
+    _emit(args, {"verdict": "Infeasible", "detail": detail},
+          ["verdict: Infeasible", f"detail: {detail}"])
+    return EX_INCONCLUSIVE
+
+
 def cmd_synthesize(args) -> int:
     source = _load_state(args.source, "source")
     target = _load_state(args.target, "target")
     sw = _mixture_weights_of(source, "source")
     tw = _mixture_weights_of(target, "target")
     try:
-        params = synthesize_mems_protocol(sw, tw)
+        w, prep = synthesize_mems_protocol(sw, tw)
     except InfeasibleError as exc:
-        payload = {"verdict": "Infeasible", "detail": str(exc)}
-        _emit(args, payload, ["verdict: Infeasible", f"detail: {exc}"])
-        return EX_INCONCLUSIVE
-    protocol = keep_or_refill(params.W, params.prepared_state())
-    residual = verify_protocol(protocol, source, target)
+        return _infeasible(args, str(exc))
+    # verified as decide verifies a family plan: a plan that meets the fits
+    # but not the given states is Infeasible, with the detail check gives
+    plan = keep_or_refill(w, *mixture_refill(prep))
+    verdict = verify_family_plan(plan, source, target, lambda: (make_mems(sw), make_mems(tw)))
+    if isinstance(verdict, Inconclusive):
+        return _infeasible(args, verdict.detail)
     payload = {
         "verdict": "Synthesized",
-        "W": params.W,
-        "prep_weights": list(params.prep_weights),
-        "protocol": protocol_to_spec(protocol),
-        "residual": residual,
+        "W": w,
+        "prep_weights": list(prep),
+        "protocol": protocol_to_spec(verdict.protocol),
+        "residual": verdict.residual,
     }
     lines = [
-        f"W: {params.W!r}",
-        f"prep_weights: {list(params.prep_weights)!r}",
-        f"residual: {residual!r}",
+        f"W: {w!r}",
+        f"prep_weights: {list(prep)!r}",
+        f"residual: {verdict.residual!r}",
     ]
     _emit(args, payload, lines)
     return EX_OK

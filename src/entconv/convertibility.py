@@ -20,6 +20,15 @@ monotone comparison is an exact iff (certificate only, no protocol), and the
 general mixture-form synthesis is sufficient only, so its infeasibility
 yields Inconclusive rather than Forbidden.
 
+A constructive family plan keeps the input with probability t and
+otherwise discards it and prepares a separable state. ``keep_or_refill``
+builds each such (protocol, certificate) plan. Preparing a separable target
+outright and keeping identical weights (the identity) are plans of their
+own. ``verify_family_plan`` checks every family plan, ``entconv
+synthesize``'s included, under one rule: on the given states, and on the
+family fits only to tell a fit gap (Inconclusive) from a wrong plan
+(ResidualError).
+
 What a verdict means for the floats given: a ``Forbidden`` holds exactly
 for them, while a ``Convertible`` reaches the target within
 ``RESIDUAL_BOUND``. Near a tie both can hold. ``make_werner(0.6)`` to
@@ -46,7 +55,6 @@ from .errors import (
     InfeasibleError,
     NotEntangledError,
     NotProductDiagonalError,
-    OutOfRangeError,
     ResidualError,
 )
 from .measures import bell_monotones, monotone_ratios
@@ -93,28 +101,6 @@ class Inconclusive:
 
 
 Verdict = Union[Convertible, Forbidden, Inconclusive]
-
-
-@dataclass(frozen=True)
-class MemsProtocolParams:
-    """Identity weight W and diagonal refill weights (p01, p00_11, p10)."""
-
-    W: float
-    prep_weights: tuple
-
-    def __post_init__(self):
-        if not 0.0 <= self.W <= 1.0:
-            raise OutOfRangeError(f"W must lie in [0, 1], got {self.W!r}")
-        p = tuple(float(x) for x in self.prep_weights)
-        if len(p) != 3 or any(x < 0.0 for x in p):
-            raise OutOfRangeError(f"prep weights must be 3 nonnegative values, got {p}")
-        if abs(sum(p) - 1.0) > 1e-10:
-            raise OutOfRangeError(f"prep weights must sum to 1 within 1e-10, got {sum(p)!r}")
-        object.__setattr__(self, "prep_weights", p)
-
-    def prepared_state(self) -> DensityMatrix:
-        p01, p00_11, p10 = self.prep_weights
-        return DensityMatrix(np.diag([p00_11 / 2, p01, p10, p00_11 / 2]).astype(complex))
 
 
 def verify_protocol(protocol: Protocol, rho, rho2) -> float:
@@ -174,27 +160,27 @@ def _identity_atom() -> LocalUnitary:
     return LocalUnitary(qmat.EYE2, qmat.EYE2, shared=True)
 
 
-def keep_or_refill(keep: float, refill_state) -> Protocol:
-    """Keep the input with probability ``keep``, else replace it by ``refill_state``."""
-    return _keep_or(keep, DiscardPrepare(refill_state))
-
-
-def _keep_or(keep: float, refill: DiscardPrepare) -> Protocol:
-    return Protocol(((keep, _identity_atom()), (1.0 - keep, refill)))
+def keep_or_refill(t: float, refill: DiscardPrepare, description: str) -> tuple:
+    """The (protocol, certificate) plan: keep the input with probability t, else ``refill``."""
+    protocol = Protocol(((t, _identity_atom()), (1.0 - t, refill)))
+    return protocol, f"keep with probability {t:.12g}, refill with {description}"
 
 
 @functools.cache
-def _max_mixed_atom() -> DiscardPrepare:
-    """Discard and prepare the maximally mixed state, the Werner refill."""
-    return DiscardPrepare(DensityMatrix(np.eye(4, dtype=complex) / 4), shared=True)
+def _shared_refill(diagonal: tuple) -> DiscardPrepare:
+    """Discard and prepare a fixed diagonal state, built and lowered once per process."""
+    return DiscardPrepare(DensityMatrix(np.diag(diagonal).astype(complex)), shared=True)
 
 
-@functools.cache
-def _refill_01_atom() -> DiscardPrepare:
-    """Discard and prepare |01><01|, the rank-2 MEMS refill."""
-    return DiscardPrepare(
-        DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)), shared=True
-    )
+_MAX_MIXED = (0.25, 0.25, 0.25, 0.25)  # the Werner refill
+_KET_01 = (0.0, 1.0, 0.0, 0.0)  # the rank-2 MEMS refill
+
+
+def mixture_refill(prep) -> tuple:
+    """The refill atom and its description for mixture-form weights (p01, p00_11, p10)."""
+    p01, p00_11, p10 = prep
+    state = DensityMatrix(np.diag([p00_11 / 2, p01, p10, p00_11 / 2]).astype(complex))
+    return DiscardPrepare(state), f"diagonal weights {prep}"
 
 
 def _prepare(target) -> tuple:
@@ -212,8 +198,7 @@ def _werner_rule(source: WernerParam, target: WernerParam):
     """(protocol, certificate) from the Werner source to the target, or Forbidden."""
     if target.w <= source.w:
         p = 1.0 if source.w == 0.0 else target.w / source.w
-        certificate = f"keep with probability {p:.12g}, refill with the maximally mixed state"
-        return _keep_or(p, _max_mixed_atom()), certificate
+        return keep_or_refill(p, _shared_refill(_MAX_MIXED), "the maximally mixed state")
     if 3.0 * target.w <= 1.0 + _WEIGHT_SUM_TOL:
         return _prepare(make_werner(target))
     return Forbidden(
@@ -271,13 +256,14 @@ def decide_bell(l, l2) -> Verdict:
     return Convertible(None, f"monotone triple {tuple(ms)} dominates {tuple(mt)}", None)
 
 
-def synthesize_mems_protocol(l, l2) -> MemsProtocolParams:
+def synthesize_mems_protocol(l, l2) -> tuple:
     """Solve for the identity weight and refill state within the mixture form.
 
     The identity weight W is fixed by the off-diagonal entry, which only the
     kept branch can supply; the three refill weights then solve a triangular
-    linear system, one per remaining matrix entry. Raises InfeasibleError
-    naming the first violated bound.
+    linear system, one per remaining matrix entry. Returns
+    ``(W, (p01, p00_11, p10))``; raises InfeasibleError naming the first
+    violated bound.
     """
     source = l if isinstance(l, MemsWeights) else MemsWeights(tuple(l))
     target = l2 if isinstance(l2, MemsWeights) else MemsWeights(tuple(l2))
@@ -291,7 +277,7 @@ def synthesize_mems_protocol(l, l2) -> MemsProtocolParams:
     w = min(1.0, max(0.0, w))
     if w == 1.0:
         if max(abs(a - b) for a, b in zip(source.weights, target.weights)) <= 1e-10:
-            return MemsProtocolParams(1.0, (1.0, 0.0, 0.0))
+            return 1.0, (1.0, 0.0, 0.0)
         raise InfeasibleError("identity weight W = 1 but the weight vectors differ")
     rest = 1.0 - w
     p01 = (t2 - w * s2) / rest
@@ -304,7 +290,7 @@ def synthesize_mems_protocol(l, l2) -> MemsProtocolParams:
     total = p01 + p00_11 + p10
     if abs(total - 1.0) > 1e-10:
         raise InfeasibleError(f"refill weights sum to {total!r}, not 1")
-    return MemsProtocolParams(w, (p01, p00_11, p10))
+    return w, (p01, p00_11, p10)
 
 
 def _mems_rule(source: MemsWeights, target: MemsWeights):
@@ -320,18 +306,12 @@ def _mems_rule(source: MemsWeights, target: MemsWeights):
                 f"top weight would grow from {s[0]!r} to {t[0]!r}, raising the "
                 "entanglement of formation",
             )
-        wid = t[0] / s[0]
-        return _keep_or(wid, _refill_01_atom()), (
-            f"keep with probability {wid:.12g}, refill with |01><01|"
-        )
+        return keep_or_refill(t[0] / s[0], _shared_refill(_KET_01), "|01><01|")
     try:
-        params = synthesize_mems_protocol(source, target)
+        w, prep = synthesize_mems_protocol(source, target)
     except InfeasibleError as err:
-        return Inconclusive(f"mixture-form synthesis infeasible: {err.detail}")
-    return keep_or_refill(params.W, params.prepared_state()), (
-        f"keep with probability {params.W:.12g}, refill with diagonal weights "
-        f"{params.prep_weights}"
-    )
+        return Inconclusive(f"mixture-form synthesis infeasible: {err}")
+    return keep_or_refill(w, *mixture_refill(prep))
 
 
 def decide_mems(l, l2) -> Verdict:
@@ -377,10 +357,21 @@ def decide(rho, rho2) -> Verdict:
     tag_s = classify_family(source)
     tag_t = classify_family(target)
     rule = _family_rule(tag_s, tag_t)
+    return verify_family_plan(rule, source, target, lambda: (tag_s.state(), tag_t.state()))
+
+
+def verify_family_plan(rule, source, target, fits) -> Verdict:
+    """A family rule's verdict, its plan verified on the given source and target.
+
+    A family fit may sit up to 1e-8 from the state it fits. So when the plan
+    misses the given states, it is verified on the fits, which ``fits()``
+    returns as a (source, target) pair: a miss there raises ResidualError,
+    and a plan that meets them is Inconclusive, with the miss as its detail.
+    """
     try:
         return _verified(rule, source, target)
     except ResidualError as err:
-        _verified(rule, tag_s.state(), tag_t.state())  # a miss on the fits raises
+        _verified(rule, *fits())
         return Inconclusive(f"the family protocol meets the fits, not the given states: {err}")
 
 

@@ -34,11 +34,7 @@ class NotTracePreservingError(EntconvError, ValueError):
 
 
 class InfeasibleError(EntconvError):
-    """Protocol synthesis has no solution; .detail names the violated bound."""
-
-    def __init__(self, detail: str):
-        super().__init__(detail)
-        self.detail = detail
+    """Protocol synthesis has no solution; the message names the violated bound."""
 
 
 class NotEntangledError(EntconvError, ValueError):

@@ -155,15 +155,15 @@ def test_c4_mixture_synthesis_round_trips():
     derived_ok = True
     residuals = []
     for source, target, w_expected in cases:
-        params = synthesize_mems_protocol(source, target)
-        derived_ok &= abs(params.W - w_expected) <= 1e-10
-        protocol = _two_branch_protocol(params)
+        w, prep = synthesize_mems_protocol(source, target)
+        derived_ok &= abs(w - w_expected) <= 1e-10
+        protocol = _two_branch_protocol(w, prep)
         residual = verify_protocol(protocol, make_mems(source), make_mems(target))
         residuals.append(residual)
         derived_ok &= residual < 1e-10
     # second case pins the refill weights as well
-    params = synthesize_mems_protocol(*cases[1][:2])
-    derived_ok &= np.allclose(params.prep_weights, (0.4, 0.4, 0.2), atol=1e-10)
+    _, prep = synthesize_mems_protocol(*cases[1][:2])
+    derived_ok &= np.allclose(prep, (0.4, 0.4, 0.2), atol=1e-10)
 
     rng = np.random.default_rng(20250819)
     accepted = 0
@@ -184,10 +184,10 @@ def test_c4_mixture_synthesis_round_trips():
         t = (t1, t2, t3, t4)
         if any(t[i + 1] > t[i] - 1e-9 for i in range(3)):
             continue
-        params = synthesize_mems_protocol(tuple(s), t)
+        w_found, prep_found = synthesize_mems_protocol(tuple(s), t)
         err = max(
-            abs(params.W - w),
-            max(abs(a - b) for a, b in zip(params.prep_weights, prep)),
+            abs(w_found - w),
+            max(abs(a - b) for a, b in zip(prep_found, prep)),
         )
         worst = max(worst, err)
         accepted += 1
@@ -199,15 +199,15 @@ def test_c4_mixture_synthesis_round_trips():
     assert ok
 
 
-def _two_branch_protocol(params):
+def _two_branch_protocol(w, prep):
     from entconv.channels import Protocol
 
     eye = LocalUnitary(np.eye(2), np.eye(2))
-    if params.W >= 1.0:
+    if w >= 1.0:
         return Protocol(((1.0, eye),))
-    return Protocol(
-        ((params.W, eye), (1.0 - params.W, DiscardPrepare(params.prepared_state())))
-    )
+    p01, p00_11, p10 = prep
+    refill = DensityMatrix(np.diag([p00_11 / 2, p01, p10, p00_11 / 2]).astype(complex))
+    return Protocol(((w, eye), (1.0 - w, DiscardPrepare(refill))))
 
 
 def test_c5_werner_protocol_grid():

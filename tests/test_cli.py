@@ -269,6 +269,44 @@ class TestSynthesizeAndApply:
         assert payload["verdict"] == "Infeasible"
         assert payload["detail"]
 
+    def test_plan_that_meets_only_the_fits_is_infeasible_with_checks_detail(
+        self, tmp_path, capsys
+    ):
+        # each state sits 7e-9 from its mixture-form fit, so the plan solved on
+        # the fits lands 1.9e-8 from the given target, past RESIDUAL_BOUND
+        d = np.diag([7e-9, 0.0, 0.0, -7e-9])
+        a = write_spec(tmp_path, "a.json", state_to_spec(
+            DensityMatrix(make_mems((0.5, 0.3, 0.1, 0.1)).matrix + d)))
+        b = write_spec(tmp_path, "b.json", state_to_spec(
+            DensityMatrix(make_mems((0.46, 0.34, 0.1, 0.1)).matrix - d)))
+        code, checked = run_json(capsys, ["check", "--json", a, b])
+        assert code == EX_INCONCLUSIVE
+        assert checked["verdict"] == "Inconclusive"
+        code, payload = run_json(capsys, ["synthesize", "--json", a, b])
+        assert code == EX_INCONCLUSIVE
+        assert payload == {"verdict": "Infeasible", "detail": checked["detail"]}
+        assert "protocol residual 1.881e-08 exceeds 1e-08" in payload["detail"]
+
+    def test_plan_that_misses_the_fits_exits_software(self, tmp_path, capsys, monkeypatch):
+        # a lowering that prepares a state 1% off its target misses the fits too
+        original = channels.DiscardPrepare.channel
+        monkeypatch.setattr(
+            channels.DiscardPrepare,
+            "channel",
+            lambda atom: original(
+                channels.DiscardPrepare(
+                    DensityMatrix(0.99 * atom.target.matrix + 0.01 * np.diag([1, 0, 0, 0]))
+                )
+            ),
+        )
+        a = write_spec(tmp_path, "a.json", {"kind": "mems", "lambda": [0.5, 0.3, 0.1, 0.1]})
+        b = write_spec(tmp_path, "b.json", {"kind": "mems", "lambda": [0.46, 0.34, 0.1, 0.1]})
+        code = main(["synthesize", a, b])
+        captured = capsys.readouterr()
+        assert code == EX_SOFTWARE
+        assert "ResidualError" in captured.err
+        assert captured.out == ""
+
     def test_non_mixture_source_is_usage_error(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "bell_diagonal", "lambda": [0.4, 0.3, 0.2, 0.1]})
         b = write_spec(tmp_path, "b.json", {"kind": "mems", "lambda": [0.5, 0.3, 0.1, 0.1]})
@@ -462,7 +500,9 @@ class TestMalformedInput:
         state_to_spec(make_bell_diagonal((0.55, 0.25, 0.15, 0.05))),
     ]
     # a kept branch (local_unitary) and a refill branch (discard_prepare)
-    _PROTOCOL = protocol_to_spec(keep_or_refill(0.9, make_werner(0.2)))
+    _PROTOCOL = protocol_to_spec(
+        keep_or_refill(0.9, DiscardPrepare(make_werner(0.2)), "a Werner state")[0]
+    )
     _REPLACEMENTS = {"bool": True, "nan": math.nan, "infinity": math.inf, "huge": _HUGE}
 
     @staticmethod

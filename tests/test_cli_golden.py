@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from entconv.cli import EX_FORBIDDEN, EX_INCONCLUSIVE, EX_OK, main
+from entconv.states import make_mems
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli"
 
@@ -24,6 +25,12 @@ def _dense_spec() -> dict:
     mat = g @ g.T
     mat = mat / np.trace(mat)
     return {"kind": "dense", "re": mat.tolist(), "im": np.zeros((4, 4)).tolist()}
+
+
+def _off_fit_mems_spec(weights, sign: float) -> dict:
+    """The mixture-form state of ``weights`` moved 7e-9 off its fit along diag(1, 0, 0, -1)."""
+    mat = make_mems(weights).matrix + sign * np.diag([7e-9, 0.0, 0.0, -7e-9])
+    return {"kind": "dense", "re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
 STATES = {
@@ -37,6 +44,8 @@ STATES = {
     "m45.json": {"kind": "mems", "lambda": [0.45, 0.45, 0.05, 0.05]},
     "m4.json": {"kind": "mems", "lambda": [0.4, 0.3, 0.3, 0.0]},
     "dense.json": _dense_spec(),
+    "m5_off.json": _off_fit_mems_spec((0.5, 0.3, 0.1, 0.1), 1.0),
+    "m46_off.json": _off_fit_mems_spec((0.46, 0.34, 0.1, 0.1), -1.0),
 }
 
 # name -> (argv, exit code)
@@ -49,6 +58,8 @@ CALLS = {
     "measures_general": (["measures", "--tol", "1e-3", "dense.json"], EX_OK),
     "synthesize_feasible": (["synthesize", "m5.json", "m46.json"], EX_OK),
     "synthesize_infeasible": (["synthesize", "m45.json", "m4.json"], EX_INCONCLUSIVE),
+    # the plan meets the mixture-form fits but not the given dense states
+    "synthesize_fit_only": (["synthesize", "m5_off.json", "m46_off.json"], EX_INCONCLUSIVE),
     "audit": (["audit", "--trials", "40", "--seed", "7"], EX_OK),
 }
 

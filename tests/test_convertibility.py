@@ -13,7 +13,6 @@ from entconv.convertibility import (
     Convertible,
     Forbidden,
     Inconclusive,
-    MemsProtocolParams,
     decide,
     decide_bell,
     decide_mems,
@@ -28,7 +27,6 @@ from entconv.errors import (
     InfeasibleError,
     NotEntangledError,
     NotProductDiagonalError,
-    OutOfRangeError,
     ResidualError,
 )
 from entconv.states import (
@@ -162,19 +160,20 @@ def test_bell_iff_against_exact_reevaluation():
 
 
 def test_mems_synthesis_worked_examples():
-    p = synthesize_mems_protocol((0.5, 0.2, 0.2, 0.1), (0.44, 0.24, 0.2, 0.12))
-    npt.assert_allclose(p.W, 0.8, atol=1e-12)
-    npt.assert_allclose(p.prep_weights, (0.4, 0.4, 0.2), atol=1e-12)
+    w, prep = synthesize_mems_protocol((0.5, 0.2, 0.2, 0.1), (0.44, 0.24, 0.2, 0.12))
+    npt.assert_allclose(w, 0.8, atol=1e-12)
+    npt.assert_allclose(prep, (0.4, 0.4, 0.2), atol=1e-12)
 
-    p = synthesize_mems_protocol((0.6, 0.25, 0.15, 0.0), (0.54, 0.325, 0.135, 0.0))
-    npt.assert_allclose(p.W, 0.9, atol=1e-12)
-    npt.assert_allclose(p.prep_weights, (1.0, 0.0, 0.0), atol=1e-12)
+    w, prep = synthesize_mems_protocol((0.6, 0.25, 0.15, 0.0), (0.54, 0.325, 0.135, 0.0))
+    npt.assert_allclose(w, 0.9, atol=1e-12)
+    npt.assert_allclose(prep, (1.0, 0.0, 0.0), atol=1e-12)
 
 
 def test_mems_synthesis_identity():
-    p = synthesize_mems_protocol((0.5, 0.2, 0.2, 0.1), (0.5, 0.2, 0.2, 0.1))
-    assert p.W == 1.0
-    assert p.prep_weights == (1.0, 0.0, 0.0)
+    assert synthesize_mems_protocol((0.5, 0.2, 0.2, 0.1), (0.5, 0.2, 0.2, 0.1)) == (
+        1.0,
+        (1.0, 0.0, 0.0),
+    )
 
 
 def test_mems_synthesis_infeasible_cases():
@@ -191,11 +190,45 @@ def test_mems_synthesis_infeasible_cases():
         synthesize_mems_protocol((0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1))
 
 
-def test_mems_params_validation():
-    with pytest.raises(OutOfRangeError):
-        MemsProtocolParams(1.2, (1.0, 0.0, 0.0))
-    with pytest.raises(OutOfRangeError):
-        MemsProtocolParams(0.5, (0.6, 0.6, 0.0))
+_MIXED = (0.25, 0.25, 0.25, 0.25)
+_MIXTURE_REFILL = (0.19999999999999996, 0.3999999999999999, 0.19999999999999996,
+                   0.19999999999999996)
+
+
+@pytest.mark.parametrize(
+    "decide_family, source, target, certificate, weights, refill",
+    [
+        (decide_werner, 0.9, 0.45,
+         "keep with probability 0.5, refill with the maximally mixed state",
+         [0.5, 0.5], _MIXED),
+        (decide_mems, (0.9, 0.1, 0.0, 0.0), (0.8, 0.2, 0.0, 0.0),
+         "keep with probability 0.888888888889, refill with |01><01|",
+         [0.888888888888889, 0.11111111111111105], (0.0, 1.0, 0.0, 0.0)),
+        (decide_mems, (0.5, 0.2, 0.2, 0.1), (0.44, 0.24, 0.2, 0.12),
+         "keep with probability 0.8, refill with diagonal weights "
+         "(0.3999999999999999, 0.3999999999999999, 0.19999999999999996)",
+         [0.8, 0.19999999999999996], _MIXTURE_REFILL),
+        (decide_mems, (0.5, 0.2, 0.2, 0.1), (0.5, 0.2, 0.2, 0.1),
+         "identical weights: identity protocol", [1.0], None),
+        (decide_werner, 0.9, 0.2,
+         "keep with probability 0.222222222222, refill with the maximally mixed state",
+         [0.22222222222222224, 0.7777777777777778], _MIXED),
+    ],
+    ids=["werner", "rank2", "general", "identical", "werner_separable_target"],
+)
+def test_family_plans_are_pinned(decide_family, source, target, certificate, weights, refill):
+    # every keep-or-refill plan comes from one builder: the certificate, the
+    # branch weights and the refill's matrix bytes are pinned exactly
+    verdict = decide_family(source, target)
+    assert isinstance(verdict, Convertible)
+    assert verdict.certificate == certificate
+    assert [w for w, _ in verdict.protocol.branches] == weights
+    keep = verdict.protocol.branches[0][1]
+    assert isinstance(keep, channels.LocalUnitary)
+    assert keep.u_a.tobytes() == keep.u_b.tobytes() == np.eye(2, dtype=complex).tobytes()
+    if refill is not None:
+        prepared = verdict.protocol.branches[1][1].target.matrix
+        assert prepared.tobytes() == np.diag(refill).astype(complex).tobytes()
 
 
 def test_mems_rank2_rule():
@@ -305,7 +338,7 @@ _REACHED = 1e-12  # a route reaches a target when its verified residual is at mo
 
 def _routes(source, target, keep, refill):
     """Constructive routes to the target: keep or refill, and the mixture-form rule."""
-    routes = [lambda: keep_or_refill(keep, refill)]
+    routes = [lambda: keep_or_refill(keep, channels.DiscardPrepare(refill), "the refill")[0]]
     mems_s = classify_family(source).mems_weights()
     mems_t = classify_family(target).mems_weights()
     if mems_s is not None and mems_t is not None:
