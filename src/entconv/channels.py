@@ -13,8 +13,9 @@ be LOCC, which is what the paper's rank condition is stated for.
 Protocols are finite mixtures of two atom kinds:
 
 * ``LocalUnitary(u_a, u_b)``: apply u_a (x) u_b;
-* ``DiscardPrepare(target)``: discard the input and prepare a fixed
-  separable state, one classical on one side or a Werner state.
+* ``DiscardPrepare(target)``: discard the input and prepare a fixed state
+  that passes the partial-transpose test; only its lowering is limited, to
+  a target classical on one side or a separable Werner state.
 
 Each atom owns its action, ``atom.apply(mat)``, which ``Protocol.apply``
 mixes, and its lowering, ``atom.channel()``, which ``compile_protocol`` mixes.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -162,9 +163,6 @@ class DiscardPrepare(_Lowering):
         return SeparableChannel(factors.reshape(-1, 2, 2, 2))
 
 
-Atom = Union[LocalUnitary, DiscardPrepare]
-
-
 def _checked_weights(weights, what: str) -> list:
     """The weights as floats, each at least -1e-12 and summing to 1 within 1e-9, so not none."""
     weights = [float(w) for w in weights]
@@ -204,7 +202,7 @@ class ProbabilisticBranch:
 
     weight: float
     success_prob: float
-    atom: Atom
+    atom: LocalUnitary | DiscardPrepare
 
     def __post_init__(self):
         if not 0.0 <= self.weight <= 1.0 + 1e-12:
@@ -266,10 +264,8 @@ class SeparableChannel:
             raise ValueError(
                 f"need one or more pairs of 2x2 Kraus factors, got shape {factors.shape}"
             )
-        estack = kernels.kron2(factors[:, 0], factors[:, 1])
-        _check_completeness(kernels.kraus_gram(estack))
         self._factors = qmat.read_only(factors)
-        self._estack = qmat.read_only(estack)
+        self._estack = qmat.read_only(separable_kraus_stacks(factors))
 
     @property
     def kraus_pairs(self) -> np.ndarray:
@@ -291,12 +287,12 @@ class SeparableChannel:
 
 
 def separable_kraus_stacks(factors: np.ndarray) -> np.ndarray:
-    """Lifted Kraus stacks of many channels given as zero-padded factor rows.
+    """The lifted stacks E_k = A_k (x) B_k of one or many channels, checked for completeness.
 
-    Row t of ``factors``, shape (t, n, 2, 2, 2), holds one channel's pairs,
-    padded with zero pairs, which add nothing. The result, shape (t, n, 4, 4),
-    is what ``kernels.apply_kraus`` takes; every row passes the completeness
-    check ``SeparableChannel`` makes, evaluated over all rows at once.
+    ``factors`` holds one channel's pairs, shape (n, 2, 2, 2), or one channel
+    per row t, shape (t, n, 2, 2, 2), padded with zero pairs, which add
+    nothing. The (n, 4, 4) or (t, n, 4, 4) result is what
+    ``kernels.apply_kraus`` takes; the 1e-10 check runs over all rows at once.
     """
     estacks = kernels.kron2(factors[..., 0, :, :], factors[..., 1, :, :])
     _check_completeness(kernels.kraus_gram(estacks))
@@ -481,9 +477,9 @@ def bell_extremal_catalog() -> tuple:
     One identity, six one-sided Pauli rotations (each permutes the Bell
     projectors), and six replace channels that discard the input and prepare
     the even mixture of one Bell pair (those mixtures are exactly the
-    separable edges of the Bell-diagonal tetrahedron). A channel's action on
-    Bell weights is read off the channel: ``bell_weights_of`` of its image
-    of each Bell projector.
+    separable edges of the Bell-diagonal tetrahedron).
+    ``oracle.monotone_audit`` applies random mixtures of them, stacked once
+    by ``bell_extremal_pool``, to Bell-diagonal states.
     """
     channels = [SeparableChannel([pair]) for pair in qmat.ONE_SIDED_PAULIS]
     for i in range(4):

@@ -12,8 +12,8 @@ Exit codes: 0 convertible (or success), 2 forbidden, 3 inconclusive or not
 found, 64 malformed input (the diagnostic names the offending field), 70
 internal failure. All work is single threaded and seeded, so runs repeat
 bit-for-bit. Floats serialize through repr, which round-trips doubles
-exactly; infinities become the strings "inf" / "-inf" since JSON has no
-literal for them.
+exactly; infinities and NaN become the strings "inf", "-inf" and "nan",
+since JSON has no literal for them.
 """
 
 from __future__ import annotations
@@ -65,23 +65,14 @@ class _InputError(Exception):
 
 
 def _jsonify(value):
-    """Make a payload JSON-safe: tuples to lists, non-finite floats to strings."""
+    """Make a payload JSON-safe: tuples to lists, non-finite floats to "inf", "-inf", "nan"."""
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
-    if isinstance(value, np.integer):
-        return int(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def _field(obj: dict, field: str):
@@ -143,9 +134,7 @@ def parse_state_spec(obj, where: str) -> DensityMatrix:
             maker = make_bell_diagonal if kind == "bell_diagonal" else make_mems
             return maker(weights)
         if kind == "dense":
-            re = _grid(obj, f"{where}.re", 4)
-            im = _grid(obj, f"{where}.im", 4)
-            return DensityMatrix(re + 1j * im)
+            return DensityMatrix(_complex_grid_from_spec(obj, where, 4))
     except EntconvError as exc:
         raise _InputError(where, str(exc)) from exc
     raise _InputError(
@@ -238,6 +227,11 @@ def _load_state(path: str, where: str) -> DensityMatrix:
     return parse_state_spec(_load_json(path, where), where)
 
 
+def _load_pair(args) -> tuple:
+    """The source and target states of ``check``, ``synthesize`` and ``search``."""
+    return _load_state(args.source, "source"), _load_state(args.target, "target")
+
+
 def _emit(args, payload: dict, lines) -> None:
     if args.json:
         print(json.dumps(_jsonify(payload), indent=2))
@@ -260,8 +254,7 @@ _VERDICT_EXIT = {Convertible: EX_OK, Forbidden: EX_FORBIDDEN, Inconclusive: EX_I
 
 
 def cmd_check(args) -> int:
-    source = _load_state(args.source, "source")
-    target = _load_state(args.target, "target")
+    source, target = _load_pair(args)
     verdict = decide(source, target)
     # a Convertible verdict carries a certificate, the others a detail
     note = "certificate" if isinstance(verdict, Convertible) else "detail"
@@ -324,8 +317,7 @@ def _infeasible(args, detail: str) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    source = _load_state(args.source, "source")
-    target = _load_state(args.target, "target")
+    source, target = _load_pair(args)
     sw = _mixture_weights_of(source, "source")
     tw = _mixture_weights_of(target, "target")
     try:
@@ -367,8 +359,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_search(args) -> int:
-    source = _load_state(args.source, "source")
-    target = _load_state(args.target, "target")
+    source, target = _load_pair(args)
     from . import oracle  # imported on use, so the other subcommands skip it
 
     distance, protocol = oracle.convert_search(source, target, budget=args.budget)
@@ -451,11 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument(
         "--json", action="store_true", help="emit a JSON payload instead of plain text"
     )
+    pair = _Parser(add_help=False)
+    pair.add_argument("source", help="path to the source state JSON")
+    pair.add_argument("target", help="path to the target state JSON")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("check", parents=[output], help="decide source -> target convertibility")
-    p.add_argument("source", help="path to the source state JSON")
-    p.add_argument("target", help="path to the target state JSON")
+    p = sub.add_parser(
+        "check", parents=[output, pair], help="decide source -> target convertibility"
+    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("measures", parents=[output], help="entanglement measures of one state")
@@ -469,10 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser(
-        "synthesize", parents=[output], help="solve for the two-branch mixture protocol"
+        "synthesize", parents=[output, pair], help="solve for the two-branch mixture protocol"
     )
-    p.add_argument("source", help="path to the source state JSON")
-    p.add_argument("target", help="path to the target state JSON")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("apply", parents=[output], help="apply a protocol file to a state file")
@@ -480,9 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="path to the state JSON")
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("search", parents=[output], help="numeric protocol search")
-    p.add_argument("source", help="path to the source state JSON")
-    p.add_argument("target", help="path to the target state JSON")
+    p = sub.add_parser("search", parents=[output, pair], help="numeric protocol search")
     p.add_argument(
         "--budget",
         type=_positive_int,

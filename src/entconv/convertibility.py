@@ -120,16 +120,6 @@ def verify_protocol(protocol: Protocol, rho, rho2) -> float:
 RESIDUAL_BOUND = 1e-8
 
 
-def _constructive(protocol: Protocol, certificate: str, rho, rho2) -> Convertible:
-    """Convertible verdict for a protocol whose verified residual is within bound."""
-    residual = verify_protocol(protocol, rho, rho2)
-    if not residual <= RESIDUAL_BOUND:
-        raise ResidualError(
-            f"protocol residual {residual:.3e} exceeds {RESIDUAL_BOUND:g} ({certificate})"
-        )
-    return Convertible(protocol, certificate, residual)
-
-
 def rank_gate(rho, rho2) -> Optional[Forbidden]:
     """Block entangled-to-entangled conversions that would lower the rank.
 
@@ -190,8 +180,20 @@ def _prepare(target) -> tuple:
 
 
 def _verified(rule, rho, rho2) -> Verdict:
-    """A rule's verdict, or its (protocol, certificate) plan checked on rho -> rho2."""
-    return _constructive(*rule, rho, rho2) if isinstance(rule, tuple) else rule
+    """A rule's verdict unchanged, or its plan verified on rho -> rho2 and made Convertible.
+
+    A plan is a (protocol, certificate) pair; a residual above RESIDUAL_BOUND
+    raises ResidualError.
+    """
+    if not isinstance(rule, tuple):
+        return rule
+    protocol, certificate = rule
+    residual = verify_protocol(protocol, rho, rho2)
+    if not residual <= RESIDUAL_BOUND:
+        raise ResidualError(
+            f"protocol residual {residual:.3e} exceeds {RESIDUAL_BOUND:g} ({certificate})"
+        )
+    return Convertible(protocol, certificate, residual)
 
 
 def _werner_rule(source: WernerParam, target: WernerParam):
@@ -348,7 +350,7 @@ def decide(rho, rho2) -> Verdict:
     target = as_density(rho2)
     if not is_entangled(target):
         try:
-            return _constructive(*_prepare(target), source, target)
+            return _verified(_prepare(target), source, target)
         except NotProductDiagonalError:
             pass
     gate = rank_gate(source, target)

@@ -235,8 +235,7 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     """
     if n_kraus < 1:
         raise ValueError(f"n_kraus must be >= 1, got {n_kraus!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return SeparableChannel(_random_channel_factors([rng], [n_kraus])[0])
+    return SeparableChannel(_random_channel_factors([np.random.default_rng(seed)], [n_kraus])[0])
 
 
 def _blocks(trials: int):

@@ -2,13 +2,15 @@
 
 Matrices are plain numpy complex128 arrays: 2x2 for single-qubit operators,
 4x4 for two-qubit operators, indexed row-major so basis state |ab> sits at
-index 2a+b. ``hermitian_eig`` checks Hermiticity before it solves with
-:mod:`entconv.kernels`; every other array routine is called from
-``kernels`` directly.
+index 2a+b. ``hermitian_part`` is the package's one Hermiticity test:
+``DensityMatrix`` and ``hermitian_eig`` both go through it, and
+``hermitian_eig`` then solves with :mod:`entconv.kernels`; every other array
+routine is called from ``kernels`` directly.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -72,26 +74,34 @@ def dag(m) -> np.ndarray:
     return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
+def hermitian_part(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """0.5 * (m + m^dagger) of a square complex array or of each matrix in a stack.
+
+    Raises NotHermitianError unless ||m - m^dagger||_F is within tol, for a
+    stack in its worst matrix. The test is written ``not dev <= tol``, so a
+    NaN or infinite entry fails it.
+    """
+    adj = dag(m)
+    off = m - adj
+    if m.ndim == 2:
+        dev = math.sqrt(np.vdot(off, off).real)
+    else:
+        dev = float(frobenius_norm(off).max(initial=0.0))  # the worst matrix
+    if not dev <= tol:
+        raise NotHermitianError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    return 0.5 * (m + adj)
+
+
 def hermitian_eig(m, tol: float = 1e-9) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian 4x4 (or 2x2) matrix, or of a stack of them.
 
-    Raises NotHermitianError when ||m - m^dagger||_F exceeds tol for any
-    matrix. Each matrix is symmetrized before solving, so drift below tol
-    cannot skew results.
+    ``hermitian_part`` checks and symmetrizes each matrix before solving, so
+    drift below tol cannot skew results.
     """
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = frobenius_norm(m - dag(m))
-    if m.ndim > 2:
-        dev = float(dev.max(initial=0.0))  # the worst matrix
-    if dev > tol:
-        raise NotHermitianError(
-            f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})"
-        )
-    sym = 0.5 * (m + dag(m))
-    values, vectors = kernels.hermitian_eigh(sym)
-    return EigenDecomposition(values, vectors)
+    return EigenDecomposition(*kernels.hermitian_eigh(hermitian_part(m, tol)))
 
 
 def numeric_rank(values, tol: float = 1e-9) -> int:

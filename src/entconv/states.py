@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import kernels, qmat
-from .errors import NotHermitianError, OutOfRangeError
+from .errors import OutOfRangeError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -162,37 +162,29 @@ class FamilyTag:
 class DensityMatrix:
     """A validated 4x4 density matrix with its spectral facts cached.
 
-    Construction checks Hermiticity (1e-9), unit trace (1e-9) and positive
-    semidefiniteness (eigenvalues >= -1e-10); each check is written so that
-    a NaN entry fails it. The eigendecomposition is kept, and the
-    separability test's value on first use. Its arrays are read-only.
+    Construction checks Hermiticity (``qmat.hermitian_part``, 1e-9), the
+    given matrix's unit trace (1e-9), then positive semidefiniteness of its
+    Hermitian part (eigenvalues >= -1e-10), which is kept as the state's own
+    read-only matrix; each check fails on a NaN entry. The eigendecomposition
+    is kept, and the separability test's value on first use.
     """
 
     __slots__ = ("_mat", "_eig", "_min_pt")
 
     def __init__(self, matrix):
-        mat = np.array(matrix, dtype=np.complex128)
+        mat = np.ascontiguousarray(matrix, dtype=np.complex128)
         if mat.shape != (4, 4):
             raise OutOfRangeError(f"expected a 4x4 matrix, got shape {mat.shape}")
-        adj = qmat.dag(mat)
-        off = mat - adj
-        dev = math.sqrt(np.vdot(off, off).real)
-        if not dev <= 1e-9:
-            raise NotHermitianError(
-                f"density matrix is not Hermitian within 1e-9 (deviation {dev:.3e})"
-            )
+        sym = qmat.hermitian_part(mat)
         tr = complex(mat.trace())
         if not abs(tr - 1.0) <= 1e-9:
             raise OutOfRangeError(f"density matrix trace must be 1 within 1e-9, got {tr!r}")
-        # mat is this object's own copy, so it is symmetrized in place
-        mat += adj
-        mat *= 0.5
-        eig = qmat.EigenDecomposition(*map(qmat.read_only, kernels.hermitian_eigh(mat)))
+        eig = qmat.EigenDecomposition(*map(qmat.read_only, kernels.hermitian_eigh(sym)))
         if not eig.values[-1] >= -1e-10:
             raise OutOfRangeError(
                 f"density matrix has eigenvalue {eig.values[-1]:.3e} below -1e-10"
             )
-        self._mat = qmat.read_only(mat)
+        self._mat = qmat.read_only(sym)
         self._eig = eig
         self._min_pt = None
 
@@ -326,7 +318,7 @@ def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
     """Random state G G^dagger / tr(G G^dagger), G complex Gaussian 4 x rank."""
     if not 1 <= rank <= 4:
         raise OutOfRangeError(f"rank must be 1..4, got {rank!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     mat = g @ g.conj().T
     mat /= np.trace(mat).real

@@ -172,6 +172,26 @@ class TestCheck:
         assert code == EX_USAGE
         assert err["field"] == f"source.re[{entry[0]}][{entry[1]}]"
 
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+    def test_non_hermitian_dense_source_is_usage_error(self, tmp_path, capsys, json_flag):
+        # im[0][1] without its conjugate partner: a deviation of 1e-6 * sqrt(2)
+        im = np.zeros((4, 4))
+        im[0][1] = 1e-6
+        dense = {"kind": "dense", "re": (np.eye(4) / 4).tolist(), "im": im.tolist()}
+        a = write_spec(tmp_path, "a.json", dense)
+        b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.5})
+        code = main(["check", a, b] + ["--json"] * json_flag)
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        if json_flag:
+            err = json.loads(captured.err)
+            assert err["field"] == "source"
+            assert "not Hermitian" in err["error"]
+        else:
+            assert captured.err.startswith("entconv: error: source: ")
+            assert "not Hermitian" in captured.err
+
     def test_text_mode_prints_verdict(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
         b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})

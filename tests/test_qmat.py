@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv import kernels, qmat, states
+from entconv import kernels, measures, qmat, states
 from entconv.errors import NotHermitianError, OutOfRangeError
 
 def random_hermitian(rng, scale=1.0):
@@ -235,6 +235,26 @@ def test_hermitian_eig_checks_every_matrix_of_a_stack():
     with pytest.raises(NotHermitianError):
         qmat.hermitian_eig(stack)
     assert qmat.hermitian_eig(stack[:1]).values.shape == (1, 4)
+
+
+def _with_nan(shape, index):
+    m = np.broadcast_to(np.eye(4, dtype=complex) / 4, shape).copy()
+    m[index] = np.nan
+    return m
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_with_nan((4, 4), (0, 0)), _with_nan((4, 4), (0, 1)), _with_nan((3, 4, 4), (1, 2, 3))],
+    ids=["diagonal", "off_diagonal", "stack"],
+)
+def test_a_nan_entry_is_not_hermitian(m):
+    # one Hermiticity test serves every reader of a raw array or stack, and
+    # its comparison fails on NaN instead of passing it on to the solver
+    for reader in (states.is_entangled, states.min_pt_eigenvalue, measures.negativity,
+                   measures.concurrence, qmat.hermitian_eig):
+        with pytest.raises(NotHermitianError):
+            reader(m)
 
 
 def test_frobenius_norm_of_a_stack_matches_each_matrix():

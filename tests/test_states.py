@@ -252,6 +252,18 @@ def test_mems_weights_are_not_eigenvalues():
     npt.assert_allclose(rho.eig.values[0], expected, atol=1e-12)
 
 
+def test_density_matrix_keeps_the_hermitian_part_as_its_own_copy():
+    m = np.array(make_werner(0.5).matrix)
+    m[0, 1] += 3e-10j  # drift within the 1e-9 tolerance
+    rho = DensityMatrix(m)
+    # the symmetrized entries are those of (m + m^dagger) * 0.5 written in place
+    expected = m.copy()
+    expected += qmat.dag(m)
+    expected *= 0.5
+    assert rho.matrix.tobytes() == expected.tobytes()
+    assert rho.matrix is not m and m.flags.writeable and not rho.matrix.flags.writeable
+
+
 def test_density_matrix_validation():
     bad = np.eye(4, dtype=complex) / 4
     bad[0, 1] = 0.1

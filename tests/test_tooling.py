@@ -4,17 +4,20 @@ The benchmark harness under perfbench/ patches functions by (module,
 attribute) and loads a fixed list of modules, so renaming or deleting one of
 them breaks only the traced benchmark, which the default test run never
 collects. These checks read the harness's source without importing its
-runner and fail at once instead. The package's own imports and exports are
+runner and fail at once instead; a traced handful of calls must record every
+span whose self time the benchmark reports, so a refactor cannot leave one
+uncalled. The package's own imports and exports are
 checked the same way, so a deletion cannot leave a stale import or export,
 and an addition cannot leave a definition that nothing calls. The README's
 ``>>>`` quick start runs here as a doctest, so its printed values cannot go
-stale.
+stale, and the CI workflow's commands are checked against ROADMAP's.
 """
 
 import ast
 import doctest
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import pytest
 import entconv
 from entconv import kernels
 from entconv.channels import bell_extremal_catalog
-from entconv.states import make_werner
+from entconv.states import make_bell_diagonal, make_werner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(entconv.__file__).resolve().parent
@@ -47,6 +50,41 @@ def test_every_traced_name_resolves():
         if isinstance(target, type):
             # classes are traced through an __init__ of their own
             assert "__init__" in target.__dict__, f"{module_name}.{attr} has no own __init__"
+
+
+def _self_timed_spans() -> set:
+    """The span names whose ``<name>.self_ms`` the benchmark reports per layer."""
+    per_layer = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    return {m["name"][: -len(".self_ms")] for m in per_layer if m["name"].endswith(".self_ms")}
+
+
+def _decide_calls():
+    from entconv.convertibility import decide
+
+    decide(make_werner(0.9), make_werner(0.45))
+    decide(make_werner(0.9), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    decide(make_bell_diagonal((0.7, 0.1, 0.1, 0.1)), make_bell_diagonal((0.6, 0.2, 0.1, 0.1)))
+
+
+def _oracle_calls():
+    from entconv import oracle
+
+    oracle.falsify_rank_monotonicity(2)
+    oracle.monotone_audit(2)
+    oracle.convert_search(make_werner(0.9), make_werner(0.45))
+
+
+@pytest.mark.parametrize("calls", [_decide_calls, _oracle_calls], ids=["decide", "oracle"])
+def test_every_self_timed_layer_is_traced(calls):
+    # the tracer lists the loaded package modules once, so oracle must be
+    # loaded before it installs, as the benchmark's load_package does
+    importlib.import_module("entconv.oracle")
+    wanted = _self_timed_spans()
+    assert len(wanted) >= 10
+    with _load_tracing().Tracer() as tracer:
+        calls()
+    missing = wanted - set(tracer.totals())
+    assert not missing, f"self-timed layers with no span: {sorted(missing)}"
 
 
 def test_every_loaded_module_exists(load_package_names):
@@ -193,6 +231,21 @@ def test_shared_arrays_are_read_only():
         channel.estack[0] *= 2
     with pytest.raises(ValueError):
         rho.eig.values[:] = 0
+
+
+def test_ci_runs_the_tier_1_command_and_the_harness_tests():
+    # no test runs the workflow, so its commands are tied to ROADMAP's tier-1
+    # command; the YAML is read as text, since pyyaml is not a test dependency
+    workflow = (PERFBENCH.parent / ".github" / "workflows" / "tests.yml").read_text()
+    roadmap = (PERFBENCH.parent / "ROADMAP.md").read_text(encoding="utf-8")
+    tier_1 = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, flags=re.MULTILINE)
+    runs = re.findall(r"^\s+run: (.+)$", workflow, flags=re.MULTILINE)
+    suite = re.search(r"- name: Tier-1 suite\n\s+run: (.+)$", workflow, flags=re.MULTILINE)
+    assert tier_1 and suite
+    assert suite.group(1) == tier_1.group(1)
+    assert "python -m pytest perfbench/tests -q" in runs
+    assert re.search(r"^  tier-1:\n(    .*\n)*?    timeout-minutes: \d+$", workflow,
+                     flags=re.MULTILINE)
 
 
 def test_readme_quick_start_runs_as_a_doctest():
