@@ -25,9 +25,9 @@ side's basis and of its conditional states come from a closed-form 2x2
 eigensolver, so the lowering makes one LAPACK call. Its checks stay: the
 1e-9 one-sided tolerance, the 1e-12 cut for live terms, the 1e-9
 reconstruction of the given matrix and the channel's 1e-10 completeness.
-An atom made with ``shared=True`` keeps its channel, so the atoms that
-decisions share (the identity and the refills, cached in
-``convertibility``) are lowered once per process.
+An atom lowers on every call, except the shared atoms made here once per
+process, which keep their channel: ``one_sided_pauli_atoms()``, the
+identity first, and ``diagonal_refill``, one atom per diagonal.
 
 ``renormalize_probabilistic`` turns branches that only succeed with some
 probability into the conditional protocol given success, rescaling branch
@@ -77,15 +77,15 @@ def _as_qubit_mat(m, what: str) -> np.ndarray:
 class _Lowering:
     """``channel()`` for both atom kinds.
 
-    An atom lowers itself with ``_lower()`` on every call, and keeps nothing,
-    so a verdict that holds a protocol does not hold its channels. An atom
-    made with ``shared=True``, one built once and used by many protocols (the
-    identity and the refills that ``convertibility`` caches), builds and
-    checks its channel on the first call and keeps it.
+    An atom lowers itself with ``_lower()`` on every call and keeps nothing,
+    so a verdict that holds a protocol does not hold its channels. Only the
+    shared atoms, which ``_kept`` marks, keep the channel of their first call.
     """
 
+    _keeps = False
+
     def channel(self) -> "SeparableChannel":
-        return self._kept_channel if self.shared else self._lower()
+        return self._kept_channel if self._keeps else self._lower()
 
     @functools.cached_property
     def _kept_channel(self) -> "SeparableChannel":
@@ -98,7 +98,6 @@ class LocalUnitary(_Lowering):
 
     u_a: np.ndarray
     u_b: np.ndarray
-    shared: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "u_a", _as_qubit_mat(self.u_a, "u_a"))
@@ -121,7 +120,6 @@ class DiscardPrepare(_Lowering):
     """Discard the input and prepare a fixed separable state."""
 
     target: DensityMatrix
-    shared: bool = False
 
     def __post_init__(self):
         target = as_density(self.target)
@@ -161,6 +159,24 @@ class DiscardPrepare(_Lowering):
         factors[:, :, 0, 1, :, 0] = right
         factors[:, :, 1, 1, :, 1] = right
         return SeparableChannel(factors.reshape(-1, 2, 2, 2))
+
+
+def _kept(atom):
+    """``atom``, marked to keep the channel that its first ``channel()`` call builds."""
+    object.__setattr__(atom, "_keeps", True)
+    return atom
+
+
+@functools.cache
+def one_sided_pauli_atoms() -> tuple:
+    """The atoms of ``qmat.ONE_SIDED_PAULIS``, the identity first; each keeps its channel."""
+    return tuple(_kept(LocalUnitary(a, b)) for a, b in qmat.ONE_SIDED_PAULIS)
+
+
+@functools.cache
+def diagonal_refill(diagonal: tuple) -> DiscardPrepare:
+    """Discard and prepare the state with this diagonal; the atom keeps its channel."""
+    return _kept(DiscardPrepare(DensityMatrix(np.diag(diagonal).astype(complex))))
 
 
 def _checked_weights(weights, what: str) -> list:
@@ -341,8 +357,8 @@ def product_diagonal_decomposition(mat) -> tuple:
     ``mat`` is a state or a 4x4 array, which is validated as one. The terms
     come back as arrays (p, a, b) of shapes (n,), (n, 2) and (n, 2); the
     Werner kets, when no term is dropped, are read-only views of the
-    package's own table. Nothing is cached here: a shared ``DiscardPrepare``
-    atom keeps the channel built from the terms.
+    package's own table. Nothing is cached here: a ``diagonal_refill`` atom
+    keeps the channel built from the terms.
     """
     mat = as_density(mat).matrix
     axes, s, _ = np.linalg.svd((_SIDE_ROWS @ mat.reshape(16)).real.reshape(2, 3, 4))
@@ -458,9 +474,8 @@ def compile_protocol(protocol: Protocol) -> SeparableChannel:
     The live branches' ``atom.channel()`` are mixed with their weights,
     renormalised, by ``mix``, whose one channel checks the mixture's Kraus
     completeness. Atoms validated themselves when they were built (unitarity,
-    the partial-transpose test), so lowering does not repeat those checks. A
-    shared atom keeps its channel, checked when first built, so it is lowered
-    and checked once per process.
+    the partial-transpose test), so lowering does not repeat those checks.
+    A shared atom keeps its channel, so it is lowered and checked once.
     """
     live = [(w, atom) for w, atom in protocol.branches if w > 0.0]
     total = sum(w for w, _ in live)
@@ -474,14 +489,15 @@ def compile_protocol(protocol: Protocol) -> SeparableChannel:
 def bell_extremal_catalog() -> tuple:
     """The 13 channels spanning Bell-diagonal transitions.
 
-    One identity, six one-sided Pauli rotations (each permutes the Bell
-    projectors), and six replace channels that discard the input and prepare
-    the even mixture of one Bell pair (those mixtures are exactly the
-    separable edges of the Bell-diagonal tetrahedron).
+    The kept channels of ``one_sided_pauli_atoms`` (the identity and six
+    rotations, each permuting the Bell projectors), and six replace channels
+    that discard the input and prepare the even mixture of one Bell pair
+    (those mixtures are exactly the separable edges of the Bell-diagonal
+    tetrahedron).
     ``oracle.monotone_audit`` applies random mixtures of them, stacked once
     by ``bell_extremal_pool``, to Bell-diagonal states.
     """
-    channels = [SeparableChannel([pair]) for pair in qmat.ONE_SIDED_PAULIS]
+    channels = [atom.channel() for atom in one_sided_pauli_atoms()]
     for i in range(4):
         for j in range(i + 1, 4):
             target = DensityMatrix(0.5 * BELL_PROJECTORS[i] + 0.5 * BELL_PROJECTORS[j])

@@ -24,7 +24,9 @@ A constructive family plan keeps the input with probability t and
 otherwise discards it and prepares a separable state. ``keep_or_refill``
 builds each such (protocol, certificate) plan. Preparing a separable target
 outright and keeping identical weights (the identity) are plans of their
-own. ``verify_family_plan`` checks every family plan, ``entconv
+own. The identity and the Werner and rank-2 refills are shared atoms of
+``channels``, which keep their channels; every other atom is built per
+plan. ``verify_family_plan`` checks every family plan, ``entconv
 synthesize``'s included, under one rule: on the given states, and on the
 family fits only to tell a fit gap (Inconclusive) from a wrong plan
 (ResidualError).
@@ -38,7 +40,6 @@ keeping the source lands 8.7e-12 from the target.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -47,9 +48,10 @@ import numpy as np
 from . import qmat
 from .channels import (
     DiscardPrepare,
-    LocalUnitary,
     Protocol,
     compile_protocol,
+    diagonal_refill,
+    one_sided_pauli_atoms,
 )
 from .errors import (
     InfeasibleError,
@@ -145,25 +147,10 @@ def rank_gate(rho, rho2) -> Optional[Forbidden]:
     return None
 
 
-@functools.cache
-def _identity_atom() -> LocalUnitary:
-    return LocalUnitary(qmat.EYE2, qmat.EYE2, shared=True)
-
-
 def keep_or_refill(t: float, refill: DiscardPrepare, description: str) -> tuple:
     """The (protocol, certificate) plan: keep the input with probability t, else ``refill``."""
-    protocol = Protocol(((t, _identity_atom()), (1.0 - t, refill)))
+    protocol = Protocol(((t, one_sided_pauli_atoms()[0]), (1.0 - t, refill)))
     return protocol, f"keep with probability {t:.12g}, refill with {description}"
-
-
-@functools.cache
-def _shared_refill(diagonal: tuple) -> DiscardPrepare:
-    """Discard and prepare a fixed diagonal state, built and lowered once per process."""
-    return DiscardPrepare(DensityMatrix(np.diag(diagonal).astype(complex)), shared=True)
-
-
-_MAX_MIXED = (0.25, 0.25, 0.25, 0.25)  # the Werner refill
-_KET_01 = (0.0, 1.0, 0.0, 0.0)  # the rank-2 MEMS refill
 
 
 def mixture_refill(prep) -> tuple:
@@ -200,7 +187,8 @@ def _werner_rule(source: WernerParam, target: WernerParam):
     """(protocol, certificate) from the Werner source to the target, or Forbidden."""
     if target.w <= source.w:
         p = 1.0 if source.w == 0.0 else target.w / source.w
-        return keep_or_refill(p, _shared_refill(_MAX_MIXED), "the maximally mixed state")
+        refill = diagonal_refill((0.25, 0.25, 0.25, 0.25))
+        return keep_or_refill(p, refill, "the maximally mixed state")
     if 3.0 * target.w <= 1.0 + _WEIGHT_SUM_TOL:
         return _prepare(make_werner(target))
     return Forbidden(
@@ -263,22 +251,27 @@ def synthesize_mems_protocol(l, l2) -> tuple:
 
     The identity weight W is fixed by the off-diagonal entry, which only the
     kept branch can supply; the three refill weights then solve a triangular
-    linear system, one per remaining matrix entry. Returns
-    ``(W, (p01, p00_11, p10))``; raises InfeasibleError naming the first
-    violated bound.
+    linear system, one per remaining matrix entry. If neither state has a
+    singlet term (l1 - l3 <= 1e-12), W = 1 keeps a target equal within
+    1e-10 and W = 0 prepares any other. Returns ``(W, (p01, p00_11, p10))``;
+    raises InfeasibleError naming the first violated bound.
     """
     source = l if isinstance(l, MemsWeights) else MemsWeights(tuple(l))
     target = l2 if isinstance(l2, MemsWeights) else MemsWeights(tuple(l2))
     s1, s2, s3, s4 = source.weights
     t1, t2, t3, t4 = target.weights
-    if s1 - s3 <= 1e-12:
+    same = max(abs(a - b) for a, b in zip(source.weights, target.weights)) <= 1e-10
+    if s1 - s3 > 1e-12:
+        w = (t1 - t3) / (s1 - s3)
+        if w < -1e-12 or w > 1.0 + 1e-12:
+            raise InfeasibleError(f"identity weight W = {w!r} falls outside [0, 1]")
+        w = min(1.0, max(0.0, w))
+    elif t1 - t3 <= 1e-12:
+        w = 1.0 if same else 0.0
+    else:
         raise InfeasibleError("source has no singlet excess (top weight equals corner weight)")
-    w = (t1 - t3) / (s1 - s3)
-    if w < -1e-12 or w > 1.0 + 1e-12:
-        raise InfeasibleError(f"identity weight W = {w!r} falls outside [0, 1]")
-    w = min(1.0, max(0.0, w))
     if w == 1.0:
-        if max(abs(a - b) for a, b in zip(source.weights, target.weights)) <= 1e-10:
+        if same:
             return 1.0, (1.0, 0.0, 0.0)
         raise InfeasibleError("identity weight W = 1 but the weight vectors differ")
     rest = 1.0 - w
@@ -300,7 +293,8 @@ def _mems_rule(source: MemsWeights, target: MemsWeights):
     s = source.weights
     t = target.weights
     if max(abs(a - b) for a, b in zip(s, t)) <= 1e-12:
-        return Protocol(((1.0, _identity_atom()),)), "identical weights: identity protocol"
+        identity = one_sided_pauli_atoms()[0]
+        return Protocol(((1.0, identity),)), "identical weights: identity protocol"
     if all(x <= 1e-10 for x in (s[2], s[3], t[2], t[3])):
         if t[0] > s[0]:
             return Forbidden(
@@ -308,7 +302,7 @@ def _mems_rule(source: MemsWeights, target: MemsWeights):
                 f"top weight would grow from {s[0]!r} to {t[0]!r}, raising the "
                 "entanglement of formation",
             )
-        return keep_or_refill(t[0] / s[0], _shared_refill(_KET_01), "|01><01|")
+        return keep_or_refill(t[0] / s[0], diagonal_refill((0.0, 1.0, 0.0, 0.0)), "|01><01|")
     try:
         w, prep = synthesize_mems_protocol(source, target)
     except InfeasibleError as err:

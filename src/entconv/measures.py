@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels, qmat
 from .errors import OutOfRangeError
-from .states import BellWeights, _mat_of, _pt_spectrum
+from .states import BellWeights, DensityMatrix, _mat_of, _pt_spectrum
 
 _YY = qmat.read_only(kernels.kron2(qmat.SIGMA_Y, qmat.SIGMA_Y))
 
@@ -46,12 +46,6 @@ def bell_monotones(weights) -> MonotoneTriple:
     )
 
 
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    values, vectors = qmat.hermitian_eig(mat, tol=1e-8)
-    roots = np.sqrt(np.clip(values, 0.0, None))
-    return (vectors * roots[..., None, :]) @ qmat.dag(vectors)
-
-
 def concurrence(rho):
     """Concurrence of a two-qubit state, or of each state in a stack.
 
@@ -59,11 +53,16 @@ def concurrence(rho):
     sqrt(rho) (sy x sy) conj(sqrt(rho)). Taking singular values of this
     product, rather than square roots of eigenvalues of rho rho~, keeps the
     small values accurate to machine precision instead of sqrt(eps).
+    sqrt(rho) is built from a state's own cached eigendecomposition, and
+    from ``qmat.hermitian_eig`` (Hermitian within 1e-8) for a raw array.
 
     One state gives a float; a (..., 4, 4) stack gives an array of shape
     (...), each entry computed as for that state alone.
     """
-    root = _sqrt_psd(_mat_of(rho))
+    eig = rho.eig if isinstance(rho, DensityMatrix) else qmat.hermitian_eig(_mat_of(rho), tol=1e-8)
+    values, vectors = eig
+    roots = np.sqrt(np.clip(values, 0.0, None))
+    root = (vectors * roots[..., None, :]) @ qmat.dag(vectors)
     k = root @ _YY @ root.conj()
     s = kernels.singular_values(np.ascontiguousarray(k))
     c = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])

@@ -29,7 +29,6 @@ active-set method; see ``convert_search`` and ``minimize``.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,10 +40,10 @@ from . import kernels, qmat
 from .channels import (
     ChannelPool,
     DiscardPrepare,
-    LocalUnitary,
     Protocol,
     SeparableChannel,
     bell_extremal_pool,
+    one_sided_pauli_atoms,
     separable_kraus_stacks,
 )
 from .convertibility import verify_protocol
@@ -445,11 +444,6 @@ def monotone_audit(
     return report
 
 
-@functools.cache
-def _search_atoms() -> tuple:
-    return tuple(LocalUnitary(a, b, shared=True) for a, b in qmat.ONE_SIDED_PAULIS)
-
-
 class SimplexFit(NamedTuple):
     """What ``minimize`` returns: the weights and the number of support solves."""
 
@@ -517,23 +511,25 @@ def minimize(a: np.ndarray, t: np.ndarray, budget: int = 20000) -> SimplexFit:
 def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     """Search for a protocol sending rho to rho2; returns (distance, protocol).
 
-    The protocols searched mix the seven one-sided Pauli rotations with one
-    discard-and-prepare branch whose diagonal target is itself free. Their
-    output is linear in eleven weights on the simplex: one per rotation and
-    one per diagonal entry of the prepared state. So the search is a convex
-    least-squares problem over the simplex, solved exactly by the active-set
-    method of ``minimize``; ``budget`` caps its iterations (support solves),
-    of which these problems take few (at most 13 over 6,615 seeded ones,
-    rank 1 to 4, Werner and Bell sources). Every atom is LOCC, so
-    a protocol found below the 1e-6 acceptance distance is a constructive
-    certificate. A miss returns the exact minimum output Frobenius distance
-    over this family of protocols: no protocol of this form reaches the
-    target, but another one may. ``seed`` is unused; it is kept so that
-    existing callers need no change.
+    The protocols searched mix the seven ``channels.one_sided_pauli_atoms``
+    (the identity and the one-sided Pauli rotations, which keep their
+    channels) with one discard-and-prepare branch whose diagonal target is
+    itself free. Their output is linear in eleven weights on the simplex:
+    one per rotation and one per diagonal entry of the prepared state. So
+    the search is a convex least-squares problem over the simplex, solved
+    exactly by the active-set method of ``minimize``; ``budget`` caps its
+    iterations (support solves), of which these problems take few (at most
+    13 over 6,615 seeded ones, rank 1 to 4, Werner and Bell sources). Every
+    atom is LOCC, so a protocol found below the 1e-6 acceptance distance is
+    a constructive certificate. A miss returns the exact minimum output
+    Frobenius distance over this family of protocols: no protocol of this
+    form reaches the target, but another one may. ``seed`` is unused; its
+    one caller outside the tests, the benchmark's ``OracleHunt.setup``,
+    still passes it.
     """
     source = as_density(rho)
     target = as_density(rho2)
-    atoms = _search_atoms()
+    atoms = one_sided_pauli_atoms()
     rotated = np.stack([atom.apply(source.matrix).ravel() for atom in atoms])
     # rows 0, 5, 10 and 15 of the 16x16 identity are the flattened |i><i|
     columns = np.concatenate([rotated, np.eye(16)[::5]])

@@ -104,16 +104,6 @@ def hermitian_eig(m, tol: float = 1e-9) -> EigenDecomposition:
     return EigenDecomposition(*kernels.hermitian_eigh(hermitian_part(m, tol)))
 
 
-def numeric_rank(values, tol: float = 1e-9) -> int:
-    """Count eigenvalues strictly above tol.
-
-    `values` is a real spectrum (any order); tol must be positive.
-    """
-    if not tol > 0:
-        raise ValueError(f"rank tolerance must be positive, got {tol!r}")
-    return int(np.sum(np.asarray(values, dtype=np.float64) > tol))
-
-
 def is_unitary(u, tol: float = 1e-9) -> bool:
     u = np.asarray(u, dtype=np.complex128)
     return frobenius_distance(dag(u) @ u, np.eye(u.shape[0])) <= tol

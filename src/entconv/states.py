@@ -212,7 +212,10 @@ class DensityMatrix:
         return float(-np.sum(w * np.log2(w)))
 
     def rank(self, tol: float = 1e-9) -> int:
-        return qmat.numeric_rank(self._eig.values, tol)
+        """The number of eigenvalues strictly above tol, which must be positive."""
+        if not tol > 0:
+            raise ValueError(f"rank tolerance must be positive, got {tol!r}")
+        return sum(x > tol for x in self._eig.values.tolist())
 
     def __repr__(self):
         lam = ", ".join(f"{x:.6g}" for x in self._eig.values)

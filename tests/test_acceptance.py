@@ -1,4 +1,5 @@
-"""Acceptance gate: eight checks, one pass/fail line each.
+"""Acceptance gate: eight checks, one pass/fail line each, and a sweep of
+verdicts under local unitaries over the C2 and C5 grids.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines. Each check
 prints its verdict before asserting, so a red run still reports every
@@ -11,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from entconv import kernels
@@ -23,6 +25,8 @@ from entconv.channels import (
 from entconv.convertibility import (
     Convertible,
     Forbidden,
+    Inconclusive,
+    decide,
     decide_bell,
     decide_werner,
     synthesize_mems_protocol,
@@ -31,6 +35,7 @@ from entconv.convertibility import (
 from entconv.measures import bell_monotones, concurrence, negativity
 from entconv.oracle import falsify_rank_monotonicity, monotone_audit
 from entconv.states import (
+    BELL_VECTORS,
     DensityMatrix,
     make_bell_diagonal,
     make_mems,
@@ -63,6 +68,23 @@ def test_c1_probabilistic_renormalization():
     assert ok
 
 
+def _entangled_weight_grid(den: int) -> list:
+    """Sorted weight numerators (a, b, c, d) over den with a > den / 2: C2's grid."""
+    vecs = []
+    for a in range(den // 2 + 1, den + 1):
+        for b in range(0, min(a, den - a) + 1):
+            for c in range(0, min(b, den - a - b) + 1):
+                d = den - a - b - c
+                if 0 <= d <= c:
+                    vecs.append((a, b, c, d))
+    return vecs
+
+
+def _werner_grid(n: int) -> np.ndarray:
+    """The Werner weights k/n, k = 0..n: C5's grid."""
+    return np.linspace(0.0, 1.0, n + 1)
+
+
 @pytest.mark.slow
 def test_c2_bell_decision_grid():
     start = time.perf_counter()
@@ -88,13 +110,7 @@ def test_c2_bell_decision_grid():
     # exact rational arithmetic (+inf for a zero denominator), which shares
     # no float formula with the decision path and so keeps exact ties tied
     den = 40
-    vecs = []
-    for a in range(den // 2 + 1, den + 1):
-        for b in range(0, min(a, den - a) + 1):
-            for c in range(0, min(b, den - a - b) + 1):
-                d = den - a - b - c
-                if 0 <= d <= c:
-                    vecs.append((a, b, c, d))
+    vecs = _entangled_weight_grid(den)
     n = len(vecs)
 
     def exact_monotones(vec):
@@ -214,7 +230,7 @@ def test_c5_werner_protocol_grid():
     # exact rule on the w = k/20 grid: convertible iff w2 <= w or the
     # target is separable (w2 <= 1/3)
     n = 20
-    grid = np.linspace(0.0, 1.0, n + 1)
+    grid = _werner_grid(n)
     convertible = 0
     forbidden = 0
     worst = 0.0
@@ -323,3 +339,65 @@ def test_c8_kernel_reconstruction():
             f"worst eig reconstruction {worst_recon:.1e}, "
             f"worst double partial transpose {worst_involution:.1e}")
     assert ok
+
+
+def _family_grid_pairs(rng) -> list:
+    """Werner, Bell-diagonal and mixture-form pairs of the C5 and C2 grids, seeded."""
+    werner = [make_werner(float(w)) for w in _werner_grid(20)]
+    pairs = [(s, t) for s in werner for t in werner]
+    weights = [tuple(x / 40 for x in v) for v in _entangled_weight_grid(40)]
+    for make in (make_bell_diagonal, make_mems):
+        for i, j in rng.integers(len(weights), size=(300, 2)):
+            pairs.append((make(weights[i]), make(weights[j])))
+    return pairs
+
+
+def _haar_local(rng) -> np.ndarray:
+    def haar():
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    return kernels.kron2(haar(), haar())
+
+
+def _flips(pairs, turn_source, turn_target) -> tuple:
+    """(flipped, decided, left undecided): decided pairs whose turned verdict is the opposite."""
+    flipped = decided = undecided = 0
+    for source, target in pairs:
+        kind = type(decide(source, target))
+        if kind is Inconclusive:
+            continue
+        decided += 1
+        turned = type(decide(turn_source(source), turn_target(target)))
+        flipped += {kind, turned} == {Convertible, Forbidden}
+        undecided += turned is Inconclusive
+    return flipped, decided, undecided
+
+
+def _turned(u, rho) -> DensityMatrix:
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+
+
+def test_verdicts_never_flip_under_local_unitaries():
+    # a local unitary on either state changes no convertibility, so a decided
+    # pair may turn Inconclusive but never to the opposite decided kind; a
+    # ResidualError from a turned pair fails the test
+    rng = np.random.default_rng(2206)
+    pairs = _family_grid_pairs(rng)
+
+    def local(rho):
+        return _turned(_haar_local(rng), rho)
+
+    flipped, decided, undecided = _flips(pairs, local, local)
+    print(f"local unitaries: {decided} decided pairs, {flipped} flipped, "
+          f"{undecided} turned Inconclusive")
+    assert decided > 500 and flipped == 0
+    # planted control: a global unitary sending the singlet to |10> on the
+    # target alone changes what is reachable, and the check must see it
+    singlet = BELL_VECTORS[0]
+    v = singlet - np.eye(4)[2]
+    reflect = np.eye(4) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    npt.assert_allclose(reflect @ singlet, np.eye(4)[2], atol=1e-15)
+    flipped, _, _ = _flips(pairs, lambda rho: rho, lambda rho: _turned(reflect, rho))
+    print(f"global control: {flipped} flipped")
+    assert flipped > 0

@@ -23,7 +23,7 @@ from entconv.channels import (
     renormalize_probabilistic,
     separable_kraus_stacks,
 )
-from entconv.convertibility import Convertible, decide
+from entconv.convertibility import Convertible, decide, decide_werner, keep_or_refill
 from entconv.errors import (
     BadWeightsError,
     NotProductDiagonalError,
@@ -32,6 +32,7 @@ from entconv.errors import (
     NotUnitaryError,
 )
 from entconv.measures import negativity
+from entconv.oracle import convert_search
 from entconv.states import (
     BELL_PROJECTORS,
     DensityMatrix,
@@ -157,7 +158,31 @@ def test_nan_factors_fail_completeness(monkeypatch):
         compile_protocol(protocol)
 
 
-def test_only_shared_atoms_keep_their_channel(monkeypatch):
+def test_one_atom_is_the_identity_of_every_shared_use():
+    identity = channels.one_sided_pauli_atoms()[0]
+    npt.assert_array_equal(identity.u_a, np.eye(2))
+    npt.assert_array_equal(identity.u_b, np.eye(2))
+    refill = channels.diagonal_refill((0.25, 0.25, 0.25, 0.25))
+    protocol, _ = keep_or_refill(0.5, refill, "the maximally mixed state")
+    assert protocol.branches[0][1] is identity
+    # the Werner rule's plan reads the same identity and the same refill
+    werner = decide_werner(0.9, 0.45).protocol
+    assert [atom for _, atom in werner.branches] == [identity, refill]
+    # convert_search's rotations, identity first, for a pair only the identity converts
+    rho = random_density_matrix(3)
+    _, found = convert_search(rho, rho, budget=5000)
+    assert [atom for _, atom in found.branches] == [identity]
+    # the catalog's seven unitary channels are those atoms' kept channels
+    atoms = channels.one_sided_pauli_atoms()
+    assert atoms is channels.one_sided_pauli_atoms() and len(atoms) == 7
+    for atom, channel in zip(atoms, bell_extremal_catalog()):
+        assert channel is atom.channel()
+        assert atom.channel() is atom.channel()
+    assert refill is channels.diagonal_refill((0.25, 0.25, 0.25, 0.25))
+    assert refill.channel() is refill.channel()
+
+
+def test_atoms_a_caller_builds_keep_nothing(monkeypatch):
     calls = []
     original = channels.product_diagonal_decomposition
 
@@ -166,22 +191,27 @@ def test_only_shared_atoms_keep_their_channel(monkeypatch):
         return original(mat, *args, **kwargs)
 
     monkeypatch.setattr(channels, "product_diagonal_decomposition", counting)
-    target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    diagonal = (0.4, 0.3, 0.2, 0.1)
+    target = DensityMatrix(np.diag(diagonal).astype(complex))
     atom = DiscardPrepare(target)
     assert atom.channel() is not atom.channel()
     assert len(calls) == 2
-    shared = DiscardPrepare(target, shared=True)
-    assert shared.channel() is shared.channel()
+    kept = channels.diagonal_refill(diagonal)
+    assert kept.channel() is kept.channel()
     assert len(calls) == 3
-    npt.assert_array_equal(shared.channel().kraus_pairs, atom.channel().kraus_pairs)
-    unitary = LocalUnitary(np.eye(2), qmat.SIGMA_X, shared=True)
-    assert unitary.channel() is unitary.channel()
-    assert LocalUnitary(np.eye(2), qmat.SIGMA_X).channel() is not unitary.channel()
-    # a shared target without a product eigenbasis raises on every call
-    entangled = DiscardPrepare(make_bell_diagonal((0.4, 0.3, 0.2, 0.1)), shared=True)
-    for _ in range(2):
-        with pytest.raises(NotProductDiagonalError):
-            entangled.channel()
+    npt.assert_array_equal(kept.channel().kraus_pairs, atom.channel().kraus_pairs)
+    unitary = LocalUnitary(np.eye(2), qmat.SIGMA_X)
+    assert unitary.channel() is not unitary.channel()
+    with pytest.raises(TypeError):
+        LocalUnitary(np.eye(2), np.eye(2), shared=True)
+    with pytest.raises(TypeError):
+        DiscardPrepare(target, shared=True)
+    # a target without a product decomposition raises on every call, kept or not
+    unlowerable = make_bell_diagonal((0.4, 0.3, 0.2, 0.1))
+    for made in (DiscardPrepare(unlowerable), channels._kept(DiscardPrepare(unlowerable))):
+        for _ in range(2):
+            with pytest.raises(NotProductDiagonalError):
+                made.channel()
 
 
 def test_separable_channel_rejects_non_qubit_factors():
@@ -568,8 +598,7 @@ def test_mix_of_one_channel_is_that_channel():
     cat = bell_extremal_catalog()
     assert mix([cat[2]], [1.0]) is cat[2]
     # a one-branch protocol compiles to its atom's channel, checked once
-    target = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-    atom = DiscardPrepare(target, shared=True)
+    atom = channels.diagonal_refill((0.4, 0.3, 0.2, 0.1))
     assert compile_protocol(Protocol(((1.0 - 5e-10, atom),))) is atom.channel()
     # a weight within the sum tolerance of 1 is still mixed
     assert mix([cat[2]], [1.0 - 1e-12]) is not cat[2]

@@ -281,6 +281,18 @@ class TestSynthesizeAndApply:
         assert [b["weight"] for b in branches] == [1.0, 0.0]
         assert [b["atom"]["kind"] for b in branches] == ["local_unitary", "discard_prepare"]
 
+    def test_synthesize_without_singlet_excess_matches_check(self, tmp_path, capsys):
+        a = write_spec(tmp_path, "a.json", {"kind": "mems", "lambda": [0.25, 0.25, 0.25, 0.25]})
+        code, payload = run_json(capsys, ["check", "--json", a, a])
+        assert payload["verdict"] == "Convertible"
+        code, payload = run_json(capsys, ["synthesize", "--json", a, a])
+        assert code == EX_OK
+        assert (payload["W"], payload["prep_weights"]) == (1.0, [1.0, 0.0, 0.0])
+        proto = write_spec(tmp_path, "p.json", payload["protocol"])
+        code, applied = run_json(capsys, ["apply", "--json", proto, a])
+        out = parse_state_spec(applied["state"], "state")
+        assert np.linalg.norm(out.matrix - np.eye(4) / 4) <= 1e-12
+
     def test_infeasible_exit_three(self, tmp_path, capsys):
         a = write_spec(tmp_path, "a.json", {"kind": "mems", "lambda": [0.45, 0.45, 0.05, 0.05]})
         b = write_spec(tmp_path, "b.json", {"kind": "mems", "lambda": [0.4, 0.3, 0.3, 0.0]})

@@ -176,6 +176,18 @@ def test_mems_synthesis_identity():
     )
 
 
+def test_mems_synthesis_without_singlet_on_either_side():
+    # both states diagonal: keep an equal one, else prepare the target
+    assert synthesize_mems_protocol(_MIXED, _MIXED) == (1.0, (1.0, 0.0, 0.0))
+    assert synthesize_mems_protocol((0.3, 0.3, 0.3, 0.1), _MIXED) == (0.0, (0.25, 0.5, 0.25))
+    w, prep = synthesize_mems_protocol(_MIXED, (0.3, 0.3, 0.3, 0.1))
+    assert w == 0.0
+    npt.assert_allclose(prep, (0.3, 0.6, 0.1), rtol=0, atol=1e-15)
+    # decide_mems turns such a pair from Inconclusive to Convertible
+    v = decide_mems((0.3, 0.3, 0.3, 0.1), _MIXED)
+    assert isinstance(v, Convertible) and v.residual <= 1e-12
+
+
 def test_mems_synthesis_infeasible_cases():
     with pytest.raises(InfeasibleError):
         synthesize_mems_protocol((0.9, 0.1, 0.0, 0.0), (0.95, 0.05, 0.0, 0.0))

@@ -119,15 +119,19 @@ def test_partial_transpose_on_product_operator():
     npt.assert_allclose(kernels.partial_transpose(prod, 0), kernels.kron2(a.T, b), atol=1e-14)
 
 
-def test_numeric_rank_cases():
-    assert qmat.numeric_rank([1.0, 0.0, 0.0, 0.0]) == 1
-    assert qmat.numeric_rank([0.25, 0.25, 0.25, 0.25]) == 4
-    assert qmat.numeric_rank([0.5, 0.5 - 1e-12, 1e-12, 0.0]) == 2
-    assert qmat.numeric_rank([0.5, 0.5, 1e-8, 0.0], tol=1e-9) == 3
-    with pytest.raises(ValueError):
-        qmat.numeric_rank([1.0, 0.0, 0.0, 0.0], tol=0.0)
-    with pytest.raises(ValueError):
-        qmat.numeric_rank([1.0, 0.0, 0.0, 0.0], tol=-1e-9)
+def test_density_matrix_rank_cases():
+    def diagonal(*values):
+        return states.DensityMatrix(np.diag(values).astype(complex))
+
+    assert diagonal(1.0, 0.0, 0.0, 0.0).rank() == 1
+    assert diagonal(0.25, 0.25, 0.25, 0.25).rank() == 4
+    assert diagonal(0.5, 0.5 - 1e-12, 1e-12, 0.0).rank() == 2
+    assert diagonal(0.5, 0.5 - 1e-8, 1e-8, 0.0).rank(tol=1e-9) == 3
+    assert diagonal(0.5, 0.5 - 1e-8, 1e-8, 0.0).rank(tol=1e-8) == 2
+    assert type(diagonal(1.0, 0.0, 0.0, 0.0).rank()) is int
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            diagonal(1.0, 0.0, 0.0, 0.0).rank(tol=tol)
 
 
 def test_singular_values_match_lapack():
