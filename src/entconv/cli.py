@@ -38,7 +38,7 @@ from .convertibility import (
     verify_family_plan,
 )
 from .errors import EntconvError, InfeasibleError
-from .measures import bell_monotones, concurrence, eof, negativity
+from .measures import bell_monotones, concurrence, eof_of_concurrence, negativity
 from .states import (
     DensityMatrix,
     MemsWeights,
@@ -279,9 +279,10 @@ def cmd_check(args) -> int:
 def cmd_measures(args) -> int:
     rho = _load_state(args.state, "state")
     tag = classify_family(rho)
+    c = concurrence(rho)
     measures = {
-        "concurrence": concurrence(rho),
-        "eof": eof(rho),
+        "concurrence": c,
+        "eof": eof_of_concurrence(c),
         "negativity": negativity(rho),
         "purity": rho.purity(),
         "entropy": rho.entropy(),

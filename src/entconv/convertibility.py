@@ -114,7 +114,7 @@ def verify_protocol(protocol: Protocol, rho, rho2) -> float:
     source = as_density(rho)
     target = as_density(rho2)
     channel = compile_protocol(protocol)
-    return qmat.frobenius_distance(channel.apply(source).matrix, target.matrix)
+    return qmat.frobenius_norm(channel.apply(source).matrix - target.matrix)
 
 
 # above the lowering's own 1e-9 reconstruction tolerance, far below any

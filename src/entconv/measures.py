@@ -54,12 +54,13 @@ def concurrence(rho):
     product, rather than square roots of eigenvalues of rho rho~, keeps the
     small values accurate to machine precision instead of sqrt(eps).
     sqrt(rho) is built from a state's own cached eigendecomposition, and
-    from ``qmat.hermitian_eig`` (Hermitian within 1e-8) for a raw array.
+    from ``qmat.hermitian_eig`` for a raw array, under the same 1e-9
+    Hermiticity bound as ``DensityMatrix`` and ``negativity``.
 
     One state gives a float; a (..., 4, 4) stack gives an array of shape
     (...), each entry computed as for that state alone.
     """
-    eig = rho.eig if isinstance(rho, DensityMatrix) else qmat.hermitian_eig(_mat_of(rho), tol=1e-8)
+    eig = rho.eig if isinstance(rho, DensityMatrix) else qmat.hermitian_eig(_mat_of(rho))
     values, vectors = eig
     roots = np.sqrt(np.clip(values, 0.0, None))
     root = (vectors * roots[..., None, :]) @ qmat.dag(vectors)
@@ -79,10 +80,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def eof_of_concurrence(c: float) -> float:
+    """Entanglement of formation in bits of a two-qubit state with concurrence c."""
+    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+
+
 def eof(rho) -> float:
     """Entanglement of formation in bits, from the concurrence."""
-    c = concurrence(rho)
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    return eof_of_concurrence(concurrence(rho))
 
 
 def negativity(rho):

@@ -29,6 +29,7 @@ active-set method; see ``convert_search`` and ``minimize``.
 
 from __future__ import annotations
 
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -51,9 +52,9 @@ from .errors import SamplingExhaustedError
 from .measures import bell_monotones, concurrence, negativity
 from .states import (
     DensityMatrix,
+    _bell_matrix,
     _gapped_rank,
     as_density,
-    bell_diagonal_matrices,
     bell_weights_of,
     min_pt_eigenvalue,
 )
@@ -232,8 +233,9 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     This is the one-generator case of the falsifier's block builder, whose
     one row has no padding; it reads the generator as that builder does.
     """
-    if n_kraus < 1:
-        raise ValueError(f"n_kraus must be >= 1, got {n_kraus!r}")
+    # a bool is an Integral, but not a count
+    if isinstance(n_kraus, bool) or not isinstance(n_kraus, numbers.Integral) or n_kraus < 1:
+        raise ValueError(f"n_kraus must be an integer >= 1, got {n_kraus!r}")
     return SeparableChannel(_random_channel_factors([np.random.default_rng(seed)], [n_kraus])[0])
 
 
@@ -354,7 +356,10 @@ def monotone_audit(
 
     Each trial mixes the extremal catalog with random weights, applies the
     mixture to a random entangled Bell-diagonal state, and re-reads the
-    output weights numerically. For outputs that remain entangled, any
+    output weights numerically. The input states are built straight from
+    the weights the audit draws: sorted flat-Dirichlet rows whose top weight
+    is above 1/2 pass every ``BellWeights`` check by construction, so they
+    are not checked again. For outputs that remain entangled, any
     monotone that grew by more than 1e-9 is recorded. The same mixture is
     also applied to a random rank-4 state to audit concurrence non-increase,
     which holds for every certified channel on every state. A planted control
@@ -386,7 +391,7 @@ def monotone_audit(
             mixture[i] = rng.dirichlet(flat)
             # the real, then the imaginary part of the general state's factor
             g[i] = rng.normal(size=(2, 4, 4))
-        rho = bell_diagonal_matrices(weights)
+        rho = _bell_matrix(weights)
         general = g[:, 0] + 1j * g[:, 1]
         general = general @ qmat.dag(general)
         general /= np.trace(general, axis1=-2, axis2=-1).real[:, None, None]

@@ -2,10 +2,11 @@
 
 Matrices are plain numpy complex128 arrays: 2x2 for single-qubit operators,
 4x4 for two-qubit operators, indexed row-major so basis state |ab> sits at
-index 2a+b. ``hermitian_part`` is the package's one Hermiticity test:
-``DensityMatrix`` and ``hermitian_eig`` both go through it, and
-``hermitian_eig`` then solves with :mod:`entconv.kernels`; every other array
-routine is called from ``kernels`` directly.
+index 2a+b. ``hermitian_part`` is the package's one Hermiticity test, with
+one bound (1e-9 in the Frobenius norm): ``DensityMatrix`` and
+``hermitian_eig`` both go through it, and ``hermitian_eig`` then solves with
+:mod:`entconv.kernels`; every other array routine is called from ``kernels``
+directly. ``is_unitary`` has one bound too, 1e-9 on ||u^dagger u - I||_F.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ ONE_SIDED_PAULIS = ((EYE2, EYE2),) + tuple(
 )
 
 
+# the one bound of each check: ||m - m^dagger||_F and ||u^dagger u - I||_F
+_HERMITIAN_BOUND = 1e-9
+_UNITARY_BOUND = 1e-9
+
+
 class EigenDecomposition(NamedTuple):
     """Spectral data of a Hermitian matrix.
 
@@ -65,20 +71,16 @@ def frobenius_norm(m):
     return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
 
 
-def frobenius_distance(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
 def dag(m) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
-def hermitian_part(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def hermitian_part(m: np.ndarray) -> np.ndarray:
     """0.5 * (m + m^dagger) of a square complex array or of each matrix in a stack.
 
-    Raises NotHermitianError unless ||m - m^dagger||_F is within tol, for a
-    stack in its worst matrix. The test is written ``not dev <= tol``, so a
+    Raises NotHermitianError unless ||m - m^dagger||_F is within 1e-9, for a
+    stack in its worst matrix. The test is written ``not dev <= bound``, so a
     NaN or infinite entry fails it.
     """
     adj = dag(m)
@@ -87,23 +89,26 @@ def hermitian_part(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         dev = math.sqrt(np.vdot(off, off).real)
     else:
         dev = float(frobenius_norm(off).max(initial=0.0))  # the worst matrix
-    if not dev <= tol:
-        raise NotHermitianError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    if not dev <= _HERMITIAN_BOUND:
+        raise NotHermitianError(
+            f"matrix is not Hermitian within {_HERMITIAN_BOUND:g} (deviation {dev:.3e})"
+        )
     return 0.5 * (m + adj)
 
 
-def hermitian_eig(m, tol: float = 1e-9) -> EigenDecomposition:
+def hermitian_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian 4x4 (or 2x2) matrix, or of a stack of them.
 
-    ``hermitian_part`` checks and symmetrizes each matrix before solving, so
-    drift below tol cannot skew results.
+    ``hermitian_part`` checks (within 1e-9) and symmetrizes each matrix
+    before solving, so drift below that bound cannot skew results.
     """
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return EigenDecomposition(*kernels.hermitian_eigh(hermitian_part(m, tol)))
+    return EigenDecomposition(*kernels.hermitian_eigh(hermitian_part(m)))
 
 
-def is_unitary(u, tol: float = 1e-9) -> bool:
+def is_unitary(u) -> bool:
+    """Whether ||u^dagger u - I||_F is within 1e-9."""
     u = np.asarray(u, dtype=np.complex128)
-    return frobenius_distance(dag(u) @ u, np.eye(u.shape[0])) <= tol
+    return frobenius_norm(dag(u) @ u - np.eye(u.shape[0])) <= _UNITARY_BOUND

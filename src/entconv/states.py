@@ -22,6 +22,7 @@ Three parameterized families get first-class support:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -290,27 +291,6 @@ def make_bell_diagonal(weights) -> DensityMatrix:
     return DensityMatrix(_bell_matrix(bw.weights))
 
 
-def bell_diagonal_matrices(weights) -> np.ndarray:
-    """The matrices ``make_bell_diagonal`` builds, one per row of an (m, 4) weight stack.
-
-    Every row passes the ``BellWeights`` checks, evaluated over the stack at
-    once, and the first row that fails raises. A row that passes gives an
-    exactly Hermitian matrix whose spectrum is its weights to rounding, so
-    the ``DensityMatrix`` checks hold and symmetrizing changes no entry.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    total = w[:, 0] + w[:, 1] + w[:, 2] + w[:, 3]
-    # a NaN fails the first test and an infinity the sum, so both are caught
-    ok = (w >= 0.0).all(axis=1) & (w[:, 1:] <= w[:, :-1] + _ORDER_TOL).all(axis=1)
-    bad = np.flatnonzero(~(ok & (np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)))
-    if bad.size:
-        raise OutOfRangeError(
-            f"lambda must be nonnegative, non-ascending and sum to 1 within "
-            f"{_WEIGHT_SUM_TOL:g}, got {w[bad[0]].tolist()}"
-        )
-    return _bell_matrix(w)
-
-
 def make_mems(weights) -> DensityMatrix:
     """Maximally-entangled-mixture form from its decomposition weights."""
     mw = weights if isinstance(weights, MemsWeights) else MemsWeights(tuple(weights))
@@ -319,8 +299,9 @@ def make_mems(weights) -> DensityMatrix:
 
 def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
     """Random state G G^dagger / tr(G G^dagger), G complex Gaussian 4 x rank."""
-    if not 1 <= rank <= 4:
-        raise OutOfRangeError(f"rank must be 1..4, got {rank!r}")
+    # a bool is an Integral, but not a count
+    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral) or not 1 <= rank <= 4:
+        raise OutOfRangeError(f"rank must be an integer in 1..4, got {rank!r}")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     mat = g @ g.conj().T

@@ -63,6 +63,11 @@ def test_local_unitary_rejects_non_unitary():
         LocalUnitary(np.eye(2) * 1.01, np.eye(2))
 
 
+def test_local_unitary_rejects_non_qubit_factors():
+    with pytest.raises(ValueError, match=r"u_b must be 2x2, got shape \(4, 4\)"):
+        LocalUnitary(np.eye(2), np.eye(4))
+
+
 def test_discard_prepare_rejects_entangled_target():
     with pytest.raises(NotSeparableError):
         DiscardPrepare(make_werner(0.9))
@@ -84,6 +89,11 @@ def test_protocol_weight_validation():
     # a NaN weight fails closed instead of being dropped
     with pytest.raises(BadWeightsError, match="nonnegative"):
         Protocol(((np.nan, atom), (1.0, atom)))
+
+
+def test_protocol_rejects_an_unsupported_atom():
+    with pytest.raises(TypeError, match="unsupported protocol atom SeparableChannel"):
+        Protocol(((1.0, bell_extremal_catalog()[0]),))
 
 
 def test_protocol_apply_mixes_atoms():
@@ -130,6 +140,17 @@ def test_renormalize_probabilistic_drops_dead_branches():
     assert proto.branches[0][0] == 1.0
     with pytest.raises(BadWeightsError):
         renormalize_probabilistic([ProbabilisticBranch(1.0, 0.0, unitary)])
+
+
+@pytest.mark.parametrize(
+    "weight, success, message",
+    [(-0.1, 1.0, "branch weight"), (1.5, 1.0, "branch weight"), (np.nan, 1.0, "branch weight"),
+     (0.5, -0.1, "success probability"), (0.5, 1.5, "success probability")],
+)
+def test_probabilistic_branch_range_checks(weight, success, message):
+    unitary = LocalUnitary(np.eye(2), np.eye(2))
+    with pytest.raises(BadWeightsError, match=f"{message} must lie in \\[0, 1\\]"):
+        ProbabilisticBranch(weight, success, unitary)
 
 
 def test_separable_channel_completeness_check():
@@ -319,20 +340,20 @@ def test_separable_werner_target_has_a_product_lowering():
         target = make_werner(w)
         p, a, b = product_diagonal_decomposition(target)
         kets = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
-        assert qmat.frobenius_distance((kets.T * p) @ kets.conj(), target.matrix) <= 1e-12
+        assert qmat.frobenius_norm((kets.T * p) @ kets.conj() - target.matrix) <= 1e-12
         channel = discard_prepare_channel(target)
         for rank in (1, 4):
             out = channel.apply(random_density_matrix(rng, rank=rank))
-            assert qmat.frobenius_distance(out.matrix, target.matrix) <= 1e-12, (w, rank)
+            assert qmat.frobenius_norm(out.matrix - target.matrix) <= 1e-12, (w, rank)
     protocol = Protocol(((1.0, DiscardPrepare(make_werner(0.2))),))
     out = compile_protocol(protocol).apply(make_werner(0.9))
-    assert qmat.frobenius_distance(out.matrix, make_werner(0.2).matrix) <= 1e-12
+    assert qmat.frobenius_norm(out.matrix - make_werner(0.2).matrix) <= 1e-12
     # just past 1/3, yet separable to the partial-transpose test's 1e-10: the
     # terms of w = 1/3 prepare it, and their weights still sum to 1
     edge = make_werner(1 / 3 + 1e-10)
     assert not is_entangled(edge)
     out = discard_prepare_channel(edge).apply(make_werner(0.9))
-    assert qmat.frobenius_distance(out.matrix, edge.matrix) <= 1e-10
+    assert qmat.frobenius_norm(out.matrix - edge.matrix) <= 1e-10
 
 
 def test_product_decomposition_shapes():
@@ -412,7 +433,7 @@ def test_product_decomposition_of_states_classical_on_one_side(seed):
         channel = discard_prepare_channel(target)
         for rank in (1, 4):
             out = kernels.apply_kraus(channel.estack, random_density_matrix(rng, rank=rank).matrix)
-            assert qmat.frobenius_distance(out, mat) <= 1e-12
+            assert qmat.frobenius_norm(out - mat) <= 1e-12
 
 
 def test_product_decomposition_refuses_states_classical_on_neither_side():
@@ -486,9 +507,9 @@ def test_lowering_sweep_prepares_every_accepted_target():
         channel = discard_prepare_channel(mat)
         for rank in (1, 4):
             out = channel.apply(random_density_matrix(rng, rank=rank)).matrix
-            assert qmat.frobenius_distance(out, rebuilt) <= 1e-12
+            assert qmat.frobenius_norm(out - rebuilt) <= 1e-12
             if kind != "perturbed":
-                assert qmat.frobenius_distance(out, mat) <= 1e-12
+                assert qmat.frobenius_norm(out - mat) <= 1e-12
     # perturbed states reach both sides of the 1e-9 tolerance
     assert verdicts[False] > 50 and verdicts[True] > 1300
 

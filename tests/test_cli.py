@@ -462,6 +462,13 @@ class TestSearchAndAudit:
         assert err.value.code == EX_USAGE
         assert flag in capsys.readouterr().err
 
+    def test_non_number_option_is_usage_error(self, tmp_path, capsys):
+        a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
+        with pytest.raises(SystemExit) as err:
+            main(["measures", "--tol", "abc", a])
+        assert err.value.code == EX_USAGE
+        assert "--tol: expected a number, got 'abc'" in capsys.readouterr().err
+
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as err:
             main(["check"])
@@ -575,6 +582,19 @@ class TestMalformedInput:
         assert captured.out == ""
         assert json.loads(captured.err)["field"]
 
+    def test_branch_weights_off_one_are_usage_error(self, tmp_path, capsys):
+        spec = json.loads(json.dumps(self._PROTOCOL))
+        spec["branches"][0]["weight"] -= 0.01
+        p = write_spec(tmp_path, "p.json", spec)
+        s = write_spec(tmp_path, "s.json", {"kind": "werner", "w": 0.5})
+        code = main(["apply", "--json", p, s])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["field"] == "protocol.branches"
+        assert "sum to 1" in err["error"]
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -668,3 +688,17 @@ def test_the_package_never_imports_scipy(tmp_path, load_package_names):
     loaded = _fresh_probe(_LOAD_PROBE, *load_package_names)
     assert not loaded["before"]
     assert loaded["found"] == {name: f"entconv.{name}" for name in load_package_names}
+
+
+def test_python_dash_m_entconv_matches_main(tmp_path, capsys):
+    # the benchmark's cli-session runs the package this way: a fresh
+    # interpreter, the source tree on PYTHONPATH, through __main__
+    a = write_spec(tmp_path, "a.json", {"kind": "werner", "w": 0.9})
+    b = write_spec(tmp_path, "b.json", {"kind": "werner", "w": 0.45})
+    env = {**os.environ, "PYTHONPATH": str(Path(entconv.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "entconv", "check", "--json", a, b],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EX_OK, proc.stderr
+    code, payload = run_json(capsys, ["check", "--json", a, b])
+    assert code == EX_OK
+    assert json.loads(proc.stdout) == payload

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconv.errors import OutOfRangeError
+from entconv.errors import NotHermitianError, OutOfRangeError
 from entconv.measures import (
     bell_monotones,
     binary_entropy,
     concurrence,
     eof,
+    eof_of_concurrence,
     negativity,
 )
 from entconv.states import (
+    DensityMatrix,
+    is_entangled,
     make_bell_diagonal,
     make_mems,
     make_werner,
@@ -101,6 +104,23 @@ def test_concurrence_of_a_stack_matches_each_state():
     assert got[-1] == 0.0
     assert concurrence(stack.reshape(7, 1, 4, 4)).shape == (7, 1)
     assert isinstance(concurrence(mats[0]), float)
+
+
+def test_concurrence_of_a_raw_array_has_the_one_hermiticity_bound():
+    # ||m - m^dagger||_F = 5e-9: past the 1e-9 that every reader of a raw
+    # array, and DensityMatrix, requires
+    m = np.array(make_werner(0.9).matrix)
+    m[0, 0] += 2.5e-9j
+    for reader in (concurrence, negativity, min_pt_eigenvalue, is_entangled, DensityMatrix):
+        with pytest.raises(NotHermitianError, match="within 1e-09"):
+            reader(m)
+    m[0, 0] -= 2.1e-9j  # 8e-10, within the bound
+    assert abs(concurrence(m) - concurrence(make_werner(0.9))) <= 1e-12
+
+
+def test_eof_of_concurrence_is_eof():
+    for rho in (make_werner(0.9), make_werner(0.2), make_mems((0.6, 0.25, 0.15, 0.0))):
+        assert eof_of_concurrence(concurrence(rho)) == eof(rho)
 
 
 def test_negativity_references():

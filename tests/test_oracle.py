@@ -1,5 +1,6 @@
 """Tests for the randomized falsifiers and the protocol search."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -119,6 +120,16 @@ class TestRandomSeparableChannel:
     def test_rejects_zero_kraus(self):
         with pytest.raises(ValueError):
             random_separable_channel(0, 0)
+
+    @pytest.mark.parametrize("n_kraus", [2.5, 2.0, np.float64(3.0), "3", True])
+    def test_rejects_a_non_integer_count(self, n_kraus):
+        with pytest.raises(ValueError, match=re.escape(f"integer >= 1, got {n_kraus!r}")):
+            random_separable_channel(0, n_kraus)
+
+    def test_accepts_a_numpy_integer_count(self):
+        want = random_separable_channel(0, 2).estack
+        for n_kraus in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert np.array_equal(random_separable_channel(0, n_kraus).estack, want)
 
     def test_accepts_generator(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,8 @@
 """Tests for the 4x4 operator layer and the numpy kernels under it."""
 
+import inspect
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -84,6 +87,26 @@ def test_hermitian_eig_rejects_non_hermitian():
     m[0, 1] = 1e-6
     with pytest.raises(NotHermitianError):
         qmat.hermitian_eig(m)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 4, 3)])
+def test_hermitian_eig_rejects_a_non_square_array(shape):
+    with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+        qmat.hermitian_eig(np.zeros(shape))
+
+
+def test_each_matrix_check_has_one_bound():
+    # the Hermiticity and unitarity checks take no tolerance of their own
+    for check in (qmat.hermitian_part, qmat.hermitian_eig, qmat.is_unitary):
+        assert len(inspect.signature(check).parameters) == 1, check.__name__
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 0] += 4.9e-10j  # deviation 9.8e-10
+    qmat.hermitian_part(m)
+    m[0, 0] += 0.2e-10j  # deviation 1.02e-9
+    with pytest.raises(NotHermitianError, match="within 1e-09"):
+        qmat.hermitian_part(m)
+    assert qmat.is_unitary(np.diag([1.0, 1.0 + 4.9e-10]))
+    assert not qmat.is_unitary(np.diag([1.0, 1.0 + 5.1e-10]))
 
 
 def test_hermitian_eig_tolerates_roundoff_asymmetry():
@@ -311,4 +334,4 @@ def test_partial_transpose_preserves_trace_and_hermiticity(flat):
     h = m + m.conj().T
     pt = kernels.partial_transpose(h, 1)
     assert abs(np.trace(pt) - np.trace(h)) < 1e-12
-    assert qmat.frobenius_distance(pt, qmat.dag(pt)) < 1e-12
+    assert qmat.frobenius_norm(pt - qmat.dag(pt)) < 1e-12

@@ -1,6 +1,7 @@
 """Tests for state constructors, validation, and family classification."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -453,6 +454,22 @@ def test_random_density_matrix_rank_and_reproducibility():
         random_density_matrix(0, rank=5)
 
 
+@pytest.mark.parametrize("rank", [2.5, 2.0, np.float64(2.0), "2", True])
+def test_random_density_matrix_rejects_a_non_integer_rank(rank):
+    with pytest.raises(OutOfRangeError, match=re.escape(f"integer in 1..4, got {rank!r}")):
+        random_density_matrix(0, rank=rank)
+
+
+def test_random_density_matrix_accepts_a_numpy_integer_rank():
+    for rank in (np.int64(2), np.int32(3), np.uint8(4)):
+        want = random_density_matrix(5, rank=int(rank)).matrix
+        assert np.array_equal(random_density_matrix(5, rank=rank).matrix, want)
+
+
+def test_density_matrix_repr_shows_its_spectrum():
+    assert repr(make_werner(0.6)) == "DensityMatrix(spectrum=[0.7, 0.1, 0.1, 0.1])"
+
+
 simplex_raw = st.lists(
     st.floats(min_value=0.01, max_value=1.0, allow_nan=False), min_size=4, max_size=4
 )
@@ -475,24 +492,7 @@ def test_random_states_are_valid(seed):
     rho = random_density_matrix(seed)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
     assert rho.eig.values[-1] > -1e-10
-    assert qmat.frobenius_distance(rho.matrix, qmat.dag(rho.matrix)) < 1e-12
-
-
-def test_bell_diagonal_matrices_match_make_bell_diagonal():
-    rng = np.random.default_rng(71)
-    weights = np.sort(rng.dirichlet(np.ones(4), size=20), axis=1)[:, ::-1]
-    weights[0] = (1.0, 0.0, 0.0, 0.0)
-    mats = states.bell_diagonal_matrices(weights)
-    for w, mat in zip(weights, mats):
-        assert np.array_equal(mat, make_bell_diagonal(tuple(w)).matrix)
-
-
-def test_bell_diagonal_matrices_raise_the_error_of_a_bad_row():
-    weights = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]])
-    with pytest.raises(OutOfRangeError, match="non-ascending"):
-        states.bell_diagonal_matrices(weights)
-    with pytest.raises(OutOfRangeError, match="sum to 1"):
-        states.bell_diagonal_matrices(np.array([[0.7, 0.2, 0.1, 0.1]]))
+    assert qmat.frobenius_norm(rho.matrix - qmat.dag(rho.matrix)) < 1e-12
 
 
 def test_bell_weights_of_a_stack_match_each_matrix():

@@ -249,9 +249,9 @@ def test_ci_runs_the_tier_1_command_and_the_harness_tests():
 
 
 def test_every_console_script_resolves_and_runs_in_ci():
-    # tier-1 reaches the CLI only through python -m entconv, so the installed
-    # script is checked here and run by CI; pyproject.toml is read as text,
-    # since tomllib is missing on Python 3.10
+    # tier-1 runs the CLI through cli.main and python -m entconv, never
+    # through the installed script, so the script is checked here and run by
+    # CI; pyproject.toml is read as text, since tomllib is missing on Python 3.10
     pyproject = (PERFBENCH.parent / "pyproject.toml").read_text(encoding="utf-8")
     section = re.search(r"^\[project\.scripts\]\n((?:.+\n)+)", pyproject, flags=re.MULTILINE)
     assert section
@@ -279,6 +279,19 @@ def test_measures_of_a_state_read_its_own_spectrum():
         raw = measures.concurrence(rho.matrix)
     assert tracer.names.count("qmat.hermitian_eig") == 1
     assert raw == measures.concurrence(rho)
+
+
+def test_measures_command_reads_the_concurrence_once(tmp_path, capsys):
+    from entconv import cli, measures
+
+    path = tmp_path / "werner.json"
+    path.write_text(json.dumps({"kind": "werner", "w": 0.9}))
+    with _load_tracing().Tracer() as tracer:
+        assert cli.main(["measures", "--json", str(path)]) == cli.EX_OK
+    payload = json.loads(capsys.readouterr().out)["measures"]
+    assert tracer.names.count("measures.concurrence") == 1
+    assert tracer.names.count("kernels.singular_values") == 1
+    assert payload["eof"] == measures.eof(make_werner(0.9))
 
 
 def test_readme_quick_start_runs_as_a_doctest():
