@@ -19,12 +19,14 @@ Protocols are finite mixtures of two atom kinds:
 
 Each atom owns its action, ``atom.apply(mat)``, which ``Protocol.apply``
 mixes, and its lowering, ``atom.channel()``, which ``compile_protocol`` mixes.
-A discard-and-prepare lowers through ``product_diagonal_decomposition``:
-one SVD decides whether a side is classical, and the eigenvectors of that
-side's basis and of its conditional states come from a closed-form 2x2
-eigensolver, so the lowering makes one LAPACK call. Its checks stay: the
-1e-9 one-sided tolerance, the 1e-12 cut for live terms, the 1e-9
-reconstruction of the given matrix and the channel's 1e-10 completeness.
+A discard-and-prepare lowers through ``product_diagonal_decomposition``.
+A target classical in the computational basis, as every diagonal refill
+is, shows its classical side in its entries; any other target takes one SVD
+to find one. The eigenvectors of that side's basis and of its conditional
+states come from a closed-form 2x2 eigensolver, so the lowering makes at
+most one LAPACK call. Its checks stay: the 1e-9 one-sided tolerance, the
+1e-12 cut for live terms, the 1e-9 reconstruction of the given matrix and
+the channel's 1e-10 completeness.
 An atom lowers on every call, except the shared atoms made here once per
 process, which keep their channel: ``one_sided_pauli_atoms()``, the
 identity first, and ``diagonal_refill``, one atom per diagonal.
@@ -50,6 +52,7 @@ from .errors import (
     NotSeparableError,
     NotTracePreservingError,
     NotUnitaryError,
+    OutOfRangeError,
 )
 from .states import (
     BELL_PROJECTORS,
@@ -70,7 +73,7 @@ _EYE4 = qmat.read_only(np.eye(4))
 def _as_qubit_mat(m, what: str) -> np.ndarray:
     arr = np.array(m, dtype=np.complex128)
     if arr.shape != (2, 2):
-        raise ValueError(f"{what} must be 2x2, got shape {arr.shape}")
+        raise OutOfRangeError(f"{what} must be 2x2, got shape {arr.shape}")
     return qmat.read_only(arr)
 
 
@@ -329,30 +332,64 @@ _WERNER_KETS = qmat.read_only(np.array([
     [[1, 1], [1, 1j], [1, 0], [1, -1], [1, -1j], [0, 1], [1, 0], [1, 0], [0, 1], [0, 1]],
     [[1, -1], [1, -1j], [0, 1], [1, 1], [1, 1j], [1, 0], [1, 0], [0, 1], [1, 0], [0, 1]],
 ]) / np.sqrt([2, 2, 1, 2, 2, 1, 1, 1, 1, 1])[:, None])
+# [term, ab]: the product kets |a_i b_i> of those terms
+_WERNER_PRODUCTS = qmat.read_only(
+    (_WERNER_KETS[0][:, :, None] * _WERNER_KETS[1][:, None, :]).reshape(-1, 4)
+)
+_SQRT2 = math.sqrt(2.0)
+
+
+def _classical_side(mat: np.ndarray):
+    """(side, basis) of a side on which ``mat`` is classical within 1e-9, or None.
+
+    Dephasing a side in its computational basis moves rho by
+    sqrt(2) ||rho_01||_F, with rho_01 that side's off-diagonal 2x2 block,
+    read from the entries as Python floats. When the smaller of the two is
+    within 1e-9, that side's basis is |0>, |1> and no LAPACK call is made;
+    every diagonal state takes this path. Otherwise one SVD reads both
+    sides. A side is classical in some basis iff its 3x4 Pauli coordinates
+    have rank one (Dakic, Vedral and Brukner, PRL 105, 190502 (2010)).
+    Dephasing it along the leading left singular vector n of its
+    coordinates moves rho by sqrt(s2^2 + s3^2)/2, from their singular values
+    s1 >= s2 >= s3, and its basis is the eigenvectors of n . sigma. Either
+    way the side that moves less is taken, side A on a tie.
+    """
+    (_, m01, m02, m03), (_, _, m12, m13), (_, m21, _, m23), _ = mat.tolist()
+    moved = [_SQRT2 * math.hypot(abs(m02), abs(m03), abs(m12), abs(m13)),
+             _SQRT2 * math.hypot(abs(m01), abs(m03), abs(m21), abs(m23))]
+    side = int(moved[1] < moved[0])
+    if moved[side] <= _PRODUCT_TOL:
+        return side, ((1.0, 0.0), (0.0, 1.0))
+    axes, s, _ = np.linalg.svd((_SIDE_ROWS @ mat.reshape(16)).real.reshape(2, 3, 4))
+    moved = [math.hypot(s2, s3) / 2.0 for _, s2, s3 in s.tolist()]
+    side = int(moved[1] < moved[0])
+    if not moved[side] <= _PRODUCT_TOL:
+        return None
+    # the eigenvectors u_k of n . sigma = [[z, x - iy], [x + iy, -z]]
+    x, y, z = axes[side, :, 0].tolist()
+    _, basis = kernels.qubit_eigh(z, complex(x, -y), -z)
+    return side, basis
 
 
 def product_diagonal_decomposition(mat) -> tuple:
     """Decompose a separable state as sum_i p_i |a_i b_i><a_i b_i| over product vectors.
 
     A state classical on one side, rho = sum_k |k><k| (x) rho_k over a basis
-    {|k>} of that side, is one whose side has rank-one 3x4 Pauli coordinates
-    (Dakic, Vedral and Brukner, PRL 105, 190502 (2010)). Dephasing a side
-    along the leading left singular vector n of its coordinates moves rho by
-    sqrt(s2^2 + s3^2)/2, from their singular values s1 >= s2 >= s3. The side
-    that moves least is used when that is within 1e-9: the orthogonal terms
-    pair the eigenvectors |k> of n . sigma with those of each rho_k. That
-    SVD is the only LAPACK call. The rest is 2x2 Hermitian algebra, done in
-    closed form on Python scalars by ``kernels.qubit_eigh``: once for n . sigma,
-    and once for each rho_k, whose entries come from one 4x2 matrix product
-    of rho's entries with the projectors |k><k|. Any other state is read as
-    a Werner state, w from its singlet overlap, which for w <= 1/3 is
-    separable (Werner, PRA 40, 4277 (1989)): the six products
-    |n>|-n>, n = +-x, +-y, +-z, get w/2 each and the four computational
-    products (1 - 3w)/4 each. Terms at or below 1e-12 are dropped, and the
-    rest must rebuild the given matrix within 1e-9 (one dot product of the
-    difference with itself), else NotProductDiagonalError is raised, as for
-    every entangled state and some separable ones. The weights sum to the
-    trace, up to dropped eigenvalues; ``DiscardPrepare`` rescales them.
+    {|k>} of that side, is found by ``_classical_side``, with no LAPACK call
+    for a state classical in the computational basis (every diagonal state)
+    and one SVD for any other. The orthogonal terms pair |k> with the
+    eigenvectors of each rho_k. The rest is 2x2 Hermitian algebra, done in
+    closed form on Python scalars by ``kernels.qubit_eigh``, once for each
+    rho_k, whose entries come from one 4x2 matrix product of rho's entries
+    with the projectors |k><k|. Any other state is read as a Werner state, w
+    from its singlet overlap, which for w <= 1/3 is separable (Werner, PRA 40,
+    4277 (1989)): the six products |n>|-n>, n = +-x, +-y, +-z, get w/2 each
+    and the four computational products (1 - 3w)/4 each. Terms at or below
+    1e-12 are dropped, and the rest must rebuild the given matrix within 1e-9
+    (one dot product of the difference with itself), else
+    NotProductDiagonalError is raised, as for every entangled state and some
+    separable ones. The weights sum to the trace, up to dropped eigenvalues;
+    ``DiscardPrepare`` rescales them.
 
     ``mat`` is a state or a 4x4 array, which is validated as one. The terms
     come back as arrays (p, a, b) of shapes (n,), (n, 2) and (n, 2); the
@@ -361,13 +398,9 @@ def product_diagonal_decomposition(mat) -> tuple:
     keeps the channel built from the terms.
     """
     mat = as_density(mat).matrix
-    axes, s, _ = np.linalg.svd((_SIDE_ROWS @ mat.reshape(16)).real.reshape(2, 3, 4))
-    moved = [math.hypot(s2, s3) / 2.0 for _, s2, s3 in s.tolist()]
-    side = int(moved[1] < moved[0])
-    if moved[side] <= _PRODUCT_TOL:
-        # the eigenvectors u_k of n . sigma = [[z, x - iy], [x + iy, -z]]
-        x, y, z = axes[side, :, 0].tolist()
-        _, basis = kernels.qubit_eigh(z, complex(x, -y), -z)
+    classical = _classical_side(mat)
+    if classical is not None:
+        side, basis = classical
         # rho_k = <k|rho|k>: weights[(c, c'), k] = conj(u_k[c]) u_k[c'] contracts the
         # classical side's index pair of pairs[(a, a'), (b, b')] = rho[ab, a'b']
         (x0, y0), (x1, y1) = basis
@@ -388,15 +421,15 @@ def product_diagonal_decomposition(mat) -> tuple:
             b += vectors
         p, a, b = np.array(p), np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128)
         a, b = (b, a) if side else (a, b)
+        ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
     else:
         # capped at 1/3, so the weights sum to 1 just past it, still separable to 1e-10
         w = min((4.0 * float(np.vdot(SINGLET_PROJECTOR, mat).real) - 1.0) / 3.0, 1.0 / 3.0)
         p = np.repeat([w / 2.0, (1.0 - 3.0 * w) / 4.0], [6, 4])
-        a, b = _WERNER_KETS
+        (a, b), ab = _WERNER_KETS, _WERNER_PRODUCTS
     live = p > _ZERO_EIGENVALUE
     if not live.all():
-        p, a, b = p[live], a[live], b[live]
-    ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
+        p, a, b, ab = p[live], a[live], b[live], ab[live]
     off = (ab.T * p) @ ab.conj() - mat
     miss = math.sqrt(np.vdot(off, off).real)
     if not miss <= _PRODUCT_TOL:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import NotHermitianError
+from .errors import NotHermitianError, OutOfRangeError
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -104,7 +104,7 @@ def hermitian_eig(m) -> EigenDecomposition:
     """
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise OutOfRangeError(f"expected a square matrix, got shape {m.shape}")
     return EigenDecomposition(*kernels.hermitian_eigh(hermitian_part(m)))
 
 

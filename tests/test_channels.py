@@ -30,6 +30,7 @@ from entconv.errors import (
     NotSeparableError,
     NotTracePreservingError,
     NotUnitaryError,
+    OutOfRangeError,
 )
 from entconv.measures import negativity
 from entconv.oracle import convert_search
@@ -64,7 +65,7 @@ def test_local_unitary_rejects_non_unitary():
 
 
 def test_local_unitary_rejects_non_qubit_factors():
-    with pytest.raises(ValueError, match=r"u_b must be 2x2, got shape \(4, 4\)"):
+    with pytest.raises(OutOfRangeError, match=r"u_b must be 2x2, got shape \(4, 4\)"):
         LocalUnitary(np.eye(2), np.eye(4))
 
 
@@ -468,10 +469,39 @@ def _one_sided_by_svd(mat):
     return any(np.hypot(*np.linalg.svd(c, compute_uv=False)[1:]) / 2.0 <= 1e-9 for c in sides)
 
 
+def _computational_states(rng):
+    """(state, side): states classical in the computational basis of that side, I/4 and
+    |00><00| (classical on both) and conditional states of ranks 1 and 2."""
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    out = [(np.eye(4, dtype=complex) / 4, int(rng.integers(2))),
+           (np.kron(zero, zero), int(rng.integers(2)))]
+    for side in (0, 1):
+        for ranks in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            conditionals = [_qubit_state(rng, r) for r in ranks]
+            out.append((_classical_state(np.eye(2), side, rng.dirichlet([1, 1]), conditionals), side))
+    return out
+
+
+def _pushed_off(rng, mat, side, eps):
+    """``mat`` mixed with a product state, to a coherence eps across ``side``'s computational basis.
+
+    The coherence is sqrt(2) ||rho_01||_F, rho_01 the side's off-diagonal 2x2
+    block, which ``mat`` lacks; the product state |t><t| (x) tau has a Haar |t>
+    on that side, so the mixture stays a separable state.
+    """
+    t = haar_qubit_unitary(rng)[:, 0]
+    pair = (np.outer(t, t.conj()), _qubit_state(rng, 2))
+    product = np.kron(*(pair if side == 0 else pair[::-1]))
+    rows, cols = ([0, 1], [2, 3]) if side == 0 else ([0, 2], [1, 3])
+    weight = eps / (np.sqrt(2) * np.linalg.norm(product[np.ix_(rows, cols)]))
+    return (1 - weight) * mat + weight * product
+
+
 def _lowering_sweep(rng):
     """(target, kind): one-sided states and diagonals ("exact"), separable Werner states
-    ("werner"), and one-sided states pushed 1e-10 to 5e-9 off by a coherence in their
-    basis ("perturbed")."""
+    ("werner"), one-sided states pushed 1e-10 to 5e-9 off by a coherence in their
+    basis ("perturbed"), and states classical in the computational basis
+    ("computational") and pushed off by a coherence across it ("computational_perturbed")."""
     for _ in range(40):
         for mat in _classical_states(rng):
             yield mat, "exact"
@@ -486,32 +516,74 @@ def _lowering_sweep(rng):
         mat = _classical_state(u, side, weights, [_qubit_state(rng, 2) for _ in range(2)])
         flip = np.kron(*((u @ qmat.SIGMA_X @ u.conj().T, qmat.SIGMA_X)[:: 1 - 2 * side]))
         yield mat + eps * flip / np.linalg.norm(flip), "perturbed"
+    for _ in range(20):
+        for mat, _ in _computational_states(rng):
+            yield mat, "computational"
+    for eps in np.geomspace(1e-10, 5e-9, 300):
+        states = _computational_states(rng)
+        mat, side = states[int(rng.integers(len(states)))]
+        yield _pushed_off(rng, mat, side, eps), "computational_perturbed"
 
 
 def test_lowering_sweep_prepares_every_accepted_target():
     rng = np.random.default_rng(59)
     verdicts = {True: 0, False: 0}
+    computational = {True: 0, False: 0}
     for mat, kind in _lowering_sweep(rng):
+        tally = computational if kind.startswith("computational") else verdicts
+        perturbed = kind.endswith("perturbed")
         expected = kind == "werner" or _one_sided_by_svd(mat)
-        assert expected or kind == "perturbed"
+        assert expected or perturbed
         try:
             p, a, b = product_diagonal_decomposition(mat)
         except NotProductDiagonalError:
             assert not expected
-            verdicts[False] += 1
+            tally[False] += 1
             continue
         assert expected
-        verdicts[True] += 1
+        tally[True] += 1
         kets = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
         rebuilt = (kets.T * p) @ kets.conj()
         channel = discard_prepare_channel(mat)
         for rank in (1, 4):
             out = channel.apply(random_density_matrix(rng, rank=rank)).matrix
             assert qmat.frobenius_norm(out - rebuilt) <= 1e-12
-            if kind != "perturbed":
+            if not perturbed:
                 assert qmat.frobenius_norm(out - mat) <= 1e-12
-    # perturbed states reach both sides of the 1e-9 tolerance
+    # perturbed states reach both sides of the 1e-9 tolerance, in both bases
     assert verdicts[False] > 50 and verdicts[True] > 1300
+    assert computational[False] > 50 and computational[True] > 300
+
+
+def test_lowering_a_state_classical_in_the_computational_basis_makes_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(channels.np.linalg, "svd", counting)
+
+    def svd_calls(mat):
+        calls.clear()
+        product_diagonal_decomposition(mat)
+        return len(calls)
+
+    diagonal = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    assert svd_calls(diagonal) == 0
+    assert svd_calls(np.eye(4, dtype=complex) / 4) == 0
+    rng = np.random.default_rng(61)
+    conditionals = [_qubit_state(rng, 2) for _ in range(2)]
+    assert svd_calls(_classical_state(haar_qubit_unitary(rng), 0, (0.6, 0.4), conditionals)) == 1
+    # planted control: a 2e-9 coherence across both sides' computational bases,
+    # which the SVD confirms and the Werner reading cannot rebuild
+    pushed = diagonal.copy()
+    pushed[0, 3] = pushed[3, 0] = 2e-9 / np.sqrt(2)
+    calls.clear()
+    with pytest.raises(NotProductDiagonalError):
+        product_diagonal_decomposition(pushed)
+    assert len(calls) == 1
 
 
 def test_rotated_qubit_eigenvectors_fail_the_reconstruction(monkeypatch):

@@ -10,7 +10,9 @@ uncalled. The package's own imports and exports are
 checked the same way, so a deletion cannot leave a stale import or export,
 and an addition cannot leave a definition that nothing calls. The README's
 ``>>>`` quick start runs here as a doctest, so its printed values cannot go
-stale, and the CI workflow's commands are checked against ROADMAP's.
+stale, the CI workflow's commands are checked against ROADMAP's, and every
+committed ``BENCH_*.json`` record must pair one parent run with one change
+run per seed.
 """
 
 import ast
@@ -246,6 +248,22 @@ def test_ci_runs_the_tier_1_command_and_the_harness_tests():
     assert "python -m pytest perfbench/tests -q" in runs
     assert re.search(r"^  tier-1:\n(    .*\n)*?    timeout-minutes: \d+$", workflow,
                      flags=re.MULTILINE)
+
+
+def test_every_bench_record_pairs_its_runs():
+    # a speed claim rests on a committed BENCH_*.json; each one names its two
+    # sides and holds one parent run and one change run for every seed
+    records = sorted(PERFBENCH.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["record"] == path.stem
+        assert record["parent"] and record["change"], path.name
+        seeds = record["seeds"]
+        assert seeds and len(set(seeds)) == len(seeds), path.name
+        runs = sorted((run["seed"], run["side"]) for run in record["run_order"])
+        assert runs == sorted((seed, side) for seed in seeds for side in ("change", "parent")), (
+            path.name)
 
 
 def test_every_console_script_resolves_and_runs_in_ci():
