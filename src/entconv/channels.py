@@ -253,13 +253,11 @@ def renormalize_probabilistic(branches: Sequence[ProbabilisticBranch]) -> tuple:
 
 def _check_completeness(gram) -> None:
     """Raise unless each sum E^dagger E, one (4, 4) or a (t, 4, 4) stack, is within 1e-10 of I."""
-    off = gram - _EYE4
-    if off.ndim == 2:
-        # one channel: its squared deviation is one dot product, and a pass returns here
-        off = off.reshape(16)
-        if math.sqrt(np.vdot(off, off).real) <= _COMPLETENESS_TOL:
-            return
-    dev = np.reshape(qmat.frobenius_norm(off), -1)
+    dev = qmat.frobenius_norm(gram - _EYE4)
+    # one channel, the common case, passes on its one float
+    if gram.ndim == 2 and dev <= _COMPLETENESS_TOL:
+        return
+    dev = np.reshape(dev, -1)
     bad = np.flatnonzero(~(dev <= _COMPLETENESS_TOL))
     if bad.size:
         raise NotTracePreservingError(
@@ -280,7 +278,7 @@ class SeparableChannel:
     def __init__(self, pairs):
         factors = np.array(pairs, dtype=np.complex128)
         if factors.ndim != 4 or factors.shape[0] == 0 or factors.shape[1:] != (2, 2, 2):
-            raise ValueError(
+            raise OutOfRangeError(
                 f"need one or more pairs of 2x2 Kraus factors, got shape {factors.shape}"
             )
         self._factors = qmat.read_only(factors)
@@ -386,9 +384,8 @@ def product_diagonal_decomposition(mat) -> tuple:
     4277 (1989)): the six products |n>|-n>, n = +-x, +-y, +-z, get w/2 each
     and the four computational products (1 - 3w)/4 each. Terms at or below
     1e-12 are dropped, and the rest must rebuild the given matrix within 1e-9
-    (one dot product of the difference with itself), else
-    NotProductDiagonalError is raised, as for every entangled state and some
-    separable ones. The weights sum to the trace, up to dropped eigenvalues;
+    in the Frobenius norm, else NotProductDiagonalError is raised, as for
+    every entangled state and some separable ones. The weights sum to the trace, up to dropped eigenvalues;
     ``DiscardPrepare`` rescales them.
 
     ``mat`` is a state or a 4x4 array, which is validated as one. The terms
@@ -431,7 +428,7 @@ def product_diagonal_decomposition(mat) -> tuple:
     if not live.all():
         p, a, b, ab = p[live], a[live], b[live], ab[live]
     off = (ab.T * p) @ ab.conj() - mat
-    miss = math.sqrt(np.vdot(off, off).real)
+    miss = qmat.frobenius_norm(off)
     if not miss <= _PRODUCT_TOL:
         raise NotProductDiagonalError(f"no product decomposition within 1e-9: off by {miss:.3e}")
     return p, a, b
@@ -461,20 +458,24 @@ def mix(channels: Sequence[SeparableChannel], weights: Sequence[float]) -> Separ
 class ChannelPool:
     """A fixed set of channels, prepared once so that many mixtures apply at once.
 
-    The pool takes one Kraus stack (n_c, 4, 4) per channel and checks each
-    once. ``apply_mixtures(weights, rho)`` gives, for each row t of a (t, c)
-    weight matrix, the mixture sum_c w_tc Phi_c applied to rho[t]. No mixed
-    channel is built: every channel is applied once to all the inputs,
-    through its 16x16 transfer matrix (the images of the 16 matrix units,
-    computed with ``kernels.apply_kraus`` when the pool is built), and the
-    images are mixed by linearity. Each row passes the checks ``mix`` makes
-    on its mixture, over the rows at once: weights nonnegative and summing
-    to 1 within 1e-9, and sum_c w_tc gram_c = I within 1e-10.
+    The pool takes one or more Kraus stacks, (n_c, 4, 4) per channel, and
+    checks each once. ``apply_mixtures(weights, rho)`` gives, for each row t
+    of a (t, c) weight matrix, the mixture sum_c w_tc Phi_c applied to rho[t].
+    No mixed channel is built: every channel is applied once to all the
+    inputs, through its 16x16 transfer matrix (the images of the 16 matrix
+    units, computed with ``kernels.apply_kraus`` when the pool is built), and
+    the images are mixed by linearity. Each row passes the checks ``mix``
+    makes on its mixture, over the rows at once: weights nonnegative and
+    summing to 1 within 1e-9, and sum_c w_tc gram_c = I within 1e-10.
     """
 
     __slots__ = ("size", "_transfer", "_grams")
 
     def __init__(self, estacks: Sequence[np.ndarray]):
+        estacks = [np.asarray(e) for e in estacks]
+        shapes = [e.shape for e in estacks]
+        if not shapes or any(len(s) != 3 or s[1:] != (4, 4) for s in shapes):
+            raise OutOfRangeError(f"need one or more (n, 4, 4) Kraus stacks, got shapes {shapes}")
         self.size = len(estacks)
         # one zero-padded Kraus stack per channel; zero operators add nothing
         padded = np.zeros((self.size, max(len(e) for e in estacks), 4, 4), complex)

@@ -10,7 +10,7 @@ class NotHermitianError(EntconvError, ValueError):
 
 
 class OutOfRangeError(EntconvError, ValueError):
-    """Scalar parameter, weight vector or array shape violates its documented range."""
+    """Scalar parameter, count, weight vector or array shape violates its documented range."""
 
 
 class NotUnitaryError(EntconvError, ValueError):

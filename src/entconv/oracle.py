@@ -20,7 +20,7 @@ pass reads each trial's generator, and the linear algebra between draws
 runs once per block over stacked arrays. The contract holds per trial,
 whatever the block: a trial draws the same numbers and reaches the same
 findings alone or among 255 others, and a run of n trials reports what the
-first n trials of a longer run report.
+first n trials of a longer run report, for any integer n >= 0.
 
 The protocol search is a convex least-squares problem over the simplex of
 mixture weights of a fixed set of LOCC atoms, solved exactly in numpy by an
@@ -29,7 +29,6 @@ active-set method; see ``convert_search`` and ``minimize``.
 
 from __future__ import annotations
 
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,7 +52,10 @@ from .measures import bell_monotones, concurrence, negativity
 from .states import (
     DensityMatrix,
     _bell_matrix,
+    _check_count,
     _gapped_rank,
+    _gaussian_factor,
+    _normalized_gram,
     as_density,
     bell_weights_of,
     min_pt_eigenvalue,
@@ -233,14 +235,13 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     This is the one-generator case of the falsifier's block builder, whose
     one row has no padding; it reads the generator as that builder does.
     """
-    # a bool is an Integral, but not a count
-    if isinstance(n_kraus, bool) or not isinstance(n_kraus, numbers.Integral) or n_kraus < 1:
-        raise ValueError(f"n_kraus must be an integer >= 1, got {n_kraus!r}")
+    _check_count(n_kraus, "n_kraus", 1, None)
     return SeparableChannel(_random_channel_factors([np.random.default_rng(seed)], [n_kraus])[0])
 
 
 def _blocks(trials: int):
-    """The trial indices in order, in ranges of at most _BLOCK."""
+    """The trial indices in order, in ranges of at most _BLOCK; trials must be an integer >= 0."""
+    _check_count(trials, "trials", 0, None)
     return (range(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK))
 
 
@@ -261,12 +262,8 @@ def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:
         # not np.unique, whose first call imports numpy.ma
         for rank in sorted(set(ranks[waiting].tolist())):
             rows = ranks[waiting] == rank
-            g = np.stack([
-                rngs[t].normal(size=(4, rank)) + 1j * rngs[t].normal(size=(4, rank))
-                for t in waiting[rows]
-            ])
-            mat = g @ qmat.dag(g)
-            candidates[rows] = mat / np.trace(mat, axis1=-2, axis2=-1).real[:, None, None]
+            g = np.stack([_gaussian_factor(rngs[t], rank) for t in waiting[rows]])
+            candidates[rows] = _normalized_gram(g)
         accepted = -min_pt_eigenvalue(candidates) > _ENTANGLEMENT_MARGIN
         mats[waiting[accepted]] = candidates[accepted]
         waiting = waiting[~accepted]
@@ -384,17 +381,14 @@ def monotone_audit(
     for block in _blocks(trials):
         weights = np.empty((len(block), 4))
         mixture = np.empty((len(block), pool.size))
-        g = np.empty((len(block), 2, 4, 4))
+        g = np.empty((len(block), 4, 4), dtype=np.complex128)
         for i, trial in enumerate(block):
             rng = np.random.default_rng((seed, trial))
             weights[i] = _entangled_bell_weights(rng)
             mixture[i] = rng.dirichlet(flat)
-            # the real, then the imaginary part of the general state's factor
-            g[i] = rng.normal(size=(2, 4, 4))
+            g[i] = _gaussian_factor(rng, 4)
         rho = _bell_matrix(weights)
-        general = g[:, 0] + 1j * g[:, 1]
-        general = general @ qmat.dag(general)
-        general /= np.trace(general, axis1=-2, axis2=-1).real[:, None, None]
+        general = _normalized_gram(g)
         outs = pool.apply_mixtures(mixture, np.stack([rho, general], axis=1))
         out_weights, residual = bell_weights_of(outs[:, 0])
         left = residual > 1e-9

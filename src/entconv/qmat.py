@@ -3,10 +3,11 @@
 Matrices are plain numpy complex128 arrays: 2x2 for single-qubit operators,
 4x4 for two-qubit operators, indexed row-major so basis state |ab> sits at
 index 2a+b. ``hermitian_part`` is the package's one Hermiticity test, with
-one bound (1e-9 in the Frobenius norm): ``DensityMatrix`` and
-``hermitian_eig`` both go through it, and ``hermitian_eig`` then solves with
-:mod:`entconv.kernels`; every other array routine is called from ``kernels``
-directly. ``is_unitary`` has one bound too, 1e-9 on ||u^dagger u - I||_F.
+one bound (1e-9 in ``frobenius_norm``, the one Frobenius norm, a ``vdot`` for
+one matrix): ``DensityMatrix`` and ``hermitian_eig`` both go through it, and
+``hermitian_eig`` then solves with :mod:`entconv.kernels`; every other array
+routine is called from ``kernels`` directly. ``is_unitary`` has one bound
+too, 1e-9 on ||u^dagger u - I||_F.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ class EigenDecomposition(NamedTuple):
 def frobenius_norm(m):
     """Frobenius norm of a matrix, or an array of one norm per matrix of a stack.
 
-    A stack's sums of squares are dot products of the real and imaginary
-    parts, the arithmetic ``np.linalg.norm`` uses for one matrix.
+    One matrix's sum of squares is one ``np.vdot`` of it with itself, cheaper than
+    ``np.linalg.norm``; a stack's are dot products of its real and imaginary parts.
     """
     m = np.asarray(m)
     if m.ndim <= 2:
-        return float(np.linalg.norm(m))
+        return math.sqrt(np.vdot(m, m).real)
     rows = m.reshape(m.shape[:-2] + (1, -1))
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
@@ -85,10 +86,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     """
     adj = dag(m)
     off = m - adj
-    if m.ndim == 2:
-        dev = math.sqrt(np.vdot(off, off).real)
-    else:
-        dev = float(frobenius_norm(off).max(initial=0.0))  # the worst matrix
+    dev = frobenius_norm(off) if m.ndim == 2 else float(frobenius_norm(off).max(initial=0.0))
     if not dev <= _HERMITIAN_BOUND:
         raise NotHermitianError(
             f"matrix is not Hermitian within {_HERMITIAN_BOUND:g} (deviation {dev:.3e})"
@@ -109,6 +107,8 @@ def hermitian_eig(m) -> EigenDecomposition:
 
 
 def is_unitary(u) -> bool:
-    """Whether ||u^dagger u - I||_F is within 1e-9."""
+    """Whether ||u^dagger u - I||_F of a square matrix is within 1e-9."""
     u = np.asarray(u, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise OutOfRangeError(f"expected a square matrix, got shape {u.shape}")
     return frobenius_norm(dag(u) @ u - np.eye(u.shape[0])) <= _UNITARY_BOUND

@@ -173,9 +173,7 @@ class DensityMatrix:
     __slots__ = ("_mat", "_eig", "_min_pt")
 
     def __init__(self, matrix):
-        mat = np.ascontiguousarray(matrix, dtype=np.complex128)
-        if mat.shape != (4, 4):
-            raise OutOfRangeError(f"expected a 4x4 matrix, got shape {mat.shape}")
+        mat = _one_mat_of(matrix)
         sym = qmat.hermitian_part(mat)
         tr = complex(mat.trace())
         if not abs(tr - 1.0) <= 1e-9:
@@ -215,7 +213,7 @@ class DensityMatrix:
     def rank(self, tol: float = 1e-9) -> int:
         """The number of eigenvalues strictly above tol, which must be positive."""
         if not tol > 0:
-            raise ValueError(f"rank tolerance must be positive, got {tol!r}")
+            raise OutOfRangeError(f"rank tolerance must be positive, got {tol!r}")
         return sum(x > tol for x in self._eig.values.tolist())
 
     def __repr__(self):
@@ -297,16 +295,29 @@ def make_mems(weights) -> DensityMatrix:
     return DensityMatrix(_mems_matrix(mw.weights))
 
 
+def _check_count(n, what: str, low: int, high: Optional[int]) -> None:
+    """Raise OutOfRangeError unless n is an integer, not a bool, in low..high (None: no cap)."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low
+            or (high is not None and n > high)):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise OutOfRangeError(f"{what} must be an integer {bound}, got {n!r}")
+
+
+def _gaussian_factor(rng, rank: int) -> np.ndarray:
+    """A complex Gaussian 4 x rank matrix, its real part drawn before its imaginary part."""
+    return rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+
+
+def _normalized_gram(g: np.ndarray) -> np.ndarray:
+    """G G^dagger / tr(G G^dagger) of a factor, or of each factor in a stack."""
+    mat = g @ qmat.dag(g)
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
     """Random state G G^dagger / tr(G G^dagger), G complex Gaussian 4 x rank."""
-    # a bool is an Integral, but not a count
-    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral) or not 1 <= rank <= 4:
-        raise OutOfRangeError(f"rank must be an integer in 1..4, got {rank!r}")
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    mat = g @ g.conj().T
-    mat /= np.trace(mat).real
-    return DensityMatrix(mat)
+    _check_count(rank, "rank", 1, 4)
+    return DensityMatrix(_normalized_gram(_gaussian_factor(np.random.default_rng(seed), rank)))
 
 
 def _pt_spectrum(rho) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for protocol atoms, separable channels, and the extremal catalog."""
 
+import re
 import types
 
 import numpy as np
@@ -237,12 +238,16 @@ def test_atoms_a_caller_builds_keep_nothing(monkeypatch):
 
 
 def test_separable_channel_rejects_non_qubit_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRangeError):
         SeparableChannel([(np.eye(3), np.eye(3))])
+    # a ragged nesting has no shape to check, so numpy's coercion error stands
     with pytest.raises(ValueError):
         SeparableChannel([(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))])
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRangeError):
         SeparableChannel([])
+    # one pair without the pair axis
+    with pytest.raises(OutOfRangeError, match=re.escape("got shape (2, 2, 2)")):
+        SeparableChannel((np.eye(2), np.eye(2)))
 
 
 def test_kraus_pairs_are_read_only_factors():
@@ -757,6 +762,9 @@ def test_pool_checks_each_channel_when_built():
     good = bell_extremal_catalog()[0].estack
     with pytest.raises(NotTracePreservingError, match="row 1"):
         ChannelPool([good, 1.001 * good])
+    for bad, shapes in (([], "[]"), ([np.zeros((2, 4, 3))], "[(2, 4, 3)]")):
+        with pytest.raises(OutOfRangeError, match=re.escape(f"got shapes {shapes}")):
+            ChannelPool(bad)
 
 
 def test_pool_without_bell_actions_mixes_any_channels():

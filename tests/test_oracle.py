@@ -10,7 +10,7 @@ import pytest
 from entconv import kernels, oracle
 from entconv.channels import DiscardPrepare, LocalUnitary, SeparableChannel
 from entconv.convertibility import verify_protocol
-from entconv.errors import NotTracePreservingError, SamplingExhaustedError
+from entconv.errors import NotTracePreservingError, OutOfRangeError, SamplingExhaustedError
 from entconv.oracle import (
     SearchReport,
     convert_search,
@@ -24,6 +24,7 @@ from entconv.states import (
     make_mems,
     make_werner,
     min_pt_eigenvalue,
+    random_density_matrix,
 )
 
 
@@ -217,6 +218,24 @@ def _assert_same_findings(got, expected):
                 npt.assert_allclose(a[key], b[key], rtol=1e-13, atol=0, err_msg=key)
             else:
                 assert a[key] == b[key], key
+
+
+# every count the package reads from a caller, and the start of its message
+_COUNTS = {
+    "rank": (lambda n: random_density_matrix(0, rank=n), "rank must be an integer in 1..4"),
+    "n_kraus": (lambda n: random_separable_channel(0, n), "n_kraus must be an integer >= 1"),
+    "audit_trials": (monotone_audit, "trials must be an integer >= 0"),
+    "rank_trials": (falsify_rank_monotonicity, "trials must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+def test_every_count_is_read_by_one_rule(name):
+    read, rule = _COUNTS[name]
+    for bad in (True, 2.5, -1, "3"):
+        with pytest.raises(OutOfRangeError, match=re.escape(f"{rule}, got {bad!r}")):
+            read(bad)
+    read(np.int64(2))
 
 
 class TestBlocks:

@@ -152,8 +152,8 @@ def test_density_matrix_rank_cases():
     assert diagonal(0.5, 0.5 - 1e-8, 1e-8, 0.0).rank(tol=1e-9) == 3
     assert diagonal(0.5, 0.5 - 1e-8, 1e-8, 0.0).rank(tol=1e-8) == 2
     assert type(diagonal(1.0, 0.0, 0.0, 0.0).rank()) is int
-    for tol in (0.0, -1e-9, float("nan")):
-        with pytest.raises(ValueError):
+    for tol in (0.0, -1e-9, float("nan"), -np.inf):
+        with pytest.raises(OutOfRangeError):
             diagonal(1.0, 0.0, 0.0, 0.0).rank(tol=tol)
 
 
@@ -302,6 +302,8 @@ def test_is_unitary():
     assert qmat.is_unitary(np.eye(2))
     assert qmat.is_unitary(kernels.kron2(qmat.SIGMA_X, qmat.SIGMA_Y))
     assert not qmat.is_unitary(np.eye(2) * 1.001)
+    with pytest.raises(OutOfRangeError, match=re.escape("square matrix, got shape (2, 3)")):
+        qmat.is_unitary(np.zeros((2, 3)))
 
 
 def test_as_cmat_rejects_wrong_shape():

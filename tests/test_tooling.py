@@ -12,7 +12,9 @@ and an addition cannot leave a definition that nothing calls. The README's
 ``>>>`` quick start runs here as a doctest, so its printed values cannot go
 stale, the CI workflow's commands are checked against ROADMAP's, and every
 committed ``BENCH_*.json`` record must pair one parent run with one change
-run per seed.
+run per seed. The package's source is also read as text, so that the
+one-matrix Frobenius norm, the count check, the Gaussian state draw and the
+raw matrix reader each stay written once.
 """
 
 import ast
@@ -322,3 +324,24 @@ def test_readme_quick_start_runs_as_a_doctest():
         runner.run(doctest.DocTestParser().get_doctest(block, {}, f"README[{i}]", "README.md", 0))
     assert runner.failures == 0
     assert runner.tries >= 6
+
+
+def test_each_numeric_rule_is_written_once():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+
+    def holders(text):
+        return sorted(name for name, source in sources.items() if text in source)
+
+    # the one-matrix Frobenius norm, the Gaussian state factor and the raw
+    # coercion of a 4x4 matrix or stack each live in one module
+    assert holders("math.sqrt(np.vdot(") == ["qmat.py"]
+    assert holders("normal(size=(4,") == ["states.py"]
+    assert holders("ascontiguousarray(rho,") == ["states.py"]
+    # the one count check, and no range or shape rejection outside OutOfRangeError
+    assert sum(source.count("numbers.Integral") for source in sources.values()) == 1
+    check_count = next(
+        node for node in ast.walk(ast.parse(sources["states.py"]))
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_count"
+    )
+    assert "numbers.Integral" in ast.get_source_segment(sources["states.py"], check_count)
+    assert holders("raise ValueError(") == []
