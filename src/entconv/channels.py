@@ -70,11 +70,19 @@ _PRODUCT_TOL = 1e-9
 _EYE4 = qmat.read_only(np.eye(4))
 
 
+def _read_only_copy(m) -> np.ndarray:
+    """A read-only complex128 copy of ``m``; a ragged nesting raises OutOfRangeError."""
+    try:
+        return qmat.read_only(np.array(m, dtype=np.complex128))
+    except ValueError as exc:
+        raise OutOfRangeError(f"expected an array of numbers: {exc}") from None
+
+
 def _as_qubit_mat(m, what: str) -> np.ndarray:
-    arr = np.array(m, dtype=np.complex128)
+    arr = _read_only_copy(m)
     if arr.shape != (2, 2):
         raise OutOfRangeError(f"{what} must be 2x2, got shape {arr.shape}")
-    return qmat.read_only(arr)
+    return arr
 
 
 class _Lowering:
@@ -276,12 +284,12 @@ class SeparableChannel:
     __slots__ = ("_factors", "_estack")
 
     def __init__(self, pairs):
-        factors = np.array(pairs, dtype=np.complex128)
+        factors = _read_only_copy(pairs)
         if factors.ndim != 4 or factors.shape[0] == 0 or factors.shape[1:] != (2, 2, 2):
             raise OutOfRangeError(
                 f"need one or more pairs of 2x2 Kraus factors, got shape {factors.shape}"
             )
-        self._factors = qmat.read_only(factors)
+        self._factors = factors
         self._estack = qmat.read_only(separable_kraus_stacks(factors))
 
     @property

@@ -24,11 +24,15 @@ first n trials of a longer run report, for any integer n >= 0.
 
 The protocol search is a convex least-squares problem over the simplex of
 mixture weights of a fixed set of LOCC atoms, solved exactly in numpy by an
-active-set method; see ``convert_search`` and ``minimize``.
+active-set method; see ``convert_search`` and ``minimize``. The source's
+images under the atoms' unitaries come from one stacked conjugation
+U rho U^dagger over a read-only stack built at import, not from one
+``atom.apply`` per column, so a larger catalog costs one larger product.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -462,19 +466,23 @@ def minimize(a: np.ndarray, t: np.ndarray, budget: int = 20000) -> SimplexFit:
     at the boundary and each index that reached zero is dropped. The
     iterate stays on the simplex throughout. The loop ends when every
     reduced gradient is at least -1e-14 (relative to the scale of a and t),
-    or after ``budget`` support solves; ``nfev`` counts them.
+    or after ``budget`` support solves; ``nfev`` counts them. ``budget``
+    must be an integer >= 1, else OutOfRangeError.
     """
+    _check_count(budget, "budget", 1, None)
     n = a.shape[1]
     gram = a.T @ a
+    diag = gram.diagonal()
     # [[a^T a, 1], [1^T, 0]] and [a^T t, 1]: a support's system is the block
     # on its rows and the border row
     kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = gram
     kkt[n, n] = 0.0
-    rhs = np.append(a.T @ t, 1.0)
-    scale = float(np.sqrt(np.diag(gram).max()))
-    tol = 1e-14 * scale * max(scale, float(np.linalg.norm(t)))
-    first = int(np.argmin(0.5 * np.diag(gram) - rhs[:n]))
+    rhs = np.ones(n + 1)
+    rhs[:n] = a.T @ t
+    scale = math.sqrt(diag.max())
+    tol = 1e-14 * scale * max(scale, math.sqrt(t @ t))
+    first = int(np.argmin(0.5 * diag - rhs[:n]))
     v = np.zeros(n)
     v[first] = 1.0
     support = [first]
@@ -491,7 +499,7 @@ def minimize(a: np.ndarray, t: np.ndarray, budget: int = 20000) -> SimplexFit:
         while solves < budget:
             solves += 1
             rows = support + [n]
-            z = np.linalg.lstsq(kkt[rows][:, rows], rhs[rows], rcond=None)[0][:-1]
+            z = np.linalg.lstsq(kkt[np.ix_(rows, rows)], rhs[rows], rcond=None)[0][:-1]
             if z.min() > 0:
                 v[support] = z
                 break
@@ -507,6 +515,21 @@ def minimize(a: np.ndarray, t: np.ndarray, budget: int = 20000) -> SimplexFit:
     return SimplexFit(v, solves)
 
 
+# u_a (x) u_b of each ``channels.one_sided_pauli_atoms()`` atom, in that order,
+# and the adjoints. Each row of these unitaries has one nonzero entry, +-1 or
+# +-i, so every entry of U rho U^dagger is one exact product and the stacked
+# conjugation equals each atom's ``apply`` bit for bit.
+_ROTATIONS = qmat.read_only(kernels.kron2(*np.array(qmat.ONE_SIDED_PAULIS).swapaxes(0, 1)))
+_ROTATIONS_DAG = qmat.read_only(qmat.dag(_ROTATIONS).copy())
+# rows 0, 5, 10 and 15 of the 16x16 identity are the flattened |i><i|
+_DIAGONAL_PROJECTORS = qmat.read_only(np.eye(16)[::5])
+
+
+def _rotated_columns(mat: np.ndarray) -> np.ndarray:
+    """The flattened images of a 4x4 matrix under the seven one-sided Pauli atoms, one per row."""
+    return (_ROTATIONS @ mat @ _ROTATIONS_DAG).reshape(-1, 16)
+
+
 def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     """Search for a protocol sending rho to rho2; returns (distance, protocol).
 
@@ -516,11 +539,14 @@ def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     itself free. Their output is linear in eleven weights on the simplex:
     one per rotation and one per diagonal entry of the prepared state. So
     the search is a convex least-squares problem over the simplex, solved
-    exactly by the active-set method of ``minimize``; ``budget`` caps its
-    iterations (support solves), of which these problems take few (at most
-    13 over 6,615 seeded ones, rank 1 to 4, Werner and Bell sources). Every
-    atom is LOCC, so a protocol found below the 1e-6 acceptance distance is
-    a constructive certificate. A miss returns the exact minimum output
+    exactly by the active-set method of ``minimize``; ``budget``, an integer
+    >= 1, caps its iterations (support solves), of which these problems take
+    few (at most 13 over 6,615 seeded ones, rank 1 to 4, Werner and Bell
+    sources). The seven rotated sources are one stacked conjugation
+    U rho U^dagger over the atoms' lifted unitaries, each entry one exact
+    product, so they equal each ``atom.apply`` bit for bit. Every atom is
+    LOCC, so a protocol found below the 1e-6 acceptance distance is a
+    constructive certificate. A miss returns the exact minimum output
     Frobenius distance over this family of protocols: no protocol of this
     form reaches the target, but another one may. ``seed`` is unused; its
     one caller outside the tests, the benchmark's ``OracleHunt.setup``,
@@ -528,19 +554,18 @@ def convert_search(rho, rho2, budget: int = 20000, seed: int = 42):
     """
     source = as_density(rho)
     target = as_density(rho2)
-    atoms = one_sided_pauli_atoms()
-    rotated = np.stack([atom.apply(source.matrix).ravel() for atom in atoms])
-    # rows 0, 5, 10 and 15 of the 16x16 identity are the flattened |i><i|
-    columns = np.concatenate([rotated, np.eye(16)[::5]])
+    columns = np.concatenate([_rotated_columns(source.matrix), _DIAGONAL_PROJECTORS])
     a = np.concatenate([columns.real, columns.imag], axis=1).T
     t = np.concatenate([target.matrix.real.ravel(), target.matrix.imag.ravel()])
     res = minimize(a, t, budget)
     v = np.clip(res.x, 0.0, None)
     v /= v.sum()
-    best_val = float(np.linalg.norm(a @ v - t))
+    r = a @ v - t
+    best_val = math.sqrt(r @ r)
     if best_val >= 1e-6:
         return best_val, None
     w_prep = float(v[7:].sum())
+    atoms = one_sided_pauli_atoms()
     branches = [(float(wi), atom) for wi, atom in zip(v[:7], atoms) if wi > 1e-9]
     if w_prep > 1e-9:
         prep = np.diag(v[7:] / w_prep).astype(complex)

@@ -241,10 +241,17 @@ def _gapped_rank(values) -> tuple:
 
 
 def _mat_of(rho) -> np.ndarray:
-    """The matrix of a state, or a raw (..., 4, 4) array as contiguous complex128."""
+    """The matrix of a state, or a raw (..., 4, 4) array as contiguous complex128.
+
+    A nesting that is not an array of numbers, such as a ragged one, raises
+    OutOfRangeError.
+    """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    mat = np.ascontiguousarray(rho, dtype=np.complex128)
+    try:
+        mat = np.ascontiguousarray(rho, dtype=np.complex128)
+    except ValueError as exc:
+        raise OutOfRangeError(f"expected an array of numbers: {exc}") from None
     if mat.shape[-2:] != (4, 4):
         raise OutOfRangeError(f"expected 4x4 matrices, got shape {mat.shape}")
     return mat

@@ -39,6 +39,7 @@ from entconv.states import (
     BELL_PROJECTORS,
     DensityMatrix,
     bell_weights_of,
+    classify_family,
     is_entangled,
     make_bell_diagonal,
     make_werner,
@@ -240,9 +241,16 @@ def test_atoms_a_caller_builds_keep_nothing(monkeypatch):
 def test_separable_channel_rejects_non_qubit_factors():
     with pytest.raises(OutOfRangeError):
         SeparableChannel([(np.eye(3), np.eye(3))])
-    # a ragged nesting has no shape to check, so numpy's coercion error stands
-    with pytest.raises(ValueError):
-        SeparableChannel([(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))])
+    # a ragged nesting has no shape; every reader of a raw matrix rejects it
+    ragged = [[1, 0], [0]]
+    for build in (
+        lambda: SeparableChannel([(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))]),
+        lambda: DensityMatrix(ragged),
+        lambda: classify_family(ragged),
+        lambda: LocalUnitary(ragged, np.eye(2)),
+    ):
+        with pytest.raises(OutOfRangeError, match="expected an array of numbers"):
+            build()
     with pytest.raises(OutOfRangeError):
         SeparableChannel([])
     # one pair without the pair axis

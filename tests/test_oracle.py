@@ -8,7 +8,12 @@ import numpy.testing as npt
 import pytest
 
 from entconv import kernels, oracle
-from entconv.channels import DiscardPrepare, LocalUnitary, SeparableChannel
+from entconv.channels import (
+    DiscardPrepare,
+    LocalUnitary,
+    SeparableChannel,
+    one_sided_pauli_atoms,
+)
 from entconv.convertibility import verify_protocol
 from entconv.errors import NotTracePreservingError, OutOfRangeError, SamplingExhaustedError
 from entconv.oracle import (
@@ -226,6 +231,8 @@ _COUNTS = {
     "n_kraus": (lambda n: random_separable_channel(0, n), "n_kraus must be an integer >= 1"),
     "audit_trials": (monotone_audit, "trials must be an integer >= 0"),
     "rank_trials": (falsify_rank_monotonicity, "trials must be an integer >= 0"),
+    "budget": (lambda n: convert_search(make_werner(0.9), make_werner(0.45), budget=n),
+               "budget must be an integer >= 1"),
 }
 
 
@@ -486,6 +493,57 @@ class TestConvertSearch:
         assert np.isfinite(distance)
         if protocol is not None:
             assert distance < 1e-6
+
+
+# the oracle-hunt benchmark's three search pairs, each reachable by the search
+_DEN = 40
+_X_ON_A = np.kron(_PAULIS[1], np.eye(2))
+_BELL = make_bell_diagonal(tuple(x / _DEN for x in (22, 10, 6, 2)))
+_BENCH_PAIRS = (
+    (make_werner(36 / _DEN), make_werner(18 / _DEN)),
+    (make_mems(tuple(x / _DEN for x in (24, 10, 6, 0))),
+     make_mems(tuple(x / _DEN for x in (16, 14, 6, 4)))),
+    (_BELL, DensityMatrix(_X_ON_A @ _BELL.matrix @ _X_ON_A)),
+)
+
+
+def _columns_match_atoms(sources) -> bool:
+    """Whether the search's stacked columns of every source equal each atom's own output."""
+    atoms = one_sided_pauli_atoms()
+    return all(
+        np.array_equal(column, atom.apply(rho.matrix).ravel())
+        for rho in sources
+        for column, atom in zip(oracle._rotated_columns(rho.matrix), atoms, strict=True)
+    )
+
+
+class TestRotatedColumns:
+    SOURCES = [random_density_matrix(seed, rank=rank)
+               for rank in range(1, 5) for seed in range(5)]
+    SOURCES += [make_werner(0.7), make_bell_diagonal((0.6, 0.2, 0.15, 0.05)),
+                make_mems((0.5, 0.25, 0.15, 0.1))]
+
+    def test_stack_is_each_atom_exactly(self):
+        assert _columns_match_atoms(self.SOURCES)
+        for u, atom in zip(oracle._ROTATIONS, one_sided_pauli_atoms(), strict=True):
+            assert np.array_equal(u, atom.channel().estack[0])
+        assert np.array_equal(oracle._ROTATIONS_DAG, oracle._ROTATIONS.conj().swapaxes(1, 2))
+
+    def test_swapped_slices_fail_the_comparison(self, monkeypatch):
+        # planted control: X on A and I on A, exchanged
+        order = [1, 0, 2, 3, 4, 5, 6]
+        monkeypatch.setattr(oracle, "_ROTATIONS", oracle._ROTATIONS[order])
+        monkeypatch.setattr(oracle, "_ROTATIONS_DAG", oracle._ROTATIONS_DAG[order])
+        assert not _columns_match_atoms(self.SOURCES)
+
+    def test_search_applies_no_atom(self, monkeypatch):
+        def refuse(atom, mat):
+            raise AssertionError("the search applied an atom one at a time")
+
+        monkeypatch.setattr(LocalUnitary, "apply", refuse)
+        for source, target in _BENCH_PAIRS:
+            distance, protocol = convert_search(source, target)
+            assert protocol is not None and distance < 1e-6
 
 
 def _simplex_problem(source: np.ndarray, target: np.ndarray) -> tuple:
