@@ -13,7 +13,12 @@ reproducible and trials can be sharded across workers without changing the
 outcome. A random channel reads its generator in three draws (its free
 factors, its scale, then all of its Haar factors in one Gaussian draw),
 whose numbers are exactly those of drawing each block in turn, so a trial's
-stream does not depend on how the channel is assembled.
+stream does not depend on how the channel is assembled. A Gaussian state
+factor is one draw, its real part's numbers before its imaginary part's. An
+audit trial draws its flat-Dirichlet rows (Bell weights, then the mixture)
+as standard exponentials over their sum, numpy's own ``dirichlet``
+algorithm for unit concentrations, so they are the numbers of numpy's
+Dirichlet draw and leave the generator in the same state.
 
 The falsifiers run their trials in blocks of at most ``_BLOCK``. A Python
 pass reads each trial's generator, and the linear algebra between draws
@@ -58,7 +63,7 @@ from .states import (
     _bell_matrix,
     _check_count,
     _gapped_rank,
-    _gaussian_factor,
+    _gaussian_factors,
     _normalized_gram,
     as_density,
     bell_weights_of,
@@ -266,7 +271,7 @@ def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:
         # not np.unique, whose first call imports numpy.ma
         for rank in sorted(set(ranks[waiting].tolist())):
             rows = ranks[waiting] == rank
-            g = np.stack([_gaussian_factor(rngs[t], rank) for t in waiting[rows]])
+            g = _gaussian_factors([rngs[t] for t in waiting[rows]], rank)
             candidates[rows] = _normalized_gram(g)
         accepted = -min_pt_eigenvalue(candidates) > _ENTANGLEMENT_MARGIN
         mats[waiting[accepted]] = candidates[accepted]
@@ -300,7 +305,9 @@ def falsify_rank_monotonicity(
     eigenvalues above 1e-6 than the input's rank. The expected outcome is an
     empty report. ``live["rank"]`` counts the trials whose output cleared the
     negativity margin, ``skipped["output_not_entangled"]`` the others.
+    ``seed`` must be an integer >= 0, else OutOfRangeError.
     """
+    _check_count(seed, "seed", 0, None)
     start = time.perf_counter()
     report = SearchReport(
         trials=trials, live=Counter(rank=0), skipped=Counter(output_not_entangled=0)
@@ -336,13 +343,24 @@ def falsify_rank_monotonicity(
     return report
 
 
-_FLAT4 = qmat.read_only(np.ones(4))
+def _flat_dirichlet(rng, k: int) -> np.ndarray:
+    """A flat Dirichlet row of length k: numpy's ``Generator.dirichlet`` of ones, bit for bit.
+
+    numpy draws a Dirichlet row with unit concentrations as k standard
+    exponentials (shape-1 gammas), each times 1.0 / their sum, the sum taken
+    left to right; this is that algorithm, reading the generator alike.
+    """
+    draws = rng.standard_exponential(k)
+    total = 0.0
+    for x in draws.tolist():
+        total += x
+    return draws * (1.0 / total)
 
 
-def _entangled_bell_weights(rng) -> np.ndarray:
-    """Sorted flat-Dirichlet Bell weights, drawn until the top one exceeds 1/2."""
+def _entangled_bell_weights(rng) -> list:
+    """Flat-Dirichlet Bell weights, descending, drawn until the top one exceeds 1/2."""
     for _ in range(500):
-        weights = np.sort(rng.dirichlet(_FLAT4))[::-1]
+        weights = sorted(_flat_dirichlet(rng, 4).tolist(), reverse=True)
         if weights[0] > 0.5 + 1e-6:
             return weights
     raise SamplingExhaustedError("no entangled Bell-diagonal sample found")
@@ -373,7 +391,16 @@ def monotone_audit(
     left the Bell-diagonal family (they test neither claim) and
     ``skipped["output_not_entangled"]`` Bell-diagonal outputs with top
     weight at most 1/2 (they test only concurrence).
+
+    A trial reads its generator in a fixed order: flat-Dirichlet Bell
+    weights until the top one exceeds 1/2, the flat-Dirichlet mixture over
+    the pool, then the rank-4 state's Gaussian factor in one draw. Each
+    flat-Dirichlet row is drawn as standard exponentials over their sum,
+    numpy's own algorithm for ``dirichlet`` with unit concentrations, so its
+    numbers are those of ``rng.dirichlet``. ``seed`` must be an integer
+    >= 0, else OutOfRangeError.
     """
+    _check_count(seed, "seed", 0, None)
     start = time.perf_counter()
     report = SearchReport(
         trials=trials,
@@ -381,18 +408,15 @@ def monotone_audit(
         skipped=Counter(left_bell_diagonal=0, output_not_entangled=0),
     )
     pool = bell_extremal_pool() if channel_pool is None else ChannelPool(channel_pool)
-    flat = np.ones(pool.size)
     for block in _blocks(trials):
+        rngs = [np.random.default_rng((seed, trial)) for trial in block]
         weights = np.empty((len(block), 4))
         mixture = np.empty((len(block), pool.size))
-        g = np.empty((len(block), 4, 4), dtype=np.complex128)
-        for i, trial in enumerate(block):
-            rng = np.random.default_rng((seed, trial))
+        for i, rng in enumerate(rngs):
             weights[i] = _entangled_bell_weights(rng)
-            mixture[i] = rng.dirichlet(flat)
-            g[i] = _gaussian_factor(rng, 4)
+            mixture[i] = _flat_dirichlet(rng, pool.size)
         rho = _bell_matrix(weights)
-        general = _normalized_gram(g)
+        general = _normalized_gram(_gaussian_factors(rngs, 4))
         outs = pool.apply_mixtures(mixture, np.stack([rho, general], axis=1))
         out_weights, residual = bell_weights_of(outs[:, 0])
         left = residual > 1e-9

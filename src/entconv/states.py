@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -310,9 +310,16 @@ def _check_count(n, what: str, low: int, high: Optional[int]) -> None:
         raise OutOfRangeError(f"{what} must be an integer {bound}, got {n!r}")
 
 
-def _gaussian_factor(rng, rank: int) -> np.ndarray:
-    """A complex Gaussian 4 x rank matrix, its real part drawn before its imaginary part."""
-    return rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+def _gaussian_factors(rngs: Sequence, rank: int) -> np.ndarray:
+    """A complex Gaussian 4 x rank matrix per generator, stacked.
+
+    Each generator is read in one draw, the real part's numbers before the
+    imaginary part's: the numbers of drawing the two parts in turn.
+    """
+    parts = np.empty((len(rngs), 2, 4, rank))
+    for t, rng in enumerate(rngs):
+        parts[t] = rng.normal(size=(2, 4, rank))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _normalized_gram(g: np.ndarray) -> np.ndarray:
@@ -324,7 +331,8 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
 def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
     """Random state G G^dagger / tr(G G^dagger), G complex Gaussian 4 x rank."""
     _check_count(rank, "rank", 1, 4)
-    return DensityMatrix(_normalized_gram(_gaussian_factor(np.random.default_rng(seed), rank)))
+    g = _gaussian_factors([np.random.default_rng(seed)], rank)[0]
+    return DensityMatrix(_normalized_gram(g))
 
 
 def _pt_spectrum(rho) -> np.ndarray:

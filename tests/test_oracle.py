@@ -233,16 +233,36 @@ _COUNTS = {
     "rank_trials": (falsify_rank_monotonicity, "trials must be an integer >= 0"),
     "budget": (lambda n: convert_search(make_werner(0.9), make_werner(0.45), budget=n),
                "budget must be an integer >= 1"),
+    "audit_seed": (lambda n: monotone_audit(1, seed=n), "seed must be an integer >= 0"),
+    "rank_seed": (lambda n: falsify_rank_monotonicity(1, seed=n), "seed must be an integer >= 0"),
 }
 
 
 @pytest.mark.parametrize("name", _COUNTS)
 def test_every_count_is_read_by_one_rule(name):
     read, rule = _COUNTS[name]
-    for bad in (True, 2.5, -1, "3"):
+    for bad in (True, 2.5, -1, "3", None):
         with pytest.raises(OutOfRangeError, match=re.escape(f"{rule}, got {bad!r}")):
             read(bad)
     read(np.int64(2))
+
+
+@pytest.mark.parametrize("falsify", [monotone_audit, falsify_rank_monotonicity])
+def test_a_falsifier_seed_may_be_any_large_integer(falsify):
+    report = falsify(3, seed=2**70)
+    assert report.trials == 3
+    assert falsify(3, seed=np.uint64(2**63)).live == falsify(3, seed=2**63).live
+
+
+@pytest.mark.parametrize("k", [4, 13])
+def test_flat_dirichlet_is_numpys_dirichlet(k):
+    # the audit's Bell weights (k = 4) and its mixture over the 13-channel
+    # catalog are numpy's Dirichlet rows; a numpy whose dirichlet changes
+    # its algorithm fails here, not in a silently moved live count
+    for seed in range(1000):
+        one, two = np.random.default_rng((seed, k)), np.random.default_rng((seed, k))
+        assert np.array_equal(oracle._flat_dirichlet(one, k), two.dirichlet(np.ones(k))), seed
+        assert one.random() == two.random(), seed
 
 
 class TestBlocks:

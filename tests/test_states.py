@@ -460,6 +460,23 @@ def test_random_density_matrix_rejects_a_non_integer_rank(rank):
         random_density_matrix(0, rank=rank)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_gaussian_factors_draw_the_two_call_numbers(rank):
+    # one normal(size=(2, 4, rank)) draw a generator gives the numbers of
+    # drawing the real and imaginary parts in turn, and the same next state
+    for seed in range(200):
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = states._gaussian_factors([one], rank)[0]
+        want = two.normal(size=(4, rank)) + 1j * two.normal(size=(4, rank))
+        assert np.array_equal(got, want), seed
+        assert one.random() == two.random(), seed
+    rngs = [np.random.default_rng((9, t)) for t in range(5)]
+    stacked = states._gaussian_factors(rngs, rank)
+    for t, g in enumerate(stacked):
+        rng = np.random.default_rng((9, t))
+        assert np.array_equal(g, rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank)))
+
+
 def test_random_density_matrix_accepts_a_numpy_integer_rank():
     for rank in (np.int64(2), np.int32(3), np.uint8(4)):
         want = random_density_matrix(5, rank=int(rank)).matrix

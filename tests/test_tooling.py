@@ -13,8 +13,8 @@ and an addition cannot leave a definition that nothing calls. The README's
 stale, the CI workflow's commands are checked against ROADMAP's, and every
 committed ``BENCH_*.json`` record must pair one parent run with one change
 run per seed. The package's source is also read as text, so that the
-one-matrix Frobenius norm, the count check, the Gaussian state draw and the
-raw matrix reader each stay written once.
+one-matrix Frobenius norm, the count check, the Gaussian state draw, the
+flat Dirichlet draw and the raw matrix reader each stay written once.
 """
 
 import ast
@@ -335,7 +335,10 @@ def test_each_numeric_rule_is_written_once():
     # the one-matrix Frobenius norm, the Gaussian state factor and the raw
     # coercion of a 4x4 matrix or stack each live in one module
     assert holders("math.sqrt(np.vdot(") == ["qmat.py"]
-    assert holders("normal(size=(4,") == ["states.py"]
+    assert holders("normal(size=(2, 4,") == ["states.py"]
+    # flat Dirichlet rows are drawn only as exponentials over their sum
+    assert holders(".dirichlet(") == []
+    assert holders("standard_exponential(") == ["oracle.py"]
     assert holders("ascontiguousarray(rho,") == ["states.py"]
     # the one count check, and no range or shape rejection outside OutOfRangeError
     assert sum(source.count("numbers.Integral") for source in sources.values()) == 1
