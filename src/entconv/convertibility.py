@@ -45,7 +45,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import qmat
+from . import kernels, qmat
 from .channels import (
     DiscardPrepare,
     Protocol,
@@ -110,11 +110,21 @@ def verify_protocol(protocol: Protocol, rho, rho2) -> float:
 
     Goes through the compiled Kraus form rather than the abstract branches,
     so it independently checks both the protocol and its lowering.
+
+    The channel's lifted Kraus stack is applied to the source's matrix and no
+    state is built for the output, since a state's checks would repeat checks
+    already made. ``compile_protocol`` has checked Kraus completeness to
+    1e-10, so the trace is kept; the Kraus form keeps the output Hermitian
+    and positive semidefinite up to rounding; and the residual against the
+    validated target, held to ``RESIDUAL_BOUND`` by the caller, is the check
+    that decides. The output's Hermitian part is read, as a state keeps it,
+    so the residual is the one a built output state gives, bit for bit.
     """
     source = as_density(rho)
     target = as_density(rho2)
     channel = compile_protocol(protocol)
-    return qmat.frobenius_norm(channel.apply(source).matrix - target.matrix)
+    image = qmat.hermitian_part(kernels.apply_kraus(channel.estack, source.matrix))
+    return qmat.frobenius_norm(image - target.matrix)
 
 
 # above the lowering's own 1e-9 reconstruction tolerance, far below any

@@ -304,13 +304,19 @@ def falsify_rank_monotonicity(
     a clean gap (each eigenvalue at most 1e-12 or above 1e-6) with fewer
     eigenvalues above 1e-6 than the input's rank. The expected outcome is an
     empty report. ``live["rank"]`` counts the trials whose output cleared the
-    negativity margin, ``skipped["output_not_entangled"]`` the others.
+    negativity margin and that draw more than one Kraus pair,
+    ``skipped["output_not_entangled"]`` the others of that kind. A trial
+    that draws one pair gets a local unitary from the default builder, which
+    keeps the spectrum, so it tests no claim and counts as
+    ``skipped["local_unitary"]``; it still runs and is still checked.
     ``seed`` must be an integer >= 0, else OutOfRangeError.
     """
     _check_count(seed, "seed", 0, None)
     start = time.perf_counter()
     report = SearchReport(
-        trials=trials, live=Counter(rank=0), skipped=Counter(output_not_entangled=0)
+        trials=trials,
+        live=Counter(rank=0),
+        skipped=Counter(local_unitary=0, output_not_entangled=0),
     )
     for block in _blocks(trials):
         rngs = [np.random.default_rng((seed, trial)) for trial in block]
@@ -319,9 +325,12 @@ def falsify_rank_monotonicity(
         n_kraus = [int(rng.integers(1, 6)) for rng in rngs]
         outs = kernels.apply_kraus(channel_factory(rngs, n_kraus), mats)
         neg = negativity(outs)
-        live = np.flatnonzero(neg > _NEGATIVITY_MARGIN)
-        report.live["rank"] += live.size
-        report.skipped["output_not_entangled"] += len(block) - live.size
+        entangled = neg > _NEGATIVITY_MARGIN
+        one_pair = np.array(n_kraus) == 1
+        report.live["rank"] += int((entangled & ~one_pair).sum())
+        report.skipped["local_unitary"] += int(one_pair.sum())
+        report.skipped["output_not_entangled"] += int((~entangled & ~one_pair).sum())
+        live = np.flatnonzero(entangled)
         if not live.size:
             continue
         spectra, _ = kernels.hermitian_eigh(outs[live])

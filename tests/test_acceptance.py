@@ -265,6 +265,7 @@ def test_c6_rank_falsifier_at_scale():
     _report(6, "rank monotonicity falsifier", ok,
             f"{report.trials} trials, {len(report.counterexamples)} counterexamples, "
             f"{report.live['rank']} live, "
+            f"{report.skipped['local_unitary']} skipped local unitary, "
             f"{report.skipped['output_not_entangled']} skipped not entangled, "
             f"{report.elapsed:.1f}s < 300s")
     assert ok

@@ -435,7 +435,8 @@ class TestSearchAndAudit:
         assert payload["monotones"]["live"]["concurrence"] == 40
         assert 0 <= payload["monotones"]["live"]["monotones"] <= 40
         rank, mono = payload["rank_monotonicity"], payload["monotones"]
-        assert rank["skipped"] == {"output_not_entangled": 40 - rank["live"]["rank"]}
+        assert set(rank["skipped"]) == {"local_unitary", "output_not_entangled"}
+        assert rank["live"]["rank"] + sum(rank["skipped"].values()) == 40
         assert set(mono["skipped"]) == {"left_bell_diagonal", "output_not_entangled"}
         assert mono["skipped"]["left_bell_diagonal"] == 0
         assert mono["live"]["monotones"] + mono["skipped"]["output_not_entangled"] == 40

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from entconv import channels, convertibility, kernels, qmat, states
+from entconv import channels, convertibility, kernels, oracle, qmat, states
 from entconv.convertibility import (
     RESIDUAL_BOUND,
     Convertible,
@@ -27,6 +27,7 @@ from entconv.errors import (
     InfeasibleError,
     NotEntangledError,
     NotProductDiagonalError,
+    NotTracePreservingError,
     ResidualError,
 )
 from entconv.states import (
@@ -775,11 +776,12 @@ def test_decide_lowers_without_per_term_eigensolves(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
+    # the residual is read from the Kraus image, with no output state built
     pairs = [
-        # the output state's eigensolve only
-        (make_werner(0.9), DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)), 1),
-        # keep-or-refill: the refill state, its partial transpose and the output state
-        (make_mems((0.5, 0.3, 0.15, 0.05)), make_mems((0.45, 0.3, 0.17, 0.08)), 3),
+        # no eigensolve at all
+        (make_werner(0.9), DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)), 0),
+        # keep-or-refill: the refill state and its partial transpose
+        (make_mems((0.5, 0.3, 0.15, 0.05)), make_mems((0.45, 0.3, 0.17, 0.08)), 2),
     ]
     for source, target, budget in pairs:
         decide(source, target)  # tests both states for separability, once
@@ -903,6 +905,103 @@ def test_verify_protocol_detects_wrong_weight():
         )
     )
     assert verify_protocol(wrong, make_werner(1.0), make_werner(0.5)) > 1e-3
+
+
+def _state_built_residual(protocol, source, target) -> float:
+    """The residual read from a validated output state: the reference the
+    Kraus-image reading of ``verify_protocol`` must equal bit for bit."""
+    output = channels.compile_protocol(protocol).apply(source)
+    return qmat.frobenius_norm(output.matrix - target.matrix)
+
+
+def _one_side_classical(rng) -> np.ndarray:
+    """sum_i p_i |u_i><u_i| (x) sigma_i, classical on a random side in a Haar basis."""
+    u = _haar_unitary(rng)
+    p = rng.dirichlet([1, 1])
+    order = 1 - 2 * int(rng.integers(2))
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        sigma = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        out += np.kron(*(p[i] * np.outer(u[:, i], u[:, i].conj()), sigma)[::order])
+    return out
+
+
+def _constructive_sweep(rng):
+    """(protocol, source, target) of every constructive verdict of seeded sweeps:
+    the C5 Werner grid, the mixture-form grid over 40, separable targets from
+    each family's sources, and the benchmark's three convert_search pairs."""
+    grid = np.linspace(0.0, 1.0, 21)
+    for w, w2 in itertools.product(grid.tolist(), repeat=2):
+        yield decide_werner(w, w2), make_werner(w), make_werner(w2)
+    weights = [
+        tuple(x / 40 for x in (a, b, c, 40 - a - b - c))
+        for a in range(11, 41)
+        for b in range(min(a, 40 - a) + 1)
+        for c in range(min(b, 40 - a - b) + 1)
+        if 40 - a - b - c <= c
+    ]
+    for i, j in rng.integers(len(weights), size=(400, 2)):
+        yield decide_mems(weights[i], weights[j]), make_mems(weights[i]), make_mems(weights[j])
+    for _ in range(40):
+        sources = (
+            make_werner(rng.uniform(0.4, 1.0)),
+            make_bell_diagonal(np.sort(rng.dirichlet(np.ones(4)))[::-1]),
+            make_mems(tuple(np.sort(rng.dirichlet(np.ones(4)))[::-1])),
+        )
+        targets = (np.diag(rng.dirichlet(np.ones(4))).astype(complex), _one_side_classical(rng))
+        for source, target in itertools.product(sources, targets):
+            yield decide(source, target), source, DensityMatrix(target)
+    x_on_a = np.kron(qmat.SIGMA_X, np.eye(2))
+    bell = make_bell_diagonal((22 / 40, 10 / 40, 6 / 40, 2 / 40))
+    searches = [
+        (make_werner(36 / 40), make_werner(18 / 40)),
+        (make_mems((24 / 40, 10 / 40, 6 / 40, 0.0)), make_mems((16 / 40, 14 / 40, 6 / 40, 4 / 40))),
+        (bell, DensityMatrix(x_on_a @ bell.matrix @ x_on_a)),
+    ]
+    for source, target in searches:
+        distance, protocol = oracle.convert_search(source, target)
+        assert protocol is not None
+        yield Convertible(protocol, "search", distance), source, target
+
+
+def test_verified_residual_is_the_state_built_residual_bit_for_bit():
+    counts = {}
+    for verdict, source, target in _constructive_sweep(np.random.default_rng(83)):
+        if not isinstance(verdict, Convertible) or verdict.protocol is None:
+            continue
+        reference = _state_built_residual(verdict.protocol, source, target)
+        assert verify_protocol(verdict.protocol, source, target) == reference
+        assert verdict.residual == reference
+        kind = verdict.certificate.split(" ")[0]
+        counts[kind] = counts.get(kind, 0) + 1
+    # the sweep is live: keep-or-refill, identity, prepare and search verdicts
+    assert counts["keep"] >= 300 and counts["target"] >= 250
+    assert counts["identical"] >= 1 and counts["search"] == 3
+
+
+def test_completeness_check_catches_a_lowering_that_misses_the_trace(monkeypatch):
+    # planted violation: each prepared factor 1e-6 too long, so the channel
+    # raises the trace by about 4e-6; no output state is built to see it,
+    # and the lowering's completeness check raises first
+    original = channels.DiscardPrepare._lower
+
+    def scaled(atom):
+        return channels.SeparableChannel(original(atom).kraus_pairs * (1 + 1e-6))
+
+    monkeypatch.setattr(channels.DiscardPrepare, "_lower", scaled)
+    with pytest.raises(NotTracePreservingError, match="Kraus completeness fails"):
+        decide(make_werner(0.9), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+
+
+def test_residual_check_catches_a_lowering_that_prepares_another_state(monkeypatch):
+    # planted violation: a complete channel that prepares the maximally
+    # mixed state, which is separable and valid, but not the target
+    mixed = channels.DiscardPrepare(DensityMatrix(np.eye(4, dtype=complex) / 4))
+    original = channels.DiscardPrepare._lower
+    monkeypatch.setattr(channels.DiscardPrepare, "_lower", lambda atom: original(mixed))
+    with pytest.raises(ResidualError, match="target is separable: discard the input"):
+        decide(make_werner(0.9), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
 
 
 def test_verdict_truthiness():

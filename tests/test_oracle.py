@@ -303,7 +303,8 @@ class TestBlocks:
     def test_live_and_skipped_counts_cover_every_trial(self, long_runs, name):
         report = long_runs[name]
         if name.startswith("rank"):
-            assert report.live["rank"] + report.skipped["output_not_entangled"] == report.trials
+            assert report.live["rank"] + sum(report.skipped.values()) == report.trials
+            assert set(report.skipped) == {"local_unitary", "output_not_entangled"}
             return
         left = report.skipped["left_bell_diagonal"]
         assert report.live["concurrence"] + left == report.trials
@@ -337,10 +338,12 @@ class TestRankFalsifier:
         assert report == SearchReport(trials=0, counterexamples=[], elapsed=report.elapsed)
 
     def test_live_count_pins_the_draw_stream(self):
-        # 219 of these trials reach the rank test; drawing more or fewer
-        # numbers per trial, or in another order, moves the count
+        # 34 of these trials reach the rank test and 185 more draw one Kraus
+        # pair; drawing more or fewer numbers per trial, or in another order,
+        # moves the counts
         report = falsify_rank_monotonicity(1000, seed=42)
-        assert report.live["rank"] == 219
+        assert report.live["rank"] == 34
+        assert report.skipped == {"local_unitary": 185, "output_not_entangled": 781}
         assert report.counterexamples == []
 
     def test_deterministic_findings(self):
@@ -352,6 +355,16 @@ class TestRankFalsifier:
         # unitaries never change the spectrum, so no rank drop exists to find
         report = falsify_rank_monotonicity(60, seed=1, channel_factory=_haar_unitaries)
         assert report.clean
+
+    def test_one_pair_trials_are_skipped_and_still_checked(self):
+        # the planted refill flags every trial, also those that draw one
+        # Kraus pair and so count as skipped, not live
+        report = falsify_rank_monotonicity(20, seed=2, channel_factory=_bell_refills)
+        assert report.skipped["local_unitary"] >= 3
+        assert report.live["rank"] + report.skipped["local_unitary"] == 20
+        assert [f["trial"] for f in report.counterexamples] == list(range(20))
+        one_pair = [f["trial"] for f in report.counterexamples if f["n_kraus"] == 1]
+        assert len(one_pair) == report.skipped["local_unitary"]
 
     def test_entangled_prepare_control_is_caught(self):
         # replacing the input with a Bell state drops rank while staying
