@@ -56,10 +56,10 @@ from .errors import (
 )
 from .states import (
     BELL_PROJECTORS,
-    SINGLET_PROJECTOR,
     DensityMatrix,
     _ZERO_EIGENVALUE,
     _one_mat_of,
+    _werner_weight,
     as_density,
     is_entangled,
 )
@@ -71,11 +71,8 @@ _EYE4 = qmat.read_only(np.eye(4))
 
 
 def _read_only_copy(m) -> np.ndarray:
-    """A read-only complex128 copy of ``m``; a ragged nesting raises OutOfRangeError."""
-    try:
-        return qmat.read_only(np.array(m, dtype=np.complex128))
-    except ValueError as exc:
-        raise OutOfRangeError(f"expected an array of numbers: {exc}") from None
+    """A read-only complex128 copy of ``m``, read by ``qmat.complex_array``."""
+    return qmat.read_only(qmat.complex_array(m).copy())
 
 
 def _as_qubit_mat(m, what: str) -> np.ndarray:
@@ -429,7 +426,7 @@ def product_diagonal_decomposition(mat) -> tuple:
         ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
     else:
         # capped at 1/3, so the weights sum to 1 just past it, still separable to 1e-10
-        w = min((4.0 * float(np.vdot(SINGLET_PROJECTOR, mat).real) - 1.0) / 3.0, 1.0 / 3.0)
+        w = min(_werner_weight(mat), 1.0 / 3.0)
         p = np.repeat([w / 2.0, (1.0 - 3.0 * w) / 4.0], [6, 4])
         (a, b), ab = _WERNER_KETS, _WERNER_PRODUCTS
     live = p > _ZERO_EIGENVALUE
@@ -480,7 +477,7 @@ class ChannelPool:
     __slots__ = ("size", "_transfer", "_grams")
 
     def __init__(self, estacks: Sequence[np.ndarray]):
-        estacks = [np.asarray(e) for e in estacks]
+        estacks = [qmat.complex_array(e) for e in estacks]
         shapes = [e.shape for e in estacks]
         if not shapes or any(len(s) != 3 or s[1:] != (4, 4) for s in shapes):
             raise OutOfRangeError(f"need one or more (n, 4, 4) Kraus stacks, got shapes {shapes}")

@@ -248,10 +248,17 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
     return SeparableChannel(_random_channel_factors([np.random.default_rng(seed)], [n_kraus])[0])
 
 
-def _blocks(trials: int):
-    """The trial indices in order, in ranges of at most _BLOCK; trials must be an integer >= 0."""
+def _blocks(seed: int, trials: int):
+    """Each block of trial indices, a range of at most _BLOCK, with its trials' generators.
+
+    Yields (block, rngs), rngs[i] being ``default_rng((seed, block[i]))``, the
+    one stream of each trial. ``seed`` and then ``trials`` must be integers
+    >= 0, else OutOfRangeError, raised when this is called, not when iterated.
+    """
+    _check_count(seed, "seed", 0, None)
     _check_count(trials, "trials", 0, None)
-    return (range(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK))
+    blocks = [range(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    return ((block, [np.random.default_rng((seed, trial)) for trial in block]) for block in blocks)
 
 
 def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:
@@ -303,30 +310,34 @@ def falsify_rank_monotonicity(
     counterexample must clear both margins: output negativity above 1e-6 and
     a clean gap (each eigenvalue at most 1e-12 or above 1e-6) with fewer
     eigenvalues above 1e-6 than the input's rank. The expected outcome is an
-    empty report. ``live["rank"]`` counts the trials whose output cleared the
-    negativity margin and that draw more than one Kraus pair,
-    ``skipped["output_not_entangled"]`` the others of that kind. A trial
-    that draws one pair gets a local unitary from the default builder, which
-    keeps the spectrum, so it tests no claim and counts as
-    ``skipped["local_unitary"]``; it still runs and is still checked.
-    ``seed`` must be an integer >= 0, else OutOfRangeError.
+    empty report. ``skipped["local_unitary"]`` counts the trials that draw
+    one pair and get a channel with one nonzero Kraus operator: from the
+    default builder a local unitary, which keeps the spectrum, so such a
+    trial tests no claim; it still runs and is still checked. Of the other
+    trials, ``live["rank"]`` counts those whose output cleared the
+    negativity margin and ``skipped["output_not_entangled"]`` the rest; a
+    one-pair draw given more operators is one of them. ``seed`` must be an
+    integer >= 0, else OutOfRangeError.
     """
-    _check_count(seed, "seed", 0, None)
+    blocks = _blocks(seed, trials)
     start = time.perf_counter()
     report = SearchReport(
         trials=trials,
         live=Counter(rank=0),
         skipped=Counter(local_unitary=0, output_not_entangled=0),
     )
-    for block in _blocks(trials):
-        rngs = [np.random.default_rng((seed, trial)) for trial in block]
+    for block, rngs in blocks:
         ranks = np.array([3 if trial % 2 else 4 for trial in block])
         mats = _random_entangled(rngs, ranks)
         n_kraus = [int(rng.integers(1, 6)) for rng in rngs]
-        outs = kernels.apply_kraus(channel_factory(rngs, n_kraus), mats)
+        stacks = channel_factory(rngs, n_kraus)
+        outs = kernels.apply_kraus(stacks, mats)
         neg = negativity(outs)
         entangled = neg > _NEGATIVITY_MARGIN
+        # a one-pair draw is skipped only if its channel has one nonzero operator
         one_pair = np.array(n_kraus) == 1
+        rows = np.flatnonzero(one_pair)
+        one_pair[rows] = ~stacks[rows, 1:].any(axis=(1, 2, 3))
         report.live["rank"] += int((entangled & ~one_pair).sum())
         report.skipped["local_unitary"] += int(one_pair.sum())
         report.skipped["output_not_entangled"] += int((~entangled & ~one_pair).sum())
@@ -409,7 +420,7 @@ def monotone_audit(
     numbers are those of ``rng.dirichlet``. ``seed`` must be an integer
     >= 0, else OutOfRangeError.
     """
-    _check_count(seed, "seed", 0, None)
+    blocks = _blocks(seed, trials)
     start = time.perf_counter()
     report = SearchReport(
         trials=trials,
@@ -417,8 +428,7 @@ def monotone_audit(
         skipped=Counter(left_bell_diagonal=0, output_not_entangled=0),
     )
     pool = bell_extremal_pool() if channel_pool is None else ChannelPool(channel_pool)
-    for block in _blocks(trials):
-        rngs = [np.random.default_rng((seed, trial)) for trial in block]
+    for block, rngs in blocks:
         weights = np.empty((len(block), 4))
         mixture = np.empty((len(block), pool.size))
         for i, rng in enumerate(rngs):

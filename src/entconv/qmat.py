@@ -2,7 +2,8 @@
 
 Matrices are plain numpy complex128 arrays: 2x2 for single-qubit operators,
 4x4 for two-qubit operators, indexed row-major so basis state |ab> sits at
-index 2a+b. ``hermitian_part`` is the package's one Hermiticity test, with
+index 2a+b. ``complex_array`` is the one reader of a caller's array, and
+``hermitian_part`` is the package's one Hermiticity test, with
 one bound (1e-9 in ``frobenius_norm``, the one Frobenius norm, a ``vdot`` for
 one matrix): ``DensityMatrix`` and ``hermitian_eig`` both go through it, and
 ``hermitian_eig`` then solves with :mod:`entconv.kernels`; every other array
@@ -58,6 +59,18 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
+def complex_array(m) -> np.ndarray:
+    """``m`` as a C-contiguous complex128 array, ``m`` itself when it already is one.
+
+    A nesting that is not an array of numbers, such as a ragged one, raises
+    OutOfRangeError; each caller then checks the shape it needs.
+    """
+    try:
+        return np.ascontiguousarray(m, dtype=np.complex128)
+    except ValueError as exc:
+        raise OutOfRangeError(f"expected an array of numbers: {exc}") from None
+
+
 def frobenius_norm(m):
     """Frobenius norm of a matrix, or an array of one norm per matrix of a stack.
 
@@ -100,7 +113,7 @@ def hermitian_eig(m) -> EigenDecomposition:
     ``hermitian_part`` checks (within 1e-9) and symmetrizes each matrix
     before solving, so drift below that bound cannot skew results.
     """
-    m = np.ascontiguousarray(m, dtype=np.complex128)
+    m = complex_array(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise OutOfRangeError(f"expected a square matrix, got shape {m.shape}")
     return EigenDecomposition(*kernels.hermitian_eigh(hermitian_part(m)))
@@ -108,7 +121,7 @@ def hermitian_eig(m) -> EigenDecomposition:
 
 def is_unitary(u) -> bool:
     """Whether ||u^dagger u - I||_F of a square matrix is within 1e-9."""
-    u = np.asarray(u, dtype=np.complex128)
+    u = complex_array(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise OutOfRangeError(f"expected a square matrix, got shape {u.shape}")
     return frobenius_norm(dag(u) @ u - np.eye(u.shape[0])) <= _UNITARY_BOUND

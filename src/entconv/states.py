@@ -248,10 +248,7 @@ def _mat_of(rho) -> np.ndarray:
     """
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    try:
-        mat = np.ascontiguousarray(rho, dtype=np.complex128)
-    except ValueError as exc:
-        raise OutOfRangeError(f"expected an array of numbers: {exc}") from None
+    mat = qmat.complex_array(rho)
     if mat.shape[-2:] != (4, 4):
         raise OutOfRangeError(f"expected 4x4 matrices, got shape {mat.shape}")
     return mat
@@ -268,6 +265,11 @@ def _one_mat_of(rho) -> np.ndarray:
 def as_density(rho) -> DensityMatrix:
     """The state itself, or a validated DensityMatrix built from a 4x4 array."""
     return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+
+
+def _werner_weight(mat: np.ndarray) -> float:
+    """The Werner weight w = (4F - 1) / 3 read from the singlet fraction F of a 4x4 matrix."""
+    return (4.0 * float(np.vdot(SINGLET_PROJECTOR, mat).real) - 1.0) / 3.0
 
 
 def _werner_matrix(w: float) -> np.ndarray:
@@ -448,7 +450,7 @@ def classify_family(rho) -> FamilyTag:
             abs(m03 - corner), abs(m30 - corner), abs(m12 - centre), abs(m21 - centre),
         ) <= _FAMILY_TOL
 
-    w = (4.0 * float(np.vdot(SINGLET_PROJECTOR, mat).real) - 1.0) / 3.0
+    w = _werner_weight(mat)
     if -_FAMILY_TOL <= w <= 1.0 + _FAMILY_TOL:
         w = min(1.0, max(0.0, w))
         q, h = (1.0 - w) / 4.0, w / 2.0

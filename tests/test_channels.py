@@ -248,6 +248,9 @@ def test_separable_channel_rejects_non_qubit_factors():
         lambda: DensityMatrix(ragged),
         lambda: classify_family(ragged),
         lambda: LocalUnitary(ragged, np.eye(2)),
+        lambda: qmat.hermitian_eig(ragged),
+        lambda: qmat.is_unitary(ragged),
+        lambda: ChannelPool([ragged]),
     ):
         with pytest.raises(OutOfRangeError, match="expected an array of numbers"):
             build()

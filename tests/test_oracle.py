@@ -192,6 +192,11 @@ def _bell_refills(rngs, n_kraus):
     return np.broadcast_to(_refill(_PHI_PLUS), (len(rngs), 4, 4, 4))
 
 
+def _phi_plus_projectors(rngs, n_kraus):
+    """One operator a trial, |phi+><phi+|: entangled, rank one and not trace preserving."""
+    return np.broadcast_to(np.outer(_PHI_PLUS, _PHI_PLUS.conj()), (len(rngs), 1, 4, 4))
+
+
 H = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
 
 # every falsifier configuration: the default channels and each planted control
@@ -357,9 +362,15 @@ class TestRankFalsifier:
         assert report.clean
 
     def test_one_pair_trials_are_skipped_and_still_checked(self):
-        # the planted refill flags every trial, also those that draw one
+        # the |phi+> refill has four operators a trial, so its one-pair draws
+        # are no local unitaries and count live
+        refill = falsify_rank_monotonicity(20, seed=2, channel_factory=_bell_refills)
+        assert refill.skipped["local_unitary"] == 0
+        assert refill.live["rank"] == 20
+        assert any(f["n_kraus"] == 1 for f in refill.counterexamples)
+        # a one-operator builder flags every trial, also those that draw one
         # Kraus pair and so count as skipped, not live
-        report = falsify_rank_monotonicity(20, seed=2, channel_factory=_bell_refills)
+        report = falsify_rank_monotonicity(20, seed=2, channel_factory=_phi_plus_projectors)
         assert report.skipped["local_unitary"] >= 3
         assert report.live["rank"] + report.skipped["local_unitary"] == 20
         assert [f["trial"] for f in report.counterexamples] == list(range(20))

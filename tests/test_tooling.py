@@ -332,14 +332,19 @@ def test_each_numeric_rule_is_written_once():
     def holders(text):
         return sorted(name for name, source in sources.items() if text in source)
 
-    # the one-matrix Frobenius norm, the Gaussian state factor and the raw
-    # coercion of a 4x4 matrix or stack each live in one module
+    # the one-matrix Frobenius norm, the Gaussian state factor and the one
+    # reader of a caller's array each live in one module
     assert holders("math.sqrt(np.vdot(") == ["qmat.py"]
     assert holders("normal(size=(2, 4,") == ["states.py"]
     # flat Dirichlet rows are drawn only as exponentials over their sum
     assert holders(".dirichlet(") == []
     assert holders("standard_exponential(") == ["oracle.py"]
-    assert holders("ascontiguousarray(rho,") == ["states.py"]
+    assert holders("expected an array of numbers") == ["qmat.py"]
+    # each trial's generator and the Werner weight are written once
+    for text, home in (("default_rng((seed, trial))", "oracle.py"),
+                       ("vdot(SINGLET_PROJECTOR", "states.py")):
+        assert holders(text) == [home]
+        assert sources[home].count(text) == 1
     # the one count check, and no range or shape rejection outside OutOfRangeError
     assert sum(source.count("numbers.Integral") for source in sources.values()) == 1
     check_count = next(
