@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -100,18 +99,17 @@ class _Lowering:
         return self._lower()
 
 
-@dataclass(frozen=True, eq=False)
-class LocalUnitary(_Lowering):
+class LocalUnitary(_Lowering, qmat.Frozen):
     """Product unitary u_a (x) u_b applied to both sides at once."""
 
-    u_a: np.ndarray
-    u_b: np.ndarray
+    _fields = ("u_a", "u_b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u_a", _as_qubit_mat(self.u_a, "u_a"))
-        object.__setattr__(self, "u_b", _as_qubit_mat(self.u_b, "u_b"))
-        for name, u in (("u_a", self.u_a), ("u_b", self.u_b)):
-            if not qmat.is_unitary(u):
+    def __init__(self, u_a: np.ndarray, u_b: np.ndarray):
+        fields = self.__dict__
+        fields["u_a"] = _as_qubit_mat(u_a, "u_a")
+        fields["u_b"] = _as_qubit_mat(u_b, "u_b")
+        for name in self._fields:
+            if not qmat.is_unitary(fields[name]):
                 raise NotUnitaryError(f"{name} is not unitary within 1e-9")
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
@@ -123,15 +121,14 @@ class LocalUnitary(_Lowering):
         return SeparableChannel([(self.u_a, self.u_b)])
 
 
-@dataclass(frozen=True, eq=False)
-class DiscardPrepare(_Lowering):
+class DiscardPrepare(_Lowering, qmat.Frozen):
     """Discard the input and prepare a fixed separable state."""
 
-    target: DensityMatrix
+    _fields = ("target",)
 
-    def __post_init__(self):
-        target = as_density(self.target)
-        object.__setattr__(self, "target", target)
+    def __init__(self, target: DensityMatrix):
+        target = as_density(target)
+        self.__dict__["target"] = target
         if is_entangled(target):
             raise NotSeparableError(
                 "prepared state fails the partial-transpose separability test"
@@ -197,19 +194,18 @@ def _checked_weights(weights, what: str) -> list:
     return weights
 
 
-@dataclass(frozen=True, eq=False)
-class Protocol:
+class Protocol(qmat.Frozen):
     """Convex mixture of protocol atoms: branches of (weight, atom)."""
 
-    branches: tuple
+    _fields = ("branches",)
 
-    def __post_init__(self):
-        branches = tuple((float(w), atom) for w, atom in self.branches)
+    def __init__(self, branches: tuple):
+        branches = tuple((float(w), atom) for w, atom in branches)
         _checked_weights([w for w, _ in branches], "branch")
         for _, atom in branches:
             if not isinstance(atom, (LocalUnitary, DiscardPrepare)):
                 raise TypeError(f"unsupported protocol atom {type(atom).__name__}")
-        object.__setattr__(self, "branches", branches)
+        self.__dict__["branches"] = branches
 
     def apply(self, rho) -> DensityMatrix:
         mat = _one_mat_of(rho)
@@ -220,20 +216,21 @@ class Protocol:
         return DensityMatrix(out)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilisticBranch:
+class ProbabilisticBranch(qmat.Frozen):
     """A protocol branch that only succeeds with some probability."""
 
-    weight: float
-    success_prob: float
-    atom: LocalUnitary | DiscardPrepare
+    _fields = ("weight", "success_prob", "atom")
 
-    def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0 + 1e-12:
-            raise BadWeightsError(f"branch weight must lie in [0, 1], got {self.weight!r}")
-        if not 0.0 <= self.success_prob <= 1.0 + 1e-12:
+    def __init__(self, weight: float, success_prob: float, atom: LocalUnitary | DiscardPrepare):
+        fields = self.__dict__
+        fields["weight"] = weight
+        fields["success_prob"] = success_prob
+        fields["atom"] = atom
+        if not 0.0 <= weight <= 1.0 + 1e-12:
+            raise BadWeightsError(f"branch weight must lie in [0, 1], got {weight!r}")
+        if not 0.0 <= success_prob <= 1.0 + 1e-12:
             raise BadWeightsError(
-                f"success probability must lie in [0, 1], got {self.success_prob!r}"
+                f"success probability must lie in [0, 1], got {success_prob!r}"
             )
 
 

@@ -40,7 +40,6 @@ keeping the source lands 8.7e-12 from the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -75,28 +74,37 @@ from .states import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Convertible:
-    protocol: Optional[Protocol]
-    certificate: str
-    residual: Optional[float] = None
+class Convertible(qmat.Frozen):
+    _fields = ("protocol", "certificate", "residual")
+
+    def __init__(self, protocol: Optional[Protocol], certificate: str,
+                 residual: Optional[float] = None):
+        fields = self.__dict__
+        fields["protocol"] = protocol
+        fields["certificate"] = certificate
+        fields["residual"] = residual
 
     def __bool__(self):
         return True
 
 
-@dataclass(frozen=True)
-class Forbidden:
-    reason: str
-    detail: str
+class Forbidden(qmat.ByValue, qmat.Frozen):
+    _fields = ("reason", "detail")
+
+    def __init__(self, reason: str, detail: str):
+        fields = self.__dict__
+        fields["reason"] = reason
+        fields["detail"] = detail
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
-class Inconclusive:
-    detail: str
+class Inconclusive(qmat.ByValue, qmat.Frozen):
+    _fields = ("detail",)
+
+    def __init__(self, detail: str):
+        self.__dict__["detail"] = detail
 
     def __bool__(self):
         return False

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -76,8 +75,7 @@ _ENTANGLED_TRIES = 200
 _NEGATIVITY_MARGIN = 1e-6
 
 
-@dataclass
-class SearchReport:
+class SearchReport(qmat.ByValue, qmat.Record):
     """Outcome of a randomized hunt: sample count, findings, wall time.
 
     ``live`` maps each claim the hunt checks to the number of trials that
@@ -88,11 +86,22 @@ class SearchReport:
     skip it equals ``trials``.
     """
 
-    trials: int
-    counterexamples: list = field(default_factory=list)
-    elapsed: float = 0.0
-    live: Counter = field(default_factory=Counter)
-    skipped: Counter = field(default_factory=Counter)
+    _fields = ("trials", "counterexamples", "elapsed", "live", "skipped")
+    __hash__ = None
+
+    def __init__(
+        self,
+        trials: int,
+        counterexamples: Optional[list] = None,
+        elapsed: float = 0.0,
+        live: Optional[Counter] = None,
+        skipped: Optional[Counter] = None,
+    ):
+        self.trials = trials
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.elapsed = elapsed
+        self.live = Counter() if live is None else live
+        self.skipped = Counter() if skipped is None else skipped
 
     @property
     def clean(self) -> bool:
@@ -311,13 +320,14 @@ def falsify_rank_monotonicity(
     a clean gap (each eigenvalue at most 1e-12 or above 1e-6) with fewer
     eigenvalues above 1e-6 than the input's rank. The expected outcome is an
     empty report. ``skipped["local_unitary"]`` counts the trials that draw
-    one pair and get a channel with one nonzero Kraus operator: from the
-    default builder a local unitary, which keeps the spectrum, so such a
-    trial tests no claim; it still runs and is still checked. Of the other
-    trials, ``live["rank"]`` counts those whose output cleared the
-    negativity margin and ``skipped["output_not_entangled"]`` the rest; a
-    one-pair draw given more operators is one of them. ``seed`` must be an
-    integer >= 0, else OutOfRangeError.
+    one pair and get a channel with one nonzero Kraus operator that is
+    unitary within 1e-9 (``qmat.is_unitary``): from the default builder a
+    local unitary. A unitary keeps the spectrum, so such a trial tests no
+    claim; it still runs and is still checked. Of the other trials,
+    ``live["rank"]`` counts those whose output cleared the negativity
+    margin and ``skipped["output_not_entangled"]`` the rest; a one-pair
+    draw given more operators, or one operator that is not unitary, is one
+    of them. ``seed`` must be an integer >= 0, else OutOfRangeError.
     """
     blocks = _blocks(seed, trials)
     start = time.perf_counter()
@@ -334,10 +344,10 @@ def falsify_rank_monotonicity(
         outs = kernels.apply_kraus(stacks, mats)
         neg = negativity(outs)
         entangled = neg > _NEGATIVITY_MARGIN
-        # a one-pair draw is skipped only if its channel has one nonzero operator
+        # a one-pair draw is skipped only if its channel is one unitary operator
         one_pair = np.array(n_kraus) == 1
         rows = np.flatnonzero(one_pair)
-        one_pair[rows] = ~stacks[rows, 1:].any(axis=(1, 2, 3))
+        one_pair[rows] = ~stacks[rows, 1:].any(axis=(1, 2, 3)) & qmat.is_unitary(stacks[rows, 0])
         report.live["rank"] += int((entangled & ~one_pair).sum())
         report.skipped["local_unitary"] += int(one_pair.sum())
         report.skipped["output_not_entangled"] += int((~entangled & ~one_pair).sum())

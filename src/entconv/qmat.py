@@ -9,6 +9,10 @@ one matrix): ``DensityMatrix`` and ``hermitian_eig`` both go through it, and
 ``hermitian_eig`` then solves with :mod:`entconv.kernels`; every other array
 routine is called from ``kernels`` directly. ``is_unitary`` has one bound
 too, 1e-9 on ||u^dagger u - I||_F.
+
+``Record``, ``Frozen`` and ``ByValue`` are the bases of the package's value
+classes: the verdicts, the protocol atoms, the family parameters and the
+falsifier reports.
 """
 
 from __future__ import annotations
@@ -20,6 +24,53 @@ import numpy as np
 
 from . import kernels
 from .errors import NotHermitianError, OutOfRangeError
+
+
+class Record:
+    """A class with named fields, ``_fields``, that its own ``__init__`` sets.
+
+    Its repr names each field, ``Name(field=value, ...)``. Instances compare
+    by identity unless the class also derives from ``ByValue``.
+    """
+
+    _fields = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A record that refuses, with AttributeError, to assign or delete an attribute.
+
+    ``__init__`` writes its fields into ``self.__dict__``; the instance keeps
+    that ``__dict__``, so ``copy``, ``pickle`` and ``functools.cached_property``
+    work on it as on any object.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ByValue:
+    """Equality of two instances of one class by their field values, and a hash of them.
+
+    A mutable record sets ``__hash__ = None``, so it is unhashable.
+    """
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -80,7 +131,7 @@ def frobenius_norm(m):
     m = np.asarray(m)
     if m.ndim <= 2:
         return math.sqrt(np.vdot(m, m).real)
-    rows = m.reshape(m.shape[:-2] + (1, -1))
+    rows = m.reshape(m.shape[:-2] + (1, m.shape[-2] * m.shape[-1]))
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
 
@@ -119,9 +170,12 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(*kernels.hermitian_eigh(hermitian_part(m)))
 
 
-def is_unitary(u) -> bool:
-    """Whether ||u^dagger u - I||_F of a square matrix is within 1e-9."""
+def is_unitary(u):
+    """Whether ||u^dagger u - I||_F of a square matrix is within 1e-9.
+
+    A stack of square matrices gives a boolean array, one entry per matrix.
+    """
     u = complex_array(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise OutOfRangeError(f"expected a square matrix, got shape {u.shape}")
-    return frobenius_norm(dag(u) @ u - np.eye(u.shape[0])) <= _UNITARY_BOUND
+    return frobenius_norm(dag(u) @ u - np.eye(u.shape[-1])) <= _UNITARY_BOUND

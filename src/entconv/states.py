@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -64,16 +63,16 @@ _LIVE_EIGENVALUE = 1e-6
 _FAMILY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class WernerParam:
+class WernerParam(qmat.ByValue, qmat.Frozen):
     """Mixing weight of the singlet against the maximally mixed state."""
 
-    w: float
+    _fields = ("w",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
-        if not (0.0 <= self.w <= 1.0):
-            raise OutOfRangeError(f"werner weight must lie in [0, 1], got {self.w!r}")
+    def __init__(self, w: float):
+        w = float(w)
+        if not (0.0 <= w <= 1.0):
+            raise OutOfRangeError(f"werner weight must lie in [0, 1], got {w!r}")
+        self.__dict__["w"] = w
 
     def mixture_weights(self) -> tuple:
         """Singlet-first weights (1+3w)/4, (1-w)/4, (1-w)/4, (1-w)/4.
@@ -115,32 +114,37 @@ def _check_weight_vector(weights, what: str) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class BellWeights:
+class BellWeights(qmat.ByValue, qmat.Frozen):
     """Non-ascending mixture weights over the four Bell projectors."""
 
-    weights: tuple
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _check_weight_vector(self.weights, "lambda"))
+    def __init__(self, weights: tuple):
+        self.__dict__["weights"] = _check_weight_vector(weights, "lambda")
 
 
-@dataclass(frozen=True)
-class MemsWeights:
+class MemsWeights(qmat.ByValue, qmat.Frozen):
     """Non-ascending decomposition weights of the maximally-entangled-mixture form."""
 
-    weights: tuple
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _check_weight_vector(self.weights, "lambda"))
+    def __init__(self, weights: tuple):
+        self.__dict__["weights"] = _check_weight_vector(weights, "lambda")
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(qmat.ByValue, qmat.Frozen):
     """Classification result: family kind plus its fitted parameters."""
 
-    kind: str  # "werner" | "bell_diagonal" | "mems" | "general"
-    params: Union[WernerParam, BellWeights, MemsWeights, None] = None
+    _fields = ("kind", "params")
+
+    def __init__(
+        self,
+        kind: str,  # "werner" | "bell_diagonal" | "mems" | "general"
+        params: Union[WernerParam, BellWeights, MemsWeights, None] = None,
+    ):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["params"] = params
 
     def bell_weights(self) -> Optional[BellWeights]:
         """Bell-diagonal weights of a Werner or Bell-diagonal state, else None."""

@@ -624,6 +624,8 @@ after_import = scipy_modules()
 code = entconv.cli.main(["check", sys.argv[1], sys.argv[2]])
 after_check = scipy_modules()
 check_oracle = "entconv.oracle" in sys.modules
+# importing numpy.random is a large share of an audit call's start-up
+check_random = "numpy.random" in sys.modules
 audit_code = entconv.cli.main(["audit", "--trials", "4"])
 after_audit = scipy_modules()
 # np.unique imports numpy.ma on first use, a cost the audit does not need
@@ -642,7 +644,8 @@ def counting(*args, **kwargs):
 entconv.oracle.minimize = counting
 search_code = entconv.cli.main(["search", sys.argv[1], sys.argv[2]])
 print(json.dumps({"import": after_import, "check": after_check, "code": code,
-                  "check_oracle": check_oracle, "audit_oracle": audit_oracle,
+                  "check_oracle": check_oracle, "check_random": check_random,
+                  "audit_oracle": audit_oracle,
                   "audit_code": audit_code, "audit_ma": audit_ma, "audit": after_audit,
                   "search_code": search_code, "solves": solves,
                   "search": scipy_modules()}))
@@ -676,8 +679,10 @@ def test_the_package_never_imports_scipy(tmp_path, load_package_names):
     assert probe["import"] == []
     assert probe["code"] == EX_OK
     assert probe["check"] == []
-    # check needs no falsifier, so the oracle module is not even compiled
+    # check needs no falsifier, so the oracle module is not even compiled,
+    # and draws no random numbers, so numpy.random is not imported
     assert not probe["check_oracle"]
+    assert not probe["check_random"]
     assert probe["audit_code"] == EX_OK
     assert probe["audit_oracle"]
     assert not probe["audit_ma"]

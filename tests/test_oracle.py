@@ -208,6 +208,9 @@ RUNS = {
     "rank_entangled_prepare": lambda n: falsify_rank_monotonicity(
         n, seed=13, channel_factory=_bell_refills
     ),
+    "rank_one_projector": lambda n: falsify_rank_monotonicity(
+        n, seed=17, channel_factory=_phi_plus_projectors
+    ),
     "audit": lambda n: monotone_audit(n, seed=14),
     "audit_hadamard": lambda n: monotone_audit(
         n, seed=15, channel_pool=[LocalUnitary(H, np.eye(2, dtype=complex)).channel().estack]
@@ -303,6 +306,10 @@ class TestBlocks:
         flagged = {f["trial"] for f in long_runs["audit_singlet_refill"].counterexamples}
         assert flagged == set(range(self.TRIALS))
         assert long_runs["rank_global_unitary"].clean
+        # one operator that is no unitary: every trial is tested, none skipped
+        projector = long_runs["rank_one_projector"]
+        assert {f["trial"] for f in projector.counterexamples} == set(range(self.TRIALS))
+        assert projector.live["rank"] == self.TRIALS
 
     @pytest.mark.parametrize("name", RUNS)
     def test_live_and_skipped_counts_cover_every_trial(self, long_runs, name):
@@ -368,14 +375,28 @@ class TestRankFalsifier:
         assert refill.skipped["local_unitary"] == 0
         assert refill.live["rank"] == 20
         assert any(f["n_kraus"] == 1 for f in refill.counterexamples)
-        # a one-operator builder flags every trial, also those that draw one
-        # Kraus pair and so count as skipped, not live
+        # one global unitary a trial: exactly the trials that draw one Kraus
+        # pair get one unitary operator, which keeps the spectrum, and are
+        # skipped; the others still run and count
+        drawn = []
+
+        def recorded(rngs, n_kraus):
+            drawn.extend(n_kraus)
+            return _haar_unitaries(rngs, n_kraus)
+
+        report = falsify_rank_monotonicity(20, seed=2, channel_factory=recorded)
+        assert report.skipped["local_unitary"] == drawn.count(1) >= 3
+        assert sum(report.live.values()) + sum(report.skipped.values()) == 20
+        assert report.clean
+
+    def test_one_projector_control_counts_as_tested(self):
+        # |phi+><phi+| is one operator but not unitary, so a trial that draws
+        # one Kraus pair and gets it is tested like any other, and flagged
         report = falsify_rank_monotonicity(20, seed=2, channel_factory=_phi_plus_projectors)
-        assert report.skipped["local_unitary"] >= 3
-        assert report.live["rank"] + report.skipped["local_unitary"] == 20
+        assert report.skipped["local_unitary"] == 0
+        assert report.live["rank"] == 20
         assert [f["trial"] for f in report.counterexamples] == list(range(20))
-        one_pair = [f["trial"] for f in report.counterexamples if f["n_kraus"] == 1]
-        assert len(one_pair) == report.skipped["local_unitary"]
+        assert any(f["n_kraus"] == 1 for f in report.counterexamples)
 
     def test_entangled_prepare_control_is_caught(self):
         # replacing the input with a Bell state drops rank while staying

@@ -306,6 +306,15 @@ def test_is_unitary():
         qmat.is_unitary(np.zeros((2, 3)))
 
 
+def test_is_unitary_reads_a_stack_matrix_by_matrix():
+    # the rank falsifier's test of its one-operator channels, one bool a matrix
+    stack = np.stack([np.eye(4), kernels.kron2(qmat.SIGMA_X, qmat.SIGMA_Y), np.diag([1, 1, 1, 0])])
+    assert qmat.is_unitary(stack).tolist() == [True, True, False]
+    assert qmat.is_unitary(np.zeros((0, 4, 4))).shape == (0,)
+    with pytest.raises(OutOfRangeError, match=re.escape("square matrix, got shape (3,)")):
+        qmat.is_unitary(np.zeros(3))
+
+
 def test_as_cmat_rejects_wrong_shape():
     # the package's one raw coercion of a 4x4 matrix or stack
     for bad in (np.eye(3), np.zeros((2, 4, 3)), np.zeros(4)):

@@ -125,6 +125,20 @@ def test_no_module_imports_a_name_it_never_uses():
         assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def test_no_module_imports_dataclasses():
+    # the dataclass decorator builds its class at import, a cost each CLI
+    # call pays; the value classes derive from qmat.Record instead
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+        assert "dataclasses" not in imported, path.name
+
+
 def _lazy_exports(tree) -> list:
     """The names the package's ``__getattr__`` resolves from ``oracle`` on first use."""
     for node in tree.body:
