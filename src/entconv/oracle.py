@@ -10,10 +10,14 @@ reproduce it.
 Determinism contract: every trial derives its own generator from
 (seed, trial index) and reads it in a fixed order, so reports are
 reproducible and trials can be sharded across workers without changing the
-outcome. A random channel reads its generator in three draws (its free
-factors, its scale, then all of its Haar factors in one Gaussian draw),
-whose numbers are exactly those of drawing each block in turn, so a trial's
-stream does not depend on how the channel is assembled. A Gaussian state
+outcome. That generator equals ``np.random.default_rng((seed, trial))``: a
+block of trials computes numpy's ``SeedSequence`` hash for all its trials at
+once and seeds each trial's PCG64 with its words, so a trial generator's
+``seed_seq`` is not a ``SeedSequence`` and has no ``spawn()``. A random
+channel reads its generator in three draws (its free factors, its scale,
+then all of its Haar factors in one Gaussian draw), whose numbers are
+exactly those of drawing each block in turn, so a trial's stream does not
+depend on how the channel is assembled. A Gaussian state
 factor is one draw, its real part's numbers before its imaginary part's. An
 audit trial draws its flat-Dirichlet rows (Bell weights, then the mixture)
 as standard exponentials over their sum, numpy's own ``dirichlet``
@@ -43,6 +47,8 @@ from collections import Counter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels, qmat
 from .channels import (
@@ -63,6 +69,7 @@ from .states import (
     _check_count,
     _gapped_rank,
     _gaussian_factors,
+    _generator,
     _normalized_gram,
     as_density,
     bell_weights_of,
@@ -252,22 +259,135 @@ def random_separable_channel(seed, n_kraus: int = 3) -> SeparableChannel:
 
     This is the one-generator case of the falsifier's block builder, whose
     one row has no padding; it reads the generator as that builder does.
+    ``seed`` is None, a numpy generator or seed sequence, or an integer
+    >= 0, else OutOfRangeError.
     """
     _check_count(n_kraus, "n_kraus", 1, None)
-    return SeparableChannel(_random_channel_factors([np.random.default_rng(seed)], [n_kraus])[0])
+    return SeparableChannel(_random_channel_factors([_generator(seed)], [n_kraus])[0])
+
+
+def _uint32(value) -> np.ndarray:
+    return qmat.read_only(np.array(value, dtype=np.uint32))
+
+
+# the constants of numpy's SeedSequence hash, as np.uint32 so that array
+# arithmetic wraps mod 2**32 under numpy 1.x and 2.x casting alike; 0-d
+# arrays, which numpy reads faster than scalars
+_INIT_A, _MULT_A = _uint32(0x43B0D7E5), _uint32(0x931E8875)
+_INIT_B, _MULT_B = _uint32(0x8B51F9DD), _uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = _uint32(0xCA01F9DD), _uint32(0x4973F715)
+_XSHIFT = _uint32(16)
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+# the pool words each pool word is mixed into: all but itself
+_OTHERS = tuple(qmat.read_only(np.array([dst for dst in range(_POOL) if dst != src]))
+                for src in range(_POOL))
+
+
+def _hash_constants(init: np.ndarray, mult: np.ndarray, calls: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i in 0..calls, as a (calls + 1, 1) column.
+
+    A hash call xors its value with entry i and multiplies it by entry i + 1.
+    """
+    seq = np.full((calls + 1, 1), mult, dtype=np.uint32)
+    seq[0] = init
+    return np.multiply.accumulate(seq, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of each value, with its running constants given."""
+    values = (values ^ xor) * mult
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of each pair."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+# generate_state's running constants, for the eight uint32 words of PCG64's seed
+_STATE_CONSTANTS = qmat.read_only(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+
+
+def _uint32_words(n: int) -> list:
+    """numpy's entropy words of an integer >= 0: little-endian uint32, and [0] for 0."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+class _TrialSeed(ISeedSequence):
+    """A trial generator's seed sequence: the four uint64 words PCG64 asks for.
+
+    It answers only that request. Unlike a ``SeedSequence`` it cannot
+    ``spawn()``.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise NotImplementedError("a trial seed holds only PCG64's four uint64 words")
+        return self.words
+
+
+def _trial_generators(seed: int, block: range) -> list:
+    """``default_rng((seed, trial))`` for each trial of a block, bit for bit.
+
+    numpy seeds that generator with ``SeedSequence((seed, trial))``: a hash
+    of the entropy words (the seed's, then the trial's) into a pool of four
+    uint32 words, then PCG64's four uint64 words drawn from the pool. This
+    runs that hash for all trials at once in uint32 array arithmetic and
+    hands each trial's words to PCG64. ``seed`` is an integer >= 0 of any
+    size; a block must not cross a multiple of 2**32, so that its trials
+    differ only in their lowest word.
+    """
+    seed_words = _uint32_words(int(seed))
+    # one column per trial: the seed's words, the trial's low word, then the
+    # block's upper words, zero padded to the pool size
+    entropy = seed_words + _uint32_words(block.start)
+    words = np.zeros((max(len(entropy), _POOL), len(block)), dtype=np.uint32)
+    words[:len(entropy)] = np.array(entropy, dtype=np.uint32)[:, None]
+    low = entropy[len(seed_words)]
+    words[len(seed_words)] = np.arange(low, low + len(block), dtype=np.uint32)
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * len(words))
+    # mix_entropy: hash the first words into the pool, mix every pool word
+    # into every other, then mix each remaining word into every pool word
+    pool = _hashmix(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
+    i = _POOL
+    for src, others in enumerate(_OTHERS):
+        pool[others] = _mix(pool[others], _hashmix(pool[src], a[i:i + 3], a[i + 1:i + 4]))
+        i += 3
+    for word in words[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[i:i + _POOL], a[i + 1:i + _POOL + 1]))
+        i += _POOL
+    # generate_state(4, np.uint64): eight hashed pool words, paired little-endian
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
+    seeds = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [Generator(PCG64(_TrialSeed(row))) for row in seeds]
 
 
 def _blocks(seed: int, trials: int):
     """Each block of trial indices, a range of at most _BLOCK, with its trials' generators.
 
-    Yields (block, rngs), rngs[i] being ``default_rng((seed, block[i]))``, the
-    one stream of each trial. ``seed`` and then ``trials`` must be integers
-    >= 0, else OutOfRangeError, raised when this is called, not when iterated.
+    Yields (block, rngs), rngs[i] being a generator equal to
+    ``default_rng((seed, block[i]))``, the one stream of each trial. A block
+    computes numpy's ``SeedSequence`` hash for all its trials at once
+    (``_trial_generators``); blocks start at multiples of _BLOCK, which
+    divides 2**32. A trial generator's ``seed_seq`` is not a
+    ``SeedSequence``, so it cannot ``spawn()``. ``seed`` and then ``trials``
+    must be integers >= 0, else OutOfRangeError, raised when this is called,
+    not when iterated.
     """
     _check_count(seed, "seed", 0, None)
     _check_count(trials, "trials", 0, None)
     blocks = [range(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
-    return ((block, [np.random.default_rng((seed, trial)) for trial in block]) for block in blocks)
+    return ((block, _trial_generators(seed, block)) for block in blocks)
 
 
 def _random_entangled(rngs: Sequence, ranks: Sequence[int]) -> np.ndarray:

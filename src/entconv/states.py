@@ -316,6 +316,19 @@ def _check_count(n, what: str, low: int, high: Optional[int]) -> None:
         raise OutOfRangeError(f"{what} must be an integer {bound}, got {n!r}")
 
 
+def _generator(seed) -> np.random.Generator:
+    """``default_rng(seed)`` for a single-draw helper.
+
+    None and numpy's own ``Generator``, ``BitGenerator`` and ``SeedSequence``
+    pass through unchanged; any other seed must be an integer >= 0, else
+    OutOfRangeError, as for the falsifiers.
+    """
+    if seed is not None and not isinstance(
+            seed, (np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)):
+        _check_count(seed, "seed", 0, None)
+    return np.random.default_rng(seed)
+
+
 def _gaussian_factors(rngs: Sequence, rank: int) -> np.ndarray:
     """A complex Gaussian 4 x rank matrix per generator, stacked.
 
@@ -335,9 +348,13 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
 
 
 def random_density_matrix(seed=None, rank: int = 4) -> DensityMatrix:
-    """Random state G G^dagger / tr(G G^dagger), G complex Gaussian 4 x rank."""
+    """Random state G G^dagger / tr(G G^dagger), G complex Gaussian 4 x rank.
+
+    ``seed`` is None, a numpy generator or seed sequence, or an integer >= 0;
+    ``rank`` an integer in 1..4. Else OutOfRangeError.
+    """
     _check_count(rank, "rank", 1, 4)
-    g = _gaussian_factors([np.random.default_rng(seed)], rank)[0]
+    g = _gaussian_factors([_generator(seed)], rank)[0]
     return DensityMatrix(_normalized_gram(g))
 
 

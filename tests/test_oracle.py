@@ -243,16 +243,54 @@ _COUNTS = {
                "budget must be an integer >= 1"),
     "audit_seed": (lambda n: monotone_audit(1, seed=n), "seed must be an integer >= 0"),
     "rank_seed": (lambda n: falsify_rank_monotonicity(1, seed=n), "seed must be an integer >= 0"),
+    "density_seed": (lambda n: random_density_matrix(n), "seed must be an integer >= 0"),
+    "channel_seed": (lambda n: random_separable_channel(n, 2), "seed must be an integer >= 0"),
 }
+# the single-draw helpers' seeds, which may also be None: fresh entropy
+_OPTIONAL = {"density_seed", "channel_seed"}
 
 
 @pytest.mark.parametrize("name", _COUNTS)
 def test_every_count_is_read_by_one_rule(name):
     read, rule = _COUNTS[name]
-    for bad in (True, 2.5, -1, "3", None):
+    for bad in (True, 2.5, -1, "3") + (() if name in _OPTIONAL else (None,)):
         with pytest.raises(OutOfRangeError, match=re.escape(f"{rule}, got {bad!r}")):
             read(bad)
     read(np.int64(2))
+    if name in _OPTIONAL:
+        read(None)
+
+
+@pytest.mark.parametrize("draw", [lambda seed: random_density_matrix(seed).matrix,
+                                  lambda seed: random_separable_channel(seed, 2).estack],
+                         ids=["density", "channel"])
+def test_a_helper_seed_may_be_one_of_numpys_seed_objects(draw):
+    want = draw(5)
+    for seed in (np.random.default_rng(5), np.random.PCG64(5), np.random.SeedSequence(5)):
+        assert np.array_equal(draw(seed), want), seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70, np.uint64(2**63), 2**100],
+                         ids=["0", "1", "2**32-1", "2**32", "2**70", "uint64(2**63)", "2**100"])
+@pytest.mark.parametrize("block", [range(0, 256), range(256, 300), range(0, 0),
+                                   range(2**32, 2**32 + 3)],
+                         ids=["first", "second", "empty", "two_word_trials"])
+def test_a_blocks_generators_are_numpys_default_rng(seed, block):
+    # one hash over the block must give each trial the stream numpy's own
+    # SeedSequence gives it; 2**100 has four seed words, so it reaches the
+    # hash's loop over the entropy beyond the pool
+    rngs = oracle._trial_generators(seed, block)
+    assert len(rngs) == len(block)
+    for trial, rng in zip(block, rngs):
+        want = np.random.default_rng((seed, trial))
+        assert rng.bit_generator.state == want.bit_generator.state, trial
+        assert np.array_equal(rng.random(3), want.random(3)), trial
+
+
+def test_a_trial_seed_answers_only_pcg64s_request():
+    (rng,) = oracle._trial_generators(7, range(1))
+    with pytest.raises(NotImplementedError):
+        rng.bit_generator.seed_seq.generate_state(4)
 
 
 @pytest.mark.parametrize("falsify", [monotone_audit, falsify_rank_monotonicity])

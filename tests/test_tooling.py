@@ -355,7 +355,7 @@ def test_each_numeric_rule_is_written_once():
     assert holders("standard_exponential(") == ["oracle.py"]
     assert holders("expected an array of numbers") == ["qmat.py"]
     # each trial's generator and the Werner weight are written once
-    for text, home in (("default_rng((seed, trial))", "oracle.py"),
+    for text, home in (("PCG64(", "oracle.py"),
                        ("vdot(SINGLET_PROJECTOR", "states.py")):
         assert holders(text) == [home]
         assert sources[home].count(text) == 1
